@@ -62,6 +62,12 @@ class ModemConfig:
     def sample_rate(self) -> float:
         return self.symbol_rate * self.samples_per_symbol
 
+    @property
+    def context_symbols(self) -> int:
+        """Symbols beyond either edge of a window that its samples depend
+        on: one GMSK frequency pulse span, none for OOK."""
+        return self.gmsk_span + 1 if self.scheme is Scheme.GMSK else 0
+
 
 @dataclass
 class SampleBlock:
@@ -91,41 +97,77 @@ def _gmsk_frequency_pulse(cfg: ModemConfig) -> np.ndarray:
     return pulse / pulse.sum()
 
 
+def _gmsk_frequency(bits, cfg: ModemConfig) -> np.ndarray:
+    """Per-sample phase increments / (pi/2): one frequency pulse per bit,
+    including the filter tails past either end."""
+    sps = cfg.samples_per_symbol
+    impulses = np.zeros(len(bits) * sps)
+    impulses[::sps] = 2.0 * np.asarray(bits) - 1.0
+    return np.convolve(impulses, _gmsk_frequency_pulse(cfg))
+
+
 def gmsk_data_phase(bits, cfg: ModemConfig) -> np.ndarray:
     """Full (untrimmed) data phase trajectory, pi/2 net shift per bit.
 
     Includes the filter tails, so an isolated bit accumulates exactly
-    +-pi/2 in total. Used by modulate() after trimming to the symbol grid.
+    +-pi/2 in total.
     """
-    bits = np.asarray(bits, dtype=int)
-    sps = cfg.samples_per_symbol
-    nrz = 2.0 * bits - 1.0
-    impulses = np.zeros(len(bits) * sps)
-    impulses[::sps] = nrz
-    pulse = _gmsk_frequency_pulse(cfg)
-    freq = np.convolve(impulses, pulse)   # per-sample phase increments / (pi/2)
-    return (np.pi / 2.0) * np.cumsum(freq)
+    return (np.pi / 2.0) * np.cumsum(_gmsk_frequency(bits, cfg))
+
+
+@dataclass
+class StreamCursor:
+    """Where the next window of a stream starts: its first symbol and, for
+    GMSK, the unscaled data phase accumulated before that window."""
+
+    symbol: int = 0
+    phase: float = 0.0
 
 
 def modulate(bits, cfg: ModemConfig,
-             phase_offset: PhaseOffset = PhaseOffset.IN_PHASE) -> SampleBlock:
-    """Map a bit sequence to intensity samples (samples_per_symbol per bit)."""
-    bits = np.asarray(bits, dtype=int)
-    if bits.size == 0:
+             phase_offset: PhaseOffset = PhaseOffset.IN_PHASE,
+             n_symbols: int | None = None,
+             cursor: StreamCursor | None = None) -> SampleBlock:
+    """Intensity samples (samples_per_symbol per bit) of one window of a
+    bit stream.
+
+    `bits` holds the stream's leading bits. The window is `n_symbols`
+    symbols from `cursor.symbol`, and the cursor advances past it; without
+    a cursor the window is the whole of `bits`. Consecutive windows
+    concatenate to the samples of one window spanning them all. A GMSK
+    pulse spreads over `cfg.context_symbols` symbols, so a GMSK window also
+    reads that many bits either side of it; past the end of `bits` the
+    stream is taken to have ended.
+    """
+    bits = np.asarray(bits)
+    if cursor is None:
+        cursor = StreamCursor()
+    if n_symbols is None:
+        n_symbols = len(bits) - cursor.symbol
+    first, stop = cursor.symbol, cursor.symbol + n_symbols
+    if n_symbols < 1:
         raise ModemError("bits must be nonempty")
+    if stop > len(bits):
+        raise ModemError("window runs past the end of the bits")
     sps = cfg.samples_per_symbol
     if cfg.scheme is Scheme.OOK:
-        levels = cfg.dc_bias + cfg.modulation_depth * (2.0 * bits - 1.0)
-        m = np.repeat(2.0 * bits - 1.0, sps)
+        m = np.repeat(2.0 * bits[first:stop] - 1.0, sps)
     else:
-        phase = gmsk_data_phase(bits, cfg)
-        # trim so each symbol's frequency mass is centered in its window
-        pulse_len = len(_gmsk_frequency_pulse(cfg))
-        delay = (pulse_len - sps) // 2
-        phase = phase[delay:delay + len(bits) * sps]
-        n = np.arange(len(phase))
+        lo = max(0, first - cfg.context_symbols)
+        freq = _gmsk_frequency(bits[lo:stop + cfg.context_symbols], cfg)
+        # trim so each symbol's frequency mass is centered in its window;
+        # the stream's phase also counts the pulse lead-in before sample 0
+        delay = (len(_gmsk_frequency_pulse(cfg)) - sps) // 2
+        start = (first - lo) * sps + delay
+        lead = delay if first == 0 else 0
+        acc = np.cumsum(np.concatenate(
+            ([cursor.phase], freq[start - lead:start + n_symbols * sps])))[1:]
+        cursor.phase = float(acc[-1])
+        phase = (np.pi / 2.0) * acc[lead:]
+        n = np.arange(first * sps, stop * sps)
         carrier = 2 * np.pi * cfg.gmsk_carrier_cycles / sps * n
         m = np.cos(carrier + phase)
+    cursor.symbol = stop
     if phase_offset is PhaseOffset.INVERTED:
         m = -m
     samples = cfg.dc_bias + cfg.modulation_depth * m

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .channel import PixelMask, received_snr_db
-from .framing import IdLookupTable, TransmitterId, detect_packets
+from .framing import (HEADER_BITS, IdLookupTable, TransmitterId,
+                      detect_packets)
 
 
 class ProtocolError(ValueError):
@@ -212,7 +213,8 @@ def run_controller(sim, T_s: float, snr_threshold_db: float,
             bits = sim.decode(block)
             dets = detect_packets(bits, id_table, corr_threshold)
             detections_by_pixel[p] = [
-                TransmitterId(tuple(bits[d.offset:d.offset + 13]), d.label)
+                TransmitterId(tuple(bits[d.offset:d.offset + HEADER_BITS]),
+                              d.label)
                 for d in dets
             ]
             log("identification_dwell", pixel=p,

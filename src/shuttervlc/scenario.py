@@ -24,7 +24,7 @@ from .geometry import (EmitterPlacement, MappingResult, OpticalSetup,
                        map_emitters_to_pixels)
 from .metrics import LinkReport, bit_error_rate, goodput, packet_error_rate
 from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme,
-                    demodulate, modulate)
+                    StreamCursor, demodulate, modulate)
 from .protocol import run_controller
 
 SCHEMA_VERSION = 1
@@ -179,67 +179,60 @@ def _payload_rng(scenario_seed: int, label: int) -> np.random.Generator:
 
 
 def emitter_bits(spec: EmitterSpec, scenario: Scenario, n_bits: int,
-                 framed: bool, cache: Dict[int, np.ndarray],
-                 run_seed: Optional[int] = None) -> np.ndarray:
-    """The first n_bits of an emitter's transmit stream.
+                 framed: bool, run_seed: Optional[int] = None) -> np.ndarray:
+    """The first n_bits of an emitter's transmit stream, as uint8.
 
     Framed streams are back-to-back 2096-bit packets (header + payload from
-    the bit source); unframed streams use the source bits directly."""
+    the bit source); unframed streams use the source bits directly. Every
+    source is prefix-stable: a longer call returns the same leading bits,
+    so a run can regenerate a longer prefix whenever it needs more."""
     if run_seed is None:
         run_seed = scenario.rng_seed
-    if spec.label in cache and len(cache[spec.label]) >= n_bits:
-        return cache[spec.label][:n_bits]
     src = spec.bit_source
     kind = src.get("type", "random")
     if kind == "same_as":
         ref = next(e for e in scenario.emitters if e.label == src["label"])
-        bits = emitter_bits(ref, scenario, n_bits, framed, cache, run_seed)
-        cache[spec.label] = bits
-        return bits
+        return emitter_bits(ref, scenario, n_bits, framed, run_seed)
 
     def raw(n: int) -> np.ndarray:
         if kind == "random":
             seed = src.get("seed")
             rng = (np.random.default_rng(seed) if seed is not None
                    else _payload_rng(run_seed, spec.label))
-            return rng.integers(0, 2, size=n)
+            return rng.integers(0, 2, size=n).astype(np.uint8)
         if kind == "pattern":
-            pat = np.array([int(c) for c in src["bits"]], dtype=int)
-            reps = -(-n // len(pat))
-            return np.tile(pat, reps)[:n]
-        if kind == "file":
+            pat = _bits_from_str(src["bits"])
+        elif kind == "file":
             text = Path(src["path"]).read_text()
-            pat = np.array([int(c) for c in text if c in "01"], dtype=int)
-            if len(pat) == 0:
-                raise ScenarioError(f"bit file {src['path']} has no bits")
-            reps = -(-n // len(pat))
-            return np.tile(pat, reps)[:n]
-        raise ScenarioError(f"unknown bit source type {kind!r}")
+            pat = _bits_from_str("".join(c for c in text if c in "01"))
+        else:
+            raise ScenarioError(f"unknown bit source type {kind!r}")
+        if len(pat) == 0:
+            raise ScenarioError(f"{kind} bit source has no bits")
+        return np.resize(pat, n)
 
     if not framed:
-        bits = raw(n_bits)
-    else:
-        n_packets = -(-n_bits // framing.PACKET_BITS)
-        payload = raw(n_packets * framing.PAYLOAD_BITS)
-        tid = make_id(spec.id_kind, spec.label)
-        chunks = []
-        for k in range(n_packets):
-            pl = payload[k * framing.PAYLOAD_BITS:(k + 1) * framing.PAYLOAD_BITS]
-            chunks.append(framing.frame(pl, tid).bits)
-        bits = np.concatenate(chunks)[:n_bits]
-    cache[spec.label] = bits
-    return bits
+        return raw(n_bits)
+    n_packets = -(-n_bits // framing.PACKET_BITS)
+    payload = raw(n_packets * framing.PAYLOAD_BITS).reshape(
+        n_packets, framing.PAYLOAD_BITS)
+    header = np.array(make_id(spec.id_kind, spec.label).id_bits, dtype=np.uint8)
+    packets = np.hstack([np.broadcast_to(header, (n_packets, len(header))),
+                         payload])
+    return packets.ravel()[:n_bits]
 
 
 # ---------------------------------------------------------------------------
 # simulation core
 
 class LinkSimulation:
-    """Precomputed emitter waveforms plus a channel and a sample clock.
+    """Emitter bit streams plus a channel and a sample clock.
 
-    Every dwell slices the waveforms at the current clock, runs the channel
-    with the shared noise generator, and advances the clock; dwell lengths
-    are snapped to whole symbols so bit alignment is exact."""
+    Every dwell modulates each emitter's window at the current clock, runs
+    the channel with the shared noise generator, and advances the clock;
+    dwell lengths are snapped to whole symbols so bit alignment is exact.
+    Only one dwell's samples exist at a time. The transmit bits are a
+    prefix of each stream that grows geometrically as the clock needs."""
 
     def __init__(self, scenario: Scenario, seed: int):
         self.scenario = scenario
@@ -266,39 +259,42 @@ class LinkSimulation:
         self.identification_window_s = (
             window_packets * framing.PACKET_BITS
             / (self.modem.symbol_rate * self.modem.bits_per_symbol))
-        self._bit_cache: Dict[int, np.ndarray] = {}
-        self._waveforms: List[SampleBlock] = []
-        self._tx_bits: List[np.ndarray] = []
+        self._framed = scenario.protocol is not None
+        self._n_bits = 0
+        self._tx_bits: Dict[int, np.ndarray] = {}
+        self._cursors = [StreamCursor() for _ in scenario.emitters]
+        self.window: List[SampleBlock] = []     # emitter blocks of the last dwell
 
     @property
     def sim_time_s(self) -> float:
         return self.clock / self.fs
 
-    def prepare(self, horizon_s: float, framed: bool) -> None:
-        n_bits = int(np.ceil(horizon_s * self.modem.symbol_rate)) + 1
-        for spec in self.scenario.emitters:
-            bits = emitter_bits(spec, self.scenario, n_bits, framed,
-                                self._bit_cache, run_seed=self.seed)
-            self._tx_bits.append(bits)
-            self._waveforms.append(modulate(bits, self.modem, spec.phase_offset))
-        self.horizon_samples = n_bits * self.sps
+    def _need_bits(self, n_bits: int) -> None:
+        if n_bits <= self._n_bits:
+            return
+        self._n_bits = max(n_bits, 2 * self._n_bits)
+        self._tx_bits = {spec.label: emitter_bits(spec, self.scenario,
+                                                  self._n_bits, self._framed,
+                                                  run_seed=self.seed)
+                         for spec in self.scenario.emitters}
 
     def tx_bits(self, label: int) -> np.ndarray:
-        i = next(i for i, e in enumerate(self.scenario.emitters) if e.label == label)
-        return self._tx_bits[i]
+        return self._tx_bits[label]
 
     def _snap(self, duration_s: float) -> int:
         n = int(round(duration_s * self.fs))
         return max(self.sps, (n // self.sps) * self.sps)
 
     def dwell(self, mask: PixelMask, duration_s: float) -> SampleBlock:
-        n = self._snap(duration_s)
-        t0 = self.clock
-        if t0 + n > self.horizon_samples:
-            raise ScenarioError("simulation horizon exhausted")
-        blocks = [SampleBlock(w.samples[t0:t0 + n], self.fs) for w in self._waveforms]
-        out = receive(blocks, mask, self.channel_cfg, rng=self.rng)
-        self.clock = t0 + n
+        n_symbols = self._snap(duration_s) // self.sps
+        self._need_bits(self.clock // self.sps + n_symbols
+                        + self.modem.context_symbols)
+        self.window = [modulate(self._tx_bits[spec.label], self.modem,
+                                spec.phase_offset, n_symbols, cursor)
+                       for spec, cursor in zip(self.scenario.emitters,
+                                               self._cursors)]
+        out = receive(self.window, mask, self.channel_cfg, rng=self.rng)
+        self.clock += n_symbols * self.sps
         return out
 
     def decode(self, block: SampleBlock) -> np.ndarray:
@@ -309,11 +305,18 @@ class LinkSimulation:
 # trace records
 
 def _bits_to_str(bits) -> str:
-    return "".join("1" if int(b) else "0" for b in bits)
+    return (np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def _bits_from_str(s: str) -> np.ndarray:
-    return np.array([int(c) for c in s], dtype=int)
+    """uint8 bits of a '0'/'1' string; any other character is an error."""
+    try:
+        bits = np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
+    except (AttributeError, UnicodeEncodeError):
+        bits = None
+    if bits is None or (bits.size and bits.max() > 1):
+        raise ScenarioError("bit strings may hold only '0' and '1'")
+    return bits
 
 
 @dataclass
@@ -367,9 +370,10 @@ def _expected_packets(start_bit: int, n_bits: int) -> int:
     return max(0, last - first)
 
 
-def _snr_estimate(sim: LinkSimulation, emitter_index: int, mask: PixelMask,
-                  n: int) -> float:
-    """Estimator-style SNR: noiseless gated waveform vs a pure-noise block."""
+def _snr_estimate(sim: LinkSimulation, emitter_index: int,
+                  mask: PixelMask) -> float:
+    """Estimator-style SNR of the last dwell: its noiseless gated emitter
+    window vs a pure-noise block."""
     cfg = sim.channel_cfg
     quiet = ChannelConfig(
         emitter_gain=tuple(g if i == emitter_index else 0.0
@@ -381,27 +385,85 @@ def _snr_estimate(sim: LinkSimulation, emitter_index: int, mask: PixelMask,
         saturation_level=cfg.saturation_level,
         rng_seed=cfg.rng_seed,
     )
-    blocks = [SampleBlock(w.samples[:n], sim.fs) for w in sim._waveforms]
-    sig = receive(blocks, mask, quiet)
+    sig = receive(sim.window, mask, quiet)
     if cfg.noise_sigma == 0.0:
         return float("inf") if float(np.var(sig.samples)) > 0 else float("-inf")
     noise = SampleBlock(np.random.default_rng([sim.channel_cfg.rng_seed, 47])
-                        .normal(0.0, cfg.noise_sigma, size=n), sim.fs)
+                        .normal(0.0, cfg.noise_sigma, size=len(sig)), sim.fs)
     return received_snr_db(sig, noise)
 
 
-def _make_report(ber: float, per: float, snr_db: float, scenario: Scenario,
-                 bits_compared: int, expected: int, valid: int) -> LinkReport:
+def _report(ctx: dict, ber: float, per: float, snr_db: float,
+            bits_compared: int, expected: int, valid: int) -> dict:
     return LinkReport(
         ber=ber,
         per_percent=per,
         snr_db=snr_db,
-        goodput_bps=goodput(ber, scenario.code_rate, scenario.modem.symbol_rate,
-                            scenario.modem.bits_per_symbol),
+        goodput_bps=goodput(ber, ctx["code_rate"], ctx["symbol_rate"],
+                            ctx["bits_per_symbol"]),
         bits_compared=bits_compared,
         packets_expected=expected,
         packets_detected_valid=valid,
-    )
+    ).to_dict()
+
+
+def _fixed_mask_reports(ctx: dict, rx: np.ndarray,
+                        tx: Dict[str, np.ndarray]) -> Dict[str, dict]:
+    """Per-emitter LinkReports of a fixed-mask dwell; a run and its replay
+    both build them here. No packets are framed, so PER is 0."""
+    return {label: _report(ctx, bit_error_rate(bits, rx[:len(bits)]), 0.0,
+                           ctx["snr_db"].get(label, float("nan")),
+                           len(bits), 0, 0)
+            for label, bits in tx.items()}
+
+
+class _SlotScorer:
+    """Per-emitter tallies over the locked slots of a protocol run, and the
+    LinkReports they give; a run and its replay both score here.
+
+    `tx_bits(label)` returns an emitter's transmit bits."""
+
+    def __init__(self, ctx: dict, tx_bits):
+        self.ctx = ctx
+        self.tx_bits = tx_bits
+        self.label_of_pixel = {e["pixel"]: e["label"] for e in ctx["emitters"]}
+        self.stats = {e["label"]: {"errors": 0, "bits": 0, "expected": 0,
+                                   "valid": 0} for e in ctx["emitters"]}
+
+    def add(self, pixel: int, start_bit: int, rx: np.ndarray,
+            dets: List[Detection]) -> None:
+        label = self.label_of_pixel.get(pixel)
+        if label is None:
+            return
+        st = self.stats[label]
+        st["expected"] += _expected_packets(start_bit, len(rx))
+        st["valid"] += sum(1 for d in dets if d.label == label)
+        if dets:
+            o = dets[0].offset
+            tx = self.tx_bits(label)[start_bit + o:start_bit + len(rx)]
+            st["errors"] += int(np.count_nonzero(tx != rx[o:]))
+            st["bits"] += len(rx) - o
+
+    def reports(self) -> Dict[str, dict]:
+        reports = {}
+        for e in self.ctx["emitters"]:
+            st = self.stats[e["label"]]
+            if st["bits"] == 0 and st["expected"] == 0:
+                continue
+            ber = st["errors"] / st["bits"] if st["bits"] else 1.0
+            per = (packet_error_rate(st["valid"], st["expected"])
+                   if st["expected"] else 100.0)
+            snr = self.ctx["pixel_snr_db"].get(str(e["pixel"]), float("nan"))
+            reports[str(e["label"])] = _report(
+                self.ctx, ber, per, snr, st["bits"], st["expected"],
+                st["valid"])
+        return reports
+
+
+def _rate_context(scenario: Scenario) -> dict:
+    return {"code_rate": scenario.code_rate,
+            "symbol_rate": scenario.modem.symbol_rate,
+            "bits_per_symbol": scenario.modem.bits_per_symbol}
 
 
 def run_scenario(scenario: Scenario, seed_override: Optional[int] = None,
@@ -430,9 +492,9 @@ def _maybe_dump(samples_dir, index: int, block: SampleBlock, t0_s: float) -> Non
 
 def _run_fixed_mask(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
     sim = LinkSimulation(scenario, seed)
-    sim.prepare(scenario.duration_s + 1.0 / scenario.modem.symbol_rate, framed=False)
     mask = PixelMask(tuple(scenario.mask))
     n_bits = int(round(scenario.duration_s * scenario.modem.symbol_rate))
+    ctx = dict(_rate_context(scenario), snr_db={})
     reports: Dict[str, dict] = {}
     dwells: List[dict] = []
     tx_store: Dict[str, str] = {}
@@ -443,14 +505,13 @@ def _run_fixed_mask(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
         dwells.append({"t0_s": 0.0, "pixel": None,
                        "mask": [int(b) for b in mask.open_pixels],
                        "start_bit": 0, "bits": _bits_to_str(rx)})
-        for i, spec in enumerate(scenario.emitters):
-            tx = sim.tx_bits(spec.label)[:len(rx)]
-            tx_store[str(spec.label)] = _bits_to_str(tx)
-            ber = bit_error_rate(tx, rx)
-            snr = _snr_estimate(sim, i, mask, len(block))
-            reports[str(spec.label)] = _make_report(
-                ber, 0.0, snr, scenario, len(rx), 0, 0).to_dict()
-    record = TraceRecord(
+        tx = {str(spec.label): sim.tx_bits(spec.label)[:len(rx)]
+              for spec in scenario.emitters}
+        tx_store = {label: _bits_to_str(bits) for label, bits in tx.items()}
+        ctx["snr_db"] = {str(spec.label): _snr_estimate(sim, i, mask)
+                         for i, spec in enumerate(scenario.emitters)}
+        reports = _fixed_mask_reports(ctx, rx, tx)
+    return TraceRecord(
         schema_version=SCHEMA_VERSION,
         scenario_name=scenario.name,
         scenario_hash=scenario.canonical_hash(),
@@ -462,23 +523,14 @@ def _run_fixed_mask(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
         detections=[],
         tx_bits=tx_store,
         reports=reports,
-        context={"code_rate": scenario.code_rate,
-                 "symbol_rate": scenario.modem.symbol_rate,
-                 "bits_per_symbol": scenario.modem.bits_per_symbol},
+        context=ctx,
     )
-    return record
 
 
 def _run_protocol(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
     params = scenario.protocol
     sim = LinkSimulation(scenario, seed)
     n = scenario.optics.n_pixels
-    horizon = (params.retry_budget
-               * ((n + 1) * params.T_s
-                  + n * params.ident_window_packets * framing.PACKET_BITS
-                  / scenario.modem.symbol_rate)
-               + scenario.duration_s + 2 * params.T_s)
-    sim.prepare(horizon, framed=True)
     select = (make_id(params.select_target)
               if params.select_target is not None else None)
     table = scenario.id_table()
@@ -486,14 +538,18 @@ def _run_protocol(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
                             corr_threshold=params.corr_threshold,
                             retry_budget=params.retry_budget,
                             select_target=select)
+    pixels = scenario.emitter_pixels()
+    ctx = dict(_rate_context(scenario),
+               corr_threshold=params.corr_threshold,
+               emitters=[{"label": e.label, "id_kind": e.id_kind.value,
+                          "pixel": p}
+                         for e, p in zip(scenario.emitters, pixels)],
+               pixel_snr_db={str(p): s for p, s
+                             in result.state.pixel_snr_db.items()})
 
     dwells: List[dict] = []
     detections: List[dict] = []
-    stats = {e.label: {"errors": 0, "bits": 0, "expected": 0, "valid": 0}
-             for e in scenario.emitters}
-    pixels = scenario.emitter_pixels()
-    label_of_pixel = {p: e.label for p, e in zip(pixels, scenario.emitters)}
-
+    scorer = _SlotScorer(ctx, sim.tx_bits)
     if result.converged and scenario.duration_s > 0:
         locked = sorted(result.state.locked_pixels)
         remaining = scenario.duration_s
@@ -513,35 +569,18 @@ def _run_protocol(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
             for d in dets:
                 detections.append({"dwell_index": dwell_index, "offset": d.offset,
                                    "label": d.label, "score": d.score})
-            label = label_of_pixel.get(pixel)
-            if label is not None:
-                st = stats[label]
-                st["expected"] += _expected_packets(start_bit, len(rx))
-                st["valid"] += sum(1 for d in dets if d.label == label)
-                if dets:
-                    o = dets[0].offset
-                    tx = sim.tx_bits(label)[start_bit + o:start_bit + len(rx)]
-                    st["errors"] += int(np.sum(tx != rx[o:]))
-                    st["bits"] += len(rx) - o
+            scorer.add(pixel, start_bit, rx, dets)
             remaining -= block.duration_s
             slot += 1
 
-    reports: Dict[str, dict] = {}
+    reports = scorer.reports()
     tx_store: Dict[str, str] = {}
     for spec, pixel in zip(scenario.emitters, pixels):
-        st = stats[spec.label]
-        if st["bits"] == 0 and st["expected"] == 0:
-            continue
-        ber = st["errors"] / st["bits"] if st["bits"] else 1.0
-        per = (packet_error_rate(st["valid"], st["expected"])
-               if st["expected"] else 100.0)
-        snr = result.state.pixel_snr_db.get(pixel, float("nan"))
-        reports[str(spec.label)] = _make_report(
-            ber, per, snr, scenario, st["bits"], st["expected"],
-            st["valid"]).to_dict()
-        max_bit = max((d["start_bit"] + len(d["bits"]) for d in dwells
-                       if d["pixel"] == pixel), default=0)
-        tx_store[str(spec.label)] = _bits_to_str(sim.tx_bits(spec.label)[:max_bit])
+        if str(spec.label) in reports:
+            max_bit = max((d["start_bit"] + len(d["bits"]) for d in dwells
+                           if d["pixel"] == pixel), default=0)
+            tx_store[str(spec.label)] = _bits_to_str(
+                sim.tx_bits(spec.label)[:max_bit])
 
     return TraceRecord(
         schema_version=SCHEMA_VERSION,
@@ -555,75 +594,42 @@ def _run_protocol(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
         detections=detections,
         tx_bits=tx_store,
         reports=reports,
-        context={"code_rate": scenario.code_rate,
-                 "symbol_rate": scenario.modem.symbol_rate,
-                 "bits_per_symbol": scenario.modem.bits_per_symbol,
-                 "corr_threshold": params.corr_threshold,
-                 "emitters": [{"label": e.label, "id_kind": e.id_kind.value,
-                               "pixel": p}
-                              for e, p in zip(scenario.emitters, pixels)],
-                 "pixel_snr_db": {str(p): s for p, s
-                                  in result.state.pixel_snr_db.items()}},
+        context=ctx,
     )
 
 
 def replay_trace(record) -> Dict[str, dict]:
-    """Recompute detections and LinkReports from a trace's decoded bits.
+    """Recompute the LinkReports of a trace from its decoded bits.
 
-    Stored detections and reports in the trace are ignored; everything is
-    rebuilt from the per-dwell bit strings and the transmit reference, so a
-    tampered report section cannot survive a replay."""
+    Stored detections and reports are ignored. Re-derived from the
+    per-dwell bit strings and the transmit bits (`tx_bits`): `ber`,
+    `bits_compared`, `goodput_bps` and, in protocol mode, packet detection,
+    `packets_expected`, `packets_detected_valid` and `per_percent`.
+    Fixed-mask reports have no packets, so their `per_percent` and packet
+    counts are 0. `snr_db` comes from the run's `context` (`snr_db` per
+    label in fixed-mask mode, `pixel_snr_db` per pixel in protocol mode),
+    as do the rates behind goodput. A report edited in the trace therefore
+    differs from its replay; bits and `context` edited consistently with
+    the reports do not show."""
     if not isinstance(record, TraceRecord):
         record = TraceRecord.load(record)
     ctx = record.context
+    tx = {label: _bits_from_str(bits) for label, bits in record.tx_bits.items()}
     if record.mode == "fixed_mask":
-        reports = {}
-        for label, tx_str in record.tx_bits.items():
-            rx = _bits_from_str(record.dwells[0]["bits"])
-            tx = _bits_from_str(tx_str)
-            ber = bit_error_rate(tx, rx[:len(tx)])
-            old = record.reports[label]
-            reports[label] = {**old,
-                              "ber": ber,
-                              "bits_compared": len(tx),
-                              "goodput_bps": goodput(ber, ctx["code_rate"],
-                                                     ctx["symbol_rate"],
-                                                     ctx["bits_per_symbol"])}
-        return reports
+        if not tx:
+            return {}
+        if "snr_db" not in ctx:
+            raise ScenarioError("fixed-mask trace context has no snr_db")
+        rx = _bits_from_str(record.dwells[0]["bits"])
+        return _fixed_mask_reports(ctx, rx, tx)
 
     table = IdLookupTable([make_id(IdKind(e["id_kind"]), e["label"])
                            for e in ctx["emitters"]])
-    label_of_pixel = {e["pixel"]: e["label"] for e in ctx["emitters"]}
-    stats = {e["label"]: {"errors": 0, "bits": 0, "expected": 0, "valid": 0}
-             for e in ctx["emitters"]}
+    scorer = _SlotScorer(ctx, lambda label: tx[str(label)])
     for dw in record.dwells:
+        if dw["pixel"] not in scorer.label_of_pixel:
+            continue
         rx = _bits_from_str(dw["bits"])
-        dets = detect_packets(rx, table, ctx["corr_threshold"])
-        label = label_of_pixel.get(dw["pixel"])
-        if label is None:
-            continue
-        st = stats[label]
-        st["expected"] += _expected_packets(dw["start_bit"], len(rx))
-        st["valid"] += sum(1 for d in dets if d.label == label)
-        if dets:
-            o = dets[0].offset
-            tx_all = _bits_from_str(record.tx_bits[str(label)])
-            tx = tx_all[dw["start_bit"] + o:dw["start_bit"] + len(rx)]
-            st["errors"] += int(np.sum(tx != rx[o:]))
-            st["bits"] += len(rx) - o
-    reports = {}
-    for e in ctx["emitters"]:
-        st = stats[e["label"]]
-        if st["bits"] == 0 and st["expected"] == 0:
-            continue
-        ber = st["errors"] / st["bits"] if st["bits"] else 1.0
-        per = (packet_error_rate(st["valid"], st["expected"])
-               if st["expected"] else 100.0)
-        snr = ctx["pixel_snr_db"].get(str(e["pixel"]), float("nan"))
-        reports[str(e["label"])] = LinkReport(
-            ber=ber, per_percent=per, snr_db=snr,
-            goodput_bps=goodput(ber, ctx["code_rate"], ctx["symbol_rate"],
-                                ctx["bits_per_symbol"]),
-            bits_compared=st["bits"], packets_expected=st["expected"],
-            packets_detected_valid=st["valid"]).to_dict()
-    return reports
+        scorer.add(dw["pixel"], dw["start_bit"], rx,
+                   detect_packets(rx, table, ctx["corr_threshold"]))
+    return scorer.reports()

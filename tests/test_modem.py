@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erfc
 
 from shuttervlc.modem import (ModemConfig, ModemError, PhaseOffset, SampleBlock,
-                              Scheme, _gmsk_frequency_pulse, demodulate,
-                              gmsk_data_phase, modulate)
+                              Scheme, StreamCursor, _gmsk_frequency_pulse,
+                              demodulate, gmsk_data_phase, modulate)
 
 OOK = ModemConfig(scheme=Scheme.OOK, symbol_rate=1000, samples_per_symbol=4,
                   dc_bias=1.0, modulation_depth=0.5)
@@ -166,3 +167,34 @@ def test_demodulate_errors():
         demodulate(SampleBlock(np.ones(2), 4000.0), OOK)
     with pytest.raises(ModemError):
         modulate([], OOK)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(),
+       scheme=st.sampled_from(list(Scheme)),
+       sps=st.sampled_from([4, 8, 16]),
+       offset=st.sampled_from(list(PhaseOffset)),
+       n_bits=st.integers(1, 700),
+       seed=st.integers(0, 2**32 - 1))
+def test_windows_concatenate_to_one_shot_property(data, scheme, sps, offset,
+                                                  n_bits, seed):
+    cfg = ModemConfig(scheme=scheme, symbol_rate=1e3, samples_per_symbol=sps)
+    bits = np.random.default_rng(seed).integers(0, 2, n_bits)
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, max(1, n_bits - 1)),
+                                         max_size=8)))) if n_bits > 1 else []
+    edges = list(zip([0] + cuts, cuts + [n_bits]))
+    whole = modulate(bits, cfg, offset).samples
+    cursor = StreamCursor()
+    parts = [modulate(bits, cfg, offset, b - a, cursor).samples
+             for a, b in edges]
+    assert np.array_equal(np.concatenate(parts), whole)
+    # a window needs only cfg.context_symbols bits past its end
+    cursor = StreamCursor()
+    parts = [modulate(bits[:b + cfg.context_symbols], cfg, offset, b - a,
+                      cursor).samples for a, b in edges]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_window_past_end_of_bits_rejected():
+    with pytest.raises(ModemError):
+        modulate([1, 0, 1], OOK, n_symbols=2, cursor=StreamCursor(symbol=2))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from shuttervlc.cli import main
 from shuttervlc.scenario import (Scenario, ScenarioError, TraceRecord,
                                  bundled_scenario, bundled_scenario_names,
                                  emitter_bits, load_scenario, replay_trace,
@@ -81,7 +82,7 @@ def test_emitter_bits_sources(tmp_path):
     pattern = scenario_from_dict(_variant(emitters=[
         {"label": 1, "pixel": 0, "bit_source": {"type": "pattern",
                                                 "bits": "101"}}]))
-    bits = emitter_bits(pattern.emitters[0], pattern, 8, framed=False, cache={})
+    bits = emitter_bits(pattern.emitters[0], pattern, 8, framed=False)
     np.testing.assert_array_equal(bits, [1, 0, 1, 1, 0, 1, 1, 0])
 
     path = tmp_path / "bits.txt"
@@ -89,22 +90,38 @@ def test_emitter_bits_sources(tmp_path):
     filed = scenario_from_dict(_variant(emitters=[
         {"label": 1, "pixel": 0, "bit_source": {"type": "file",
                                                 "path": str(path)}}]))
-    bits = emitter_bits(filed.emitters[0], filed, 6, framed=False, cache={})
+    bits = emitter_bits(filed.emitters[0], filed, 6, framed=False)
     np.testing.assert_array_equal(bits, [0, 1, 1, 0, 0, 1])
 
     # random source is deterministic per (seed, label)
-    a = emitter_bits(spec, sc, 100, framed=False, cache={})
-    b = emitter_bits(spec, sc, 100, framed=False, cache={})
+    a = emitter_bits(spec, sc, 100, framed=False)
+    b = emitter_bits(spec, sc, 100, framed=False)
     np.testing.assert_array_equal(a, b)
-    c = emitter_bits(spec, sc, 100, framed=False, cache={}, run_seed=6)
+    c = emitter_bits(spec, sc, 100, framed=False, run_seed=6)
     assert not np.array_equal(a, c)
+
+
+def test_emitter_bits_prefix_stable():
+    sc = scenario_from_dict(_variant())
+    for framed in (False, True):
+        short = emitter_bits(sc.emitters[0], sc, 5000, framed=framed)
+        long = emitter_bits(sc.emitters[0], sc, 12345, framed=framed)
+        assert short.dtype == np.uint8
+        np.testing.assert_array_equal(long[:5000], short)
+
+
+def test_pattern_source_rejects_non_binary():
+    sc = scenario_from_dict(_variant(emitters=[
+        {"label": 1, "pixel": 0, "bit_source": {"type": "pattern",
+                                                "bits": "102"}}]))
+    with pytest.raises(ScenarioError):
+        emitter_bits(sc.emitters[0], sc, 8, framed=False)
 
 
 def test_emitter_bits_framed_structure():
     from shuttervlc.framing import BARKER_13, PACKET_BITS
     sc = scenario_from_dict(_variant())
-    bits = emitter_bits(sc.emitters[0], sc, 2 * PACKET_BITS, framed=True,
-                        cache={})
+    bits = emitter_bits(sc.emitters[0], sc, 2 * PACKET_BITS, framed=True)
     assert tuple(bits[:13]) == BARKER_13
     assert tuple(bits[PACKET_BITS:PACKET_BITS + 13]) == BARKER_13
 
@@ -187,3 +204,30 @@ def test_samples_dir_dumps_csv(tmp_path):
     assert len(files) == 1
     data = np.loadtxt(files[0], delimiter=",")
     assert data.shape == (400, 2)   # 0.1 s at 4 kHz sample rate
+
+
+@pytest.mark.parametrize("field,value", [("snr_db", 99.0),
+                                         ("per_percent", 50.0)])
+def test_replay_fixed_mask_flags_tampered_snr_and_per(tmp_path, capsys,
+                                                      field, value):
+    record = run_scenario(scenario_from_dict(_variant()))
+    assert replay_trace(record) == record.reports
+    doc = json.loads(record.to_json())
+    doc["reports"]["1"][field] = value
+    forged = TraceRecord.from_json(json.dumps(doc))
+    assert replay_trace(forged) != forged.reports
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == 1
+
+
+@pytest.mark.parametrize("bad", ["01x1", "0121", "01 1", "01\u00e91", 101])
+def test_replay_rejects_non_binary_bit_strings(bad):
+    fixed = run_scenario(scenario_from_dict(_variant(duration_s=0.01)))
+    fixed.dwells[0]["bits"] = bad
+    with pytest.raises(ScenarioError):
+        replay_trace(fixed)
+    fixed = run_scenario(scenario_from_dict(_variant(duration_s=0.01)))
+    fixed.tx_bits["1"] = bad
+    with pytest.raises(ScenarioError):
+        replay_trace(fixed)
