@@ -8,8 +8,7 @@ from .framing import (BARKER_11, BARKER_13, Detection, IdKind, IdLookupTable,
 from .geometry import (EmitterPlacement, MappingResult, OpticalSetup,
                        default_placement, map_emitters_to_pixels, min_angle,
                        min_separation)
-from .metrics import (LinkReport, bit_error_rate, goodput, packet_error_rate,
-                      snr_from_trace)
+from .metrics import LinkReport, bit_error_rate, goodput, packet_error_rate
 from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme, demodulate,
                     modulate)
 from .protocol import (ControllerResult, LatencyEstimate, LatencyModel, Phase,

@@ -79,35 +79,50 @@ class ChannelConfig:
             raise ChannelError("one gain per emitter required")
 
 
+def _gate(mask: PixelMask, cfg: ChannelConfig, pixel: int) -> float:
+    return 1.0 if mask.open_pixels[pixel] else cfg.closed_leakage
+
+
+def emitter_weights(mask: PixelMask, cfg: ChannelConfig) -> Tuple[float, ...]:
+    """Amplitude with which each emitter reaches the photodiode under
+    `mask`: its gain, times 1 if its pixel is open, else `closed_leakage`.
+
+    An emitter of weight 0 contributes nothing to `receive`, so its
+    waveform need not be synthesised."""
+    if len(mask) != len(cfg.ambient_dc):
+        raise ChannelError("mask length must match pixel count")
+    if any(not (0 <= p < len(mask)) for p in cfg.emitter_pixel):
+        raise ChannelError("emitter mapped to an invalid pixel")
+    return tuple(gain * _gate(mask, cfg, pixel)
+                 for gain, pixel in zip(cfg.emitter_gain, cfg.emitter_pixel))
+
+
 def receive(emitter_blocks: Sequence[SampleBlock], mask: PixelMask,
             cfg: ChannelConfig, rng: np.random.Generator | None = None) -> SampleBlock:
     """Superpose gated emitter waveforms, ambient DC and AWGN; clip to
     [0, saturation_level].
 
-    All emitter blocks must share one sample rate and length. Noise comes
-    from `rng` if given (lets a simulation thread one generator through
-    many calls), else from a fresh generator seeded with cfg.rng_seed.
+    All emitter blocks must share one sample rate and length; the samples
+    of an emitter whose `emitter_weights` entry is 0 are never read. Noise
+    comes from `rng` if given (lets a simulation thread one generator
+    through many calls), else from a fresh generator seeded with
+    cfg.rng_seed.
     """
     if len(emitter_blocks) != len(cfg.emitter_gain):
         raise ChannelError("one block per configured emitter required")
-    if len(mask) != len(cfg.ambient_dc):
-        raise ChannelError("mask length must match pixel count")
-    if any(not (0 <= p < len(mask)) for p in cfg.emitter_pixel):
-        raise ChannelError("emitter mapped to an invalid pixel")
+    weights = emitter_weights(mask, cfg)
     rates = {b.sample_rate for b in emitter_blocks}
     lengths = {len(b) for b in emitter_blocks}
     if len(rates) > 1 or len(lengths) > 1:
         raise ChannelError("emitter blocks must share sample rate and length")
 
-    def gate(pixel: int) -> float:
-        return 1.0 if mask.open_pixels[pixel] else cfg.closed_leakage
-
     n = lengths.pop() if lengths else 0
     rate = rates.pop() if rates else 0.0
     out = np.zeros(n)
-    for block, gain, pixel in zip(emitter_blocks, cfg.emitter_gain, cfg.emitter_pixel):
-        out += gain * gate(pixel) * block.samples
-    out += sum(a * gate(p) for p, a in enumerate(cfg.ambient_dc))
+    for block, weight in zip(emitter_blocks, weights):
+        if weight:
+            out += weight * block.samples
+    out += sum(a * _gate(mask, cfg, p) for p, a in enumerate(cfg.ambient_dc))
     if cfg.noise_sigma > 0:
         if rng is None:
             rng = np.random.default_rng(cfg.rng_seed)

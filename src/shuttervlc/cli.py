@@ -6,11 +6,17 @@ import json
 import sys
 from pathlib import Path
 
-from .geometry import (EmitterPlacement, OpticalSetup, min_angle,
-                       min_separation, map_emitters_to_pixels)
-from .protocol import LatencyModel, estimate_latency, packets_per_slot
-from .scenario import (TraceRecord, bundled_scenario, bundled_scenario_names,
-                       load_scenario, replay_trace, run_scenario)
+from .channel import ChannelError
+from .framing import FramingError
+from .geometry import (EmitterPlacement, InvalidSetupError, OpticalSetup,
+                       min_angle, min_separation, map_emitters_to_pixels)
+from .metrics import MetricsError
+from .modem import ModemError
+from .protocol import (LatencyModel, ProtocolError, estimate_latency,
+                       packets_per_slot)
+from .scenario import (ScenarioError, TraceRecord, bundled_scenario,
+                       bundled_scenario_names, load_scenario, replay_trace,
+                       run_scenario)
 from .tables import TABLE_NAMES, format_table, reproduce_table
 
 
@@ -178,9 +184,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# what the package raises for bad input: reported as one line, exit code 2
+_INPUT_ERRORS = (ScenarioError, ModemError, ChannelError, FramingError,
+                 ProtocolError, MetricsError, InvalidSetupError)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"shuttervlc: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

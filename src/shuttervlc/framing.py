@@ -148,15 +148,11 @@ def detect_packets(bits: Sequence[int], table: IdLookupTable,
     if hits.size == 0:
         return []
     residues = hits % PACKET_BITS
-    counts: dict = {}
-    for off, res in zip(hits, residues):
-        cnt, tot = counts.get(res, (0, 0))
-        counts[res] = (cnt + 1, tot + int(best_score[off]))
-    lattice = min(counts, key=lambda r: (-counts[r][0], -counts[r][1], r))
-    detections: List[Detection] = []
-    for off in hits[residues == lattice]:
-        tid = ids[int(best_id[off])]
-        payload = tuple(int(b) for b in bits[off + HEADER_BITS:off + PACKET_BITS])
-        detections.append(Detection(int(off), tid.label, payload,
-                                    int(best_score[off])))
-    return detections
+    counts = np.bincount(residues)
+    totals = np.bincount(residues, weights=best_score[hits])
+    # the last key sorts first: most hits, then highest total, then residue
+    lattice = np.lexsort((np.arange(len(counts)), -totals, -counts))[0]
+    return [Detection(int(off), ids[int(best_id[off])].label,
+                      tuple(bits[off + HEADER_BITS:off + PACKET_BITS].tolist()),
+                      int(best_score[off]))
+            for off in hits[residues == lattice]]

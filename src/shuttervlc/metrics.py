@@ -5,9 +5,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import received_snr_db
-from .modem import SampleBlock
-
 
 class MetricsError(ValueError):
     """Raised for inconsistent metric inputs."""
@@ -64,8 +61,3 @@ def goodput(ber: float, code_rate: float, symbol_rate: float,
     if not (0.0 < code_rate <= 1.0):
         raise MetricsError("code_rate must be in (0, 1]")
     return (1.0 - ber) * code_rate * symbol_rate * bits_per_symbol
-
-
-def snr_from_trace(signal_dwell: SampleBlock, noise_dwell: SampleBlock) -> float:
-    """SNR of a (signal dwell, noise dwell) trace pair, in dB."""
-    return received_snr_db(signal_dwell, noise_dwell)

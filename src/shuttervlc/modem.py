@@ -12,7 +12,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import hilbert
 
 
 class ModemError(ValueError):
@@ -124,6 +123,33 @@ class StreamCursor:
     phase: float = 0.0
 
 
+def _advance(bits: np.ndarray, cfg: ModemConfig, n_symbols: int,
+             cursor: StreamCursor) -> np.ndarray | None:
+    """Check the window of `n_symbols` symbols at `cursor` and move the
+    cursor past it. For GMSK, return the window's unscaled data phase per
+    sample, whose running sum the cursor carries on; None for OOK."""
+    first, stop = cursor.symbol, cursor.symbol + n_symbols
+    if n_symbols < 1:
+        raise ModemError("bits must be nonempty")
+    if stop > len(bits):
+        raise ModemError("window runs past the end of the bits")
+    cursor.symbol = stop
+    if cfg.scheme is Scheme.OOK:
+        return None
+    sps = cfg.samples_per_symbol
+    lo = max(0, first - cfg.context_symbols)
+    freq = _gmsk_frequency(bits[lo:stop + cfg.context_symbols], cfg)
+    # trim so each symbol's frequency mass is centered in its window;
+    # the stream's phase also counts the pulse lead-in before sample 0
+    delay = (len(_gmsk_frequency_pulse(cfg)) - sps) // 2
+    start = (first - lo) * sps + delay
+    lead = delay if first == 0 else 0
+    acc = np.cumsum(np.concatenate(
+        ([cursor.phase], freq[start - lead:start + n_symbols * sps])))[1:]
+    cursor.phase = float(acc[-1])
+    return acc[lead:]
+
+
 def modulate(bits, cfg: ModemConfig,
              phase_offset: PhaseOffset = PhaseOffset.IN_PHASE,
              n_symbols: int | None = None,
@@ -144,34 +170,28 @@ def modulate(bits, cfg: ModemConfig,
         cursor = StreamCursor()
     if n_symbols is None:
         n_symbols = len(bits) - cursor.symbol
-    first, stop = cursor.symbol, cursor.symbol + n_symbols
-    if n_symbols < 1:
-        raise ModemError("bits must be nonempty")
-    if stop > len(bits):
-        raise ModemError("window runs past the end of the bits")
+    first = cursor.symbol
+    data_phase = _advance(bits, cfg, n_symbols, cursor)
     sps = cfg.samples_per_symbol
-    if cfg.scheme is Scheme.OOK:
-        m = np.repeat(2.0 * bits[first:stop] - 1.0, sps)
+    if data_phase is None:
+        m = np.repeat(2.0 * bits[first:cursor.symbol] - 1.0, sps)
     else:
-        lo = max(0, first - cfg.context_symbols)
-        freq = _gmsk_frequency(bits[lo:stop + cfg.context_symbols], cfg)
-        # trim so each symbol's frequency mass is centered in its window;
-        # the stream's phase also counts the pulse lead-in before sample 0
-        delay = (len(_gmsk_frequency_pulse(cfg)) - sps) // 2
-        start = (first - lo) * sps + delay
-        lead = delay if first == 0 else 0
-        acc = np.cumsum(np.concatenate(
-            ([cursor.phase], freq[start - lead:start + n_symbols * sps])))[1:]
-        cursor.phase = float(acc[-1])
-        phase = (np.pi / 2.0) * acc[lead:]
-        n = np.arange(first * sps, stop * sps)
+        phase = (np.pi / 2.0) * data_phase
+        n = np.arange(first * sps, cursor.symbol * sps)
         carrier = 2 * np.pi * cfg.gmsk_carrier_cycles / sps * n
         m = np.cos(carrier + phase)
-    cursor.symbol = stop
     if phase_offset is PhaseOffset.INVERTED:
         m = -m
     samples = cfg.dc_bias + cfg.modulation_depth * m
     return SampleBlock(samples, cfg.sample_rate)
+
+
+def advance(bits, cfg: ModemConfig, n_symbols: int,
+            cursor: StreamCursor) -> None:
+    """Move `cursor` past the next `n_symbols` symbols of the stream
+    without synthesising their samples, leaving it exactly where
+    `modulate` of the same window would."""
+    _advance(np.asarray(bits), cfg, n_symbols, cursor)
 
 
 def demodulate(block: SampleBlock, cfg: ModemConfig,
@@ -200,10 +220,10 @@ def _demodulate_gmsk(x: np.ndarray, cfg: ModemConfig, nsym: int) -> np.ndarray:
     sps = cfg.samples_per_symbol
     x = x - x.mean()
     n = len(x)
-    # mirror-pad so the FFT hilbert edge ringing lands outside the data
+    # mirror-pad so the FFT edge ringing lands outside the data
     pad = min(8 * sps, n - 1)
     padded = np.concatenate([x[pad:0:-1], x, x[-2:-pad - 2:-1]])
-    psi = np.unwrap(np.angle(hilbert(padded)))[pad:pad + n]
+    psi = np.unwrap(np.angle(_analytic_signal(padded)))[pad:pad + n]
     psi = psi - 2 * np.pi * cfg.gmsk_carrier_cycles / sps * np.arange(n)
     if n >= 3:
         # the final sample's analytic-phase estimate is unreliable (the
@@ -212,3 +232,13 @@ def _demodulate_gmsk(x: np.ndarray, cfg: ModemConfig, nsym: int) -> np.ndarray:
     ends = np.minimum(np.arange(1, nsym + 1) * sps, n - 1)
     starts = np.arange(nsym) * sps
     return (psi[ends] > psi[starts]).astype(int)
+
+
+def _analytic_signal(x: np.ndarray) -> np.ndarray:
+    """x + j*hilbert(x) by the FFT: keep DC (and the Nyquist bin of an even
+    length), double the positive frequencies, drop the negative ones."""
+    n = len(x)
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[:n // 2 + 1] = np.fft.rfft(x)
+    spectrum[1:(n + 1) // 2] *= 2
+    return np.fft.ifft(spectrum)

@@ -17,14 +17,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import framing
-from .channel import ChannelConfig, PixelMask, receive, received_snr_db
+from .channel import (ChannelConfig, PixelMask, emitter_weights, receive,
+                      received_snr_db)
 from .framing import (Detection, IdKind, IdLookupTable, TransmitterId,
                       detect_packets, make_id)
 from .geometry import (EmitterPlacement, MappingResult, OpticalSetup,
                        map_emitters_to_pixels)
 from .metrics import LinkReport, bit_error_rate, goodput, packet_error_rate
 from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme,
-                    StreamCursor, demodulate, modulate)
+                    StreamCursor, advance, demodulate, modulate)
 from .protocol import run_controller
 
 SCHEMA_VERSION = 1
@@ -156,7 +157,11 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     with open(path) as f:
-        return scenario_from_dict(json.load(f))
+        try:
+            d = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"scenario parse error: {exc}") from exc
+    return scenario_from_dict(d)
 
 
 def bundled_scenario_names() -> List[str]:
@@ -231,8 +236,10 @@ class LinkSimulation:
     Every dwell modulates each emitter's window at the current clock, runs
     the channel with the shared noise generator, and advances the clock;
     dwell lengths are snapped to whole symbols so bit alignment is exact.
-    Only one dwell's samples exist at a time. The transmit bits are a
-    prefix of each stream that grows geometrically as the clock needs."""
+    An emitter the mask gates to weight 0 is not synthesised: its stream
+    cursor only moves on, and its block in `window` is all zeros. Only one
+    dwell's samples exist at a time. The transmit bits are a prefix of each
+    stream that grows geometrically as the clock needs."""
 
     def __init__(self, scenario: Scenario, seed: int):
         self.scenario = scenario
@@ -289,10 +296,18 @@ class LinkSimulation:
         n_symbols = self._snap(duration_s) // self.sps
         self._need_bits(self.clock // self.sps + n_symbols
                         + self.modem.context_symbols)
-        self.window = [modulate(self._tx_bits[spec.label], self.modem,
-                                spec.phase_offset, n_symbols, cursor)
-                       for spec, cursor in zip(self.scenario.emitters,
-                                               self._cursors)]
+        weights = emitter_weights(mask, self.channel_cfg)
+        dark = SampleBlock(np.zeros(n_symbols * self.sps), self.fs)
+        self.window = []
+        for spec, cursor, weight in zip(self.scenario.emitters, self._cursors,
+                                        weights):
+            bits = self._tx_bits[spec.label]
+            if weight:
+                self.window.append(modulate(bits, self.modem, spec.phase_offset,
+                                            n_symbols, cursor))
+            else:
+                advance(bits, self.modem, n_symbols, cursor)
+                self.window.append(dark)
         out = receive(self.window, mask, self.channel_cfg, rng=self.rng)
         self.clock += n_symbols * self.sps
         return out

@@ -71,3 +71,28 @@ def test_replay_flags_tampered_trace(tmp_path, capsys):
     trace.write_text(json.dumps(d))
     capsys.readouterr()
     assert main(["replay", str(trace)]) == 1
+
+
+def test_replay_reports_non_binary_bits_as_error(tmp_path, capsys):
+    assert main(["run", "table1_type1_case2", "--bundled",
+                 "--out", str(tmp_path)]) == 0
+    trace = tmp_path / "table1_type1_case2_trace.json"
+    d = json.loads(trace.read_text())
+    d["dwells"][0]["bits"] = "x" + d["dwells"][0]["bits"][1:]
+    trace.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["replay", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("shuttervlc: error: bit strings may hold only '0' and "
+                   "'1'\n")
+
+
+@pytest.mark.parametrize("text", ['{"name": "no optics"}', '{"optics": ',
+                                  '[1, 2]'])
+def test_run_reports_malformed_scenario_as_error(tmp_path, capsys, text):
+    src = tmp_path / "scenario.json"
+    src.write_text(text)
+    assert main(["run", str(src), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shuttervlc: error: ")
+    assert err.count("\n") == 1

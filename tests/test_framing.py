@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shuttervlc.framing import (BARKER_11, BARKER_13, HEADER_BITS, PACKET_BITS,
-                                PAYLOAD_BITS, FramingError, IdKind,
+                                PAYLOAD_BITS, Detection, FramingError, IdKind,
                                 IdLookupTable, TransmitterId,
                                 correlation_scores, deframe, detect_packets,
                                 frame, make_id)
@@ -157,3 +158,64 @@ def test_detect_argument_validation():
     with pytest.raises(FramingError):
         detect_packets([0, 1], table, corr_threshold=0)
     assert detect_packets([0, 1, 0], table) == []   # shorter than a packet
+
+
+def _reference_detect(bits, table, corr_threshold):
+    """The lattice vote as a Python loop over the hits: most hits, then
+    highest total score, then lowest residue."""
+    bits = np.asarray(bits, dtype=int)
+    if len(bits) < PACKET_BITS:
+        return []
+    ids = table.ids
+    scores = np.stack([correlation_scores(bits, tid.id_bits) for tid in ids])
+    last = len(bits) - PACKET_BITS
+    best_id = np.argmax(scores[:, :last + 1], axis=0)
+    best_score = scores[best_id, np.arange(last + 1)]
+    hits = np.nonzero(best_score >= corr_threshold)[0]
+    if hits.size == 0:
+        return []
+    residues = hits % PACKET_BITS
+    counts: dict = {}
+    for off, res in zip(hits, residues):
+        cnt, tot = counts.get(res, (0, 0))
+        counts[res] = (cnt + 1, tot + int(best_score[off]))
+    lattice = min(counts, key=lambda r: (-counts[r][0], -counts[r][1], r))
+    detections = []
+    for off in hits[residues == lattice]:
+        tid = ids[int(best_id[off])]
+        payload = tuple(int(b) for b in bits[off + HEADER_BITS:off + PACKET_BITS])
+        detections.append(Detection(int(off), tid.label, payload,
+                                    int(best_score[off])))
+    return detections
+
+
+# three hits of score 7 outvote two of score 13 despite a lower total
+@example(n_bits=3 * PACKET_BITS + 400, seed=0, lattices=[(5, 3, 3), (900, 2, 0)],
+         kinds=[IdKind.BARKER13], corr_threshold=7)
+@settings(max_examples=80, deadline=None)
+@given(n_bits=st.integers(PACKET_BITS - 1, 3 * PACKET_BITS + 400),
+       seed=st.integers(0, 2**32 - 1),
+       lattices=st.lists(st.tuples(st.integers(0, PACKET_BITS - 1),
+                                   st.integers(1, 3), st.integers(0, 3)),
+                         max_size=3),
+       kinds=st.sampled_from([[IdKind.BARKER13], [IdKind.BARKER11_PADDED],
+                              list(IdKind)]),
+       corr_threshold=st.sampled_from([7, 9, 11, 13]))
+def test_detect_matches_reference_lattice_vote(n_bits, seed, lattices, kinds,
+                                               corr_threshold):
+    # plant up to three lattices of headers, each (residue, packets, header
+    # bits flipped), so residues tie on hit count and on total score or
+    # trade one for the other; low thresholds add random payload hits
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, n_bits)
+    ids = [make_id(kind, label) for label, kind in enumerate(kinds, 1)]
+    for i, (res, repeats, flips) in enumerate(lattices):
+        header = np.array(ids[i % len(ids)].id_bits)
+        header[:flips] ^= 1
+        for k in range(repeats):
+            off = res + k * PACKET_BITS
+            if off + HEADER_BITS <= n_bits:
+                bits[off:off + HEADER_BITS] = header
+    table = IdLookupTable(ids)
+    assert (detect_packets(bits, table, corr_threshold)
+            == _reference_detect(bits, table, corr_threshold))

@@ -1,15 +1,22 @@
 """OOK and GMSK modulation/demodulation."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import hilbert
 from scipy.special import erfc
 
+import shuttervlc
 from shuttervlc.modem import (ModemConfig, ModemError, PhaseOffset, SampleBlock,
-                              Scheme, StreamCursor, _gmsk_frequency_pulse,
-                              demodulate, gmsk_data_phase, modulate)
+                              Scheme, StreamCursor, _analytic_signal,
+                              _gmsk_frequency_pulse, advance, demodulate,
+                              gmsk_data_phase, modulate)
 
 OOK = ModemConfig(scheme=Scheme.OOK, symbol_rate=1000, samples_per_symbol=4,
                   dc_bias=1.0, modulation_depth=0.5)
@@ -193,8 +200,37 @@ def test_windows_concatenate_to_one_shot_property(data, scheme, sps, offset,
     parts = [modulate(bits[:b + cfg.context_symbols], cfg, offset, b - a,
                       cursor).samples for a, b in edges]
     assert np.array_equal(np.concatenate(parts), whole)
+    # a window skipped with advance leaves the cursor where modulate would
+    skipped = data.draw(st.lists(st.booleans(), min_size=len(edges),
+                                 max_size=len(edges)))
+    cursor = StreamCursor()
+    for (a, b), skip in zip(edges, skipped):
+        if skip:
+            advance(bits, cfg, b - a, cursor)
+        else:
+            part = modulate(bits, cfg, offset, b - a, cursor).samples
+            assert np.array_equal(part, whole[a * sps:b * sps])
+    assert cursor.symbol == n_bits
 
 
 def test_window_past_end_of_bits_rejected():
     with pytest.raises(ModemError):
         modulate([1, 0, 1], OOK, n_symbols=2, cursor=StreamCursor(symbol=2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 64, 97, 128, 1001, 4097, 8819,
+                               70551, 70552])
+def test_analytic_signal_matches_scipy_hilbert(n):
+    x = np.random.default_rng(n).normal(size=n)
+    assert np.array_equal(_analytic_signal(x), hilbert(x))
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(shuttervlc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, shuttervlc; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

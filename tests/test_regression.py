@@ -1,8 +1,10 @@
-"""Pinned simulation output and the memory bound of per-dwell generation.
+"""Pinned simulation output, the memory bound of per-dwell generation and
+the emitters a dwell synthesises.
 
-The digests were taken from the simulator that precomputed every emitter's
-waveform over the worst-case controller horizon; generating each dwell's
-window on demand must reproduce its traces bit for bit.
+The first five digests were taken from the simulator that precomputed every
+emitter's waveform over the worst-case controller horizon, the rest from the
+one that synthesised every emitter on every dwell; generating only the
+windows the shutter lets through must reproduce their traces bit for bit.
 """
 
 import hashlib
@@ -11,6 +13,7 @@ import tracemalloc
 
 import pytest
 
+from shuttervlc import scenario
 from shuttervlc.scenario import (bundled_scenario, run_scenario,
                                  scenario_from_dict)
 
@@ -29,6 +32,17 @@ PINNED = {
         "a1431e8662dd17fd702be7aa43301865ed3dee58107a9da6fafaaa460ed7cf79",
     "protocol_clean_gmsk8":
         "6957290d1baeec9409be220624ce8f2c067a69c208fd88ea7c3540869331ec5f",
+    # closed pixels leak, so blocked emitters must still be synthesised
+    "protocol_clean_gmsk8_leak":
+        "35b44f61229eac55f9e46b8bc6d006323211dd5367d722ae5fc2d26763892243",
+    "table1_type1_case1_leak":
+        "113342c1e105a683ca289e161229d1c10b503bd70c5d922741ab460a7cbe03a1",
+    # a fixed mask that closes emitter 2's pixel
+    "table1_type4_case2_leak":
+        "cdb68ba65003e35d4a5e472c3df3c841bfb7926f42fcbbf6f6610f9c19edd2b8",
+    # an open pixel whose emitter has gain 0 is not synthesised either
+    "protocol_clean_gmsk8_gain0":
+        "bd53cb56630b72fc7f965509d04d4a396c5b39cc06cdcb75d382d896fd970564",
 }
 
 
@@ -36,6 +50,18 @@ def _doc(name: str) -> dict:
     if name == "protocol_clean_gmsk8":
         doc = _doc("protocol_clean")
         doc["modem"].update(scheme="GMSK", samples_per_symbol=8)
+        return doc
+    if name == "protocol_clean_gmsk8_leak":
+        doc = _doc("protocol_clean_gmsk8")
+        doc["channel"]["closed_leakage"] = 0.05
+        return doc
+    if name == "protocol_clean_gmsk8_gain0":
+        doc = _doc("protocol_clean_gmsk8")
+        doc["emitters"][1]["gain"] = 0.0
+        return doc
+    if name.endswith("_leak"):
+        doc = _doc(name[:-len("_leak")])
+        doc["channel"]["closed_leakage"] = 0.1
         return doc
     return json.loads(json.dumps(bundled_scenario(name).source_dict))
 
@@ -69,3 +95,22 @@ def test_grid_protocol_peak_memory_bounded_by_one_dwell():
         tracemalloc.stop()
     assert record.converged and record.events[-1]["locked_pixels"] == [0]
     assert peak < 64 * 2**20
+
+
+def test_blocked_emitters_are_not_modulated(monkeypatch):
+    # protocol_clean's controller dwells five times (noise reference, two
+    # discovery scans, two identifications) with one pixel open or none,
+    # so only one of its two emitters is ever let through
+    calls = []
+    modulate = scenario.modulate
+
+    def counting_modulate(*args, **kwargs):
+        calls.append(1)
+        return modulate(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "modulate", counting_modulate)
+    doc = _doc("protocol_clean")
+    doc["duration_s"] = 0.0
+    record = run_scenario(scenario_from_dict(doc))
+    assert record.converged
+    assert len(calls) == 4
