@@ -184,9 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# what the package raises for bad input: reported as one line, exit code 2
+# what the package raises for bad input, and a scenario, trace or output
+# path that cannot be read or written: reported as one line, exit code 2
 _INPUT_ERRORS = (ScenarioError, ModemError, ChannelError, FramingError,
-                 ProtocolError, MetricsError, InvalidSetupError)
+                 ProtocolError, MetricsError, InvalidSetupError, OSError)
 
 
 def main(argv=None) -> int:

@@ -220,25 +220,49 @@ def _demodulate_gmsk(x: np.ndarray, cfg: ModemConfig, nsym: int) -> np.ndarray:
     sps = cfg.samples_per_symbol
     x = x - x.mean()
     n = len(x)
-    # mirror-pad so the FFT edge ringing lands outside the data
+    # mirror-pad so the FFT edge ringing lands outside the data; the right
+    # pad runs on to a 5-smooth length, where the FFT is fast
     pad = min(8 * sps, n - 1)
-    padded = np.concatenate([x[pad:0:-1], x, x[-2:-pad - 2:-1]])
-    psi = np.unwrap(np.angle(_analytic_signal(padded)))[pad:pad + n]
-    psi = psi - 2 * np.pi * cfg.gmsk_carrier_cycles / sps * np.arange(n)
+    right = min(_smooth_length(n + 2 * pad) - n - pad, n - 1)
+    padded = np.concatenate([x[pad:0:-1], x, x[-2:-right - 2:-1]])
+    p = np.arctan2(_quadrature(padded)[pad:pad + n], x)
+    # the unwrapped phase, carrier removed, is needed only at the symbol
+    # boundaries: count np.unwrap's 2*pi corrections as turns
+    dd = np.diff(p)
+    turns = np.zeros(n, dtype=np.int64)
+    np.cumsum((dd < -np.pi).astype(np.int64) - (dd > np.pi), out=turns[1:])
+    step = 2 * np.pi * cfg.gmsk_carrier_cycles / sps
+
+    def psi(i):
+        return p[i] + 2 * np.pi * turns[i] - step * i
+
+    edges = psi(np.append(np.arange(nsym) * sps, n - 1))
     if n >= 3:
         # the final sample's analytic-phase estimate is unreliable (the
         # mirror pad reverses the frequency there); extrapolate it locally
-        psi[-1] = 2 * psi[-2] - psi[-3]
-    ends = np.minimum(np.arange(1, nsym + 1) * sps, n - 1)
-    starts = np.arange(nsym) * sps
-    return (psi[ends] > psi[starts]).astype(int)
+        edges[-1] = 2 * psi(n - 2) - psi(n - 3)
+    return (edges[1:] > edges[:-1]).astype(int)
 
 
-def _analytic_signal(x: np.ndarray) -> np.ndarray:
-    """x + j*hilbert(x) by the FFT: keep DC (and the Nyquist bin of an even
-    length), double the positive frequencies, drop the negative ones."""
-    n = len(x)
-    spectrum = np.zeros(n, dtype=complex)
-    spectrum[:n // 2 + 1] = np.fft.rfft(x)
-    spectrum[1:(n + 1) // 2] *= 2
-    return np.fft.ifft(spectrum)
+def _smooth_length(m: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= m."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that takes it to m
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _quadrature(x: np.ndarray) -> np.ndarray:
+    """hilbert(x).imag by a real FFT: -j times the spectrum, with the DC
+    bin (and the Nyquist bin of an even length) zeroed."""
+    spectrum = -1j * np.fft.rfft(x)
+    spectrum[0] = 0
+    if len(x) % 2 == 0:
+        spectrum[-1] = 0
+    return np.fft.irfft(spectrum, len(x))

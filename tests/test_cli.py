@@ -96,3 +96,21 @@ def test_run_reports_malformed_scenario_as_error(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("shuttervlc: error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["replay", "run"])
+def test_missing_file_reported_as_error(tmp_path, capsys, command):
+    missing = tmp_path / "missing.json"
+    assert main([command, str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shuttervlc: error: [Errno 2] ")
+    assert err.count("\n") == 1 and str(missing) in err
+
+
+def test_unwritable_out_reported_as_error(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert main(["run", "gmsk_demo", "--bundled",
+                 "--out", str(not_a_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shuttervlc: error: ") and err.count("\n") == 1

@@ -14,8 +14,9 @@ from scipy.special import erfc
 
 import shuttervlc
 from shuttervlc.modem import (ModemConfig, ModemError, PhaseOffset, SampleBlock,
-                              Scheme, StreamCursor, _analytic_signal,
-                              _gmsk_frequency_pulse, advance, demodulate,
+                              Scheme, StreamCursor, _demodulate_gmsk,
+                              _gmsk_frequency_pulse, _quadrature,
+                              _smooth_length, advance, demodulate,
                               gmsk_data_phase, modulate)
 
 OOK = ModemConfig(scheme=Scheme.OOK, symbol_rate=1000, samples_per_symbol=4,
@@ -221,8 +222,61 @@ def test_window_past_end_of_bits_rejected():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 64, 97, 128, 1001, 4097, 8819,
                                70551, 70552])
 def test_analytic_signal_matches_scipy_hilbert(n):
+    # the demodulator builds the analytic signal x + j*_quadrature(x)
     x = np.random.default_rng(n).normal(size=n)
-    assert np.array_equal(_analytic_signal(x), hilbert(x))
+    np.testing.assert_allclose(_quadrature(x), hilbert(x).imag,
+                               rtol=0, atol=1e-9)
+
+
+def _is_5_smooth(k: int) -> bool:
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+@given(m=st.integers(1, 20000))
+def test_smooth_length_is_next_5_smooth_number(m):
+    n = _smooth_length(m)
+    assert n >= m and _is_5_smooth(n)
+    assert not any(_is_5_smooth(k) for k in range(m, n))
+
+
+def _reference_gmsk_phase_steps(x, cfg, nsym):
+    """The discriminator before 5-smooth padding: scipy's analytic signal of
+    the evenly mirror-padded window, np.unwrap, and the unwrapped phase
+    step across each symbol (positive reads as a 1)."""
+    sps = cfg.samples_per_symbol
+    x = x - x.mean()
+    n = len(x)
+    pad = min(8 * sps, n - 1)
+    padded = np.concatenate([x[pad:0:-1], x, x[-2:-pad - 2:-1]])
+    psi = np.unwrap(np.angle(hilbert(padded)))[pad:pad + n]
+    psi = psi - 2 * np.pi * cfg.gmsk_carrier_cycles / sps * np.arange(n)
+    if n >= 3:
+        psi[-1] = 2 * psi[-2] - psi[-3]
+    ends = np.minimum(np.arange(1, nsym + 1) * sps, n - 1)
+    return psi[ends] - psi[np.arange(nsym) * sps]
+
+
+@pytest.mark.parametrize("sps", [4, 8, 16])
+def test_gmsk_decisions_match_reference_discriminator(sps):
+    # The longer right pad moves the phase estimate by a few mrad near the
+    # window's end, so a symbol whose phase step is that close to zero may
+    # flip; every decision taken with a margin must be the same.
+    cfg = ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3,
+                      samples_per_symbol=sps)
+    for sigma in (0.0, 0.05, 0.1):
+        for nsym in (1, 2, 13, 777, 8803, 20000):
+            rng = np.random.default_rng([sps, nsym, round(sigma * 100)])
+            bits = rng.integers(0, 2, nsym + 20)
+            x = modulate(bits, cfg, n_symbols=nsym,
+                         cursor=StreamCursor(symbol=10)).samples
+            x = x + rng.normal(0, sigma, len(x))
+            steps = _reference_gmsk_phase_steps(x, cfg, nsym)
+            flipped = _demodulate_gmsk(x, cfg, nsym) != (steps > 0)
+            assert np.all(np.abs(steps[flipped]) < 0.05), (sigma, nsym)
+            assert flipped.sum() <= nsym // 1000, (sigma, nsym)
 
 
 def test_import_leaves_scipy_unloaded():

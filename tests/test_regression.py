@@ -2,9 +2,12 @@
 the emitters a dwell synthesises.
 
 The first five digests were taken from the simulator that precomputed every
-emitter's waveform over the worst-case controller horizon, the rest from the
-one that synthesised every emitter on every dwell; generating only the
-windows the shutter lets through must reproduce their traces bit for bit.
+emitter's waveform over the worst-case controller horizon, the next four
+from the one that synthesised every emitter on every dwell; generating only
+the windows the shutter lets through must reproduce their traces bit for
+bit. The last four pin GMSK operating points (noise sigma <= 0.1) as the
+evenly padded demodulator decoded them, before its FFT length was rounded
+up to a 5-smooth number.
 """
 
 import hashlib
@@ -43,13 +46,27 @@ PINNED = {
     # an open pixel whose emitter has gain 0 is not synthesised either
     "protocol_clean_gmsk8_gain0":
         "bd53cb56630b72fc7f965509d04d4a396c5b39cc06cdcb75d382d896fd970564",
+    # GMSK operating points whose decisions the demodulator must keep
+    "protocol_clean_gmsk4":
+        "f9e081f5c6c0c6bedf2679b245aec3ae323cd057e46fd959c1123647689297e2",
+    "protocol_clean_gmsk16":
+        "49c880f2a6ea703e5b2acc43b513a366e7c0f9fa7a19b2b9b45f38e387e6ca4e",
+    "protocol_clean_gmsk8_sigma0.1":
+        "071a08a4570ce69f6011ab301494f3b4af5abfa7bd48f6d6283f9bc34734a5c5",
+    "gmsk_demo_sigma0.1":
+        "de0ac3d2798b94a4d89b92119e8dfde180c51f8f2738b0adec637e15283e5b93",
 }
 
 
 def _doc(name: str) -> dict:
-    if name == "protocol_clean_gmsk8":
+    sps = name.removeprefix("protocol_clean_gmsk")
+    if sps.isdigit():
         doc = _doc("protocol_clean")
-        doc["modem"].update(scheme="GMSK", samples_per_symbol=8)
+        doc["modem"].update(scheme="GMSK", samples_per_symbol=int(sps))
+        return doc
+    if name.endswith("_sigma0.1"):
+        doc = _doc(name[:-len("_sigma0.1")])
+        doc["channel"]["noise_sigma"] = 0.1
         return doc
     if name == "protocol_clean_gmsk8_leak":
         doc = _doc("protocol_clean_gmsk8")
