@@ -3,8 +3,7 @@ single photodiode behind a pixelated LCD shutter."""
 
 from .channel import ChannelConfig, PixelMask, receive, received_snr_db
 from .framing import (BARKER_11, BARKER_13, Detection, IdKind, IdLookupTable,
-                      Packet, TransmitterId, deframe, detect_packets, frame,
-                      make_id)
+                      Packet, TransmitterId, detect_packets, frame, make_id)
 from .geometry import (EmitterPlacement, MappingResult, OpticalSetup,
                        default_placement, map_emitters_to_pixels, min_angle,
                        min_separation)

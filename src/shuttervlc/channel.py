@@ -7,7 +7,7 @@ amplifier front end.
 """
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -20,37 +20,20 @@ class ChannelError(ValueError):
 
 @dataclass(frozen=True)
 class PixelMask:
-    """OPEN/CLOSED state of every shutter pixel at an instant."""
+    """The shutter at an instant: its pixel count and the set of OPEN
+    pixels. `PixelMask(n)` closes every pixel."""
 
-    open_pixels: Tuple[bool, ...]
+    n_pixels: int
+    open: FrozenSet[int] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "open_pixels",
-                           tuple(bool(b) for b in self.open_pixels))
+        object.__setattr__(self, "open", frozenset(self.open))
+        if any(not (0 <= p < self.n_pixels) for p in self.open):
+            raise ChannelError("open pixel outside the shutter")
 
-    @classmethod
-    def all_open(cls, n: int) -> "PixelMask":
-        return cls((True,) * n)
-
-    @classmethod
-    def all_closed(cls, n: int) -> "PixelMask":
-        return cls((False,) * n)
-
-    @classmethod
-    def single_open(cls, n: int, pixel: int) -> "PixelMask":
-        return cls(tuple(i == pixel for i in range(n)))
-
-    @classmethod
-    def open_set(cls, n: int, pixels) -> "PixelMask":
-        pixels = set(pixels)
-        return cls(tuple(i in pixels for i in range(n)))
-
-    def __len__(self) -> int:
-        return len(self.open_pixels)
-
-    @property
-    def open_indices(self) -> Tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.open_pixels) if b)
+    def states(self) -> List[int]:
+        """Per-pixel 0/1 list, 1 where the pixel is open."""
+        return [int(p in self.open) for p in range(self.n_pixels)]
 
 
 @dataclass(frozen=True)
@@ -61,17 +44,16 @@ class ChannelConfig:
     noise_sigma: float = 0.0
     closed_leakage: float = 0.0
     saturation_level: float = float("inf")
-    rng_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "emitter_gain", tuple(float(g) for g in self.emitter_gain))
         object.__setattr__(self, "emitter_pixel", tuple(int(p) for p in self.emitter_pixel))
         object.__setattr__(self, "ambient_dc", tuple(float(a) for a in self.ambient_dc))
-        if any(g < 0 for g in self.emitter_gain):
+        if any(not g >= 0 for g in self.emitter_gain):
             raise ChannelError("gains must be nonnegative")
         if not (0 <= self.closed_leakage < 1):
             raise ChannelError("closed_leakage must be in [0, 1)")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ChannelError("noise_sigma must be nonnegative")
         if not self.saturation_level > 0:
             raise ChannelError("saturation_level must be positive")
@@ -80,7 +62,7 @@ class ChannelConfig:
 
 
 def _gate(mask: PixelMask, cfg: ChannelConfig, pixel: int) -> float:
-    return 1.0 if mask.open_pixels[pixel] else cfg.closed_leakage
+    return 1.0 if pixel in mask.open else cfg.closed_leakage
 
 
 def emitter_weights(mask: PixelMask, cfg: ChannelConfig) -> Tuple[float, ...]:
@@ -89,9 +71,9 @@ def emitter_weights(mask: PixelMask, cfg: ChannelConfig) -> Tuple[float, ...]:
 
     An emitter of weight 0 contributes nothing to `receive`, so its
     waveform need not be synthesised."""
-    if len(mask) != len(cfg.ambient_dc):
+    if mask.n_pixels != len(cfg.ambient_dc):
         raise ChannelError("mask length must match pixel count")
-    if any(not (0 <= p < len(mask)) for p in cfg.emitter_pixel):
+    if any(not (0 <= p < mask.n_pixels) for p in cfg.emitter_pixel):
         raise ChannelError("emitter mapped to an invalid pixel")
     return tuple(gain * _gate(mask, cfg, pixel)
                  for gain, pixel in zip(cfg.emitter_gain, cfg.emitter_pixel))
@@ -104,9 +86,7 @@ def receive(emitter_blocks: Sequence[SampleBlock], mask: PixelMask,
 
     All emitter blocks must share one sample rate and length; the samples
     of an emitter whose `emitter_weights` entry is 0 are never read. Noise
-    comes from `rng` if given (lets a simulation thread one generator
-    through many calls), else from a fresh generator seeded with
-    cfg.rng_seed.
+    comes from `rng`, which a noisy channel requires.
     """
     if len(emitter_blocks) != len(cfg.emitter_gain):
         raise ChannelError("one block per configured emitter required")
@@ -125,7 +105,7 @@ def receive(emitter_blocks: Sequence[SampleBlock], mask: PixelMask,
     out += sum(a * _gate(mask, cfg, p) for p, a in enumerate(cfg.ambient_dc))
     if cfg.noise_sigma > 0:
         if rng is None:
-            rng = np.random.default_rng(cfg.rng_seed)
+            raise ChannelError("a noisy channel needs a generator")
         out += rng.normal(0.0, cfg.noise_sigma, size=n)
     np.clip(out, 0.0, cfg.saturation_level, out=out)
     return SampleBlock(out, rate)

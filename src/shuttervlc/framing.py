@@ -71,14 +71,6 @@ def frame(payload: Sequence[int], tid: TransmitterId) -> Packet:
     return Packet(tid, tuple(int(b) for b in payload))
 
 
-def deframe(bits: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Split a 2096-bit frame back into (header_bits, payload)."""
-    bits = tuple(int(b) for b in bits)
-    if len(bits) != PACKET_BITS:
-        raise FramingError(f"frame must be exactly {PACKET_BITS} bits")
-    return bits[:HEADER_BITS], bits[HEADER_BITS:]
-
-
 class IdLookupTable:
     """Registered transmitter IDs, fixed before the link runs."""
 

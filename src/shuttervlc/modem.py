@@ -33,7 +33,6 @@ class ModemConfig:
     scheme: Scheme
     symbol_rate: float
     samples_per_symbol: int = 4
-    bits_per_symbol: int = 1
     gmsk_bt: float = 0.35
     gmsk_span: int = 4              # Gaussian pulse span in symbols
     gmsk_carrier_cycles: float = 1.0  # subcarrier cycles per symbol

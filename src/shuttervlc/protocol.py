@@ -33,25 +33,19 @@ class Phase(enum.Enum):
 class ShutterControllerState:
     phase: Phase
     mask: PixelMask
-    T_s: float
     snr_threshold_db: float
     id_table: IdLookupTable
     pixel_snr_db: Dict[int, float] = field(default_factory=dict)
     candidate_pixels: frozenset = frozenset()
     locked_pixels: frozenset = frozenset()
 
-    @property
-    def n_pixels(self) -> int:
-        return len(self.mask)
 
-
-def initial_state(n_pixels: int, T_s: float, snr_threshold_db: float,
+def initial_state(n_pixels: int, snr_threshold_db: float,
                   id_table: IdLookupTable) -> ShutterControllerState:
     """INIT state with all pixels open, ready to enter Discovery."""
     return ShutterControllerState(
         phase=Phase.INIT,
-        mask=PixelMask.all_open(n_pixels),
-        T_s=T_s,
+        mask=PixelMask(n_pixels, range(n_pixels)),
         snr_threshold_db=snr_threshold_db,
         id_table=id_table,
     )
@@ -65,18 +59,18 @@ def step_discovery(state: ShutterControllerState,
     pixels close and the phase falls to RESET."""
     if state.phase is not Phase.DISCOVERY:
         raise ProtocolError(f"step_discovery in phase {state.phase.name}")
-    n = state.n_pixels
+    n = state.mask.n_pixels
     snrs = {p: float(snr_probe(p)) for p in range(n)}
     candidates = frozenset(p for p, s in snrs.items() if s >= state.snr_threshold_db)
     if candidates:
         return replace(state,
                        phase=Phase.IDENTIFICATION,
-                       mask=PixelMask.open_set(n, candidates),
+                       mask=PixelMask(n, candidates),
                        pixel_snr_db=snrs,
                        candidate_pixels=candidates)
     return replace(state,
                    phase=Phase.RESET,
-                   mask=PixelMask.all_closed(n),
+                   mask=PixelMask(n),
                    pixel_snr_db=snrs,
                    candidate_pixels=frozenset())
 
@@ -94,7 +88,7 @@ def step_identification(
         raise ProtocolError(f"step_identification in phase {state.phase.name}")
     if not state.candidate_pixels:
         raise ProtocolError("identification with no candidate pixels")
-    n = state.n_pixels
+    n = state.mask.n_pixels
     locked = set()
     for p in sorted(state.candidate_pixels):
         for tid in decoded_detections(p):
@@ -104,11 +98,11 @@ def step_identification(
     if locked:
         return replace(state,
                        phase=Phase.LOCKED,
-                       mask=PixelMask.open_set(n, locked),
+                       mask=PixelMask(n, locked),
                        locked_pixels=frozenset(locked))
     return replace(state,
                    phase=Phase.DISCOVERY,
-                   mask=PixelMask.all_closed(n),
+                   mask=PixelMask(n),
                    locked_pixels=frozenset())
 
 
@@ -175,14 +169,14 @@ def run_controller(sim, T_s: float, snr_threshold_db: float,
     in the result, not raised.
     """
     n = sim.n_pixels
-    state = initial_state(n, T_s, snr_threshold_db, id_table)
+    state = initial_state(n, snr_threshold_db, id_table)
     events: List[dict] = []
 
     def log(event: str, **extra):
         rec = {"sim_time_s": round(sim.sim_time_s, 9),
                "event": event,
                "phase": state.phase.value,
-               "mask": [int(b) for b in state.mask.open_pixels]}
+               "mask": state.mask.states()}
         rec.update(extra)
         events.append(rec)
 
@@ -191,11 +185,11 @@ def run_controller(sim, T_s: float, snr_threshold_db: float,
     for cycle in range(retry_budget):
         cycles = cycle + 1
         state = replace(state, phase=Phase.DISCOVERY)
-        noise_ref = sim.dwell(PixelMask.all_closed(n), T_s)
+        noise_ref = sim.dwell(PixelMask(n), T_s)
         log("noise_reference_dwell")
 
         def probe(pixel: int) -> float:
-            block = sim.dwell(PixelMask.single_open(n, pixel), T_s)
+            block = sim.dwell(PixelMask(n, {pixel}), T_s)
             snr = received_snr_db(block, noise_ref)
             log("discovery_dwell", pixel=pixel, pixel_snr_db=round(snr, 4))
             return snr
@@ -209,7 +203,7 @@ def run_controller(sim, T_s: float, snr_threshold_db: float,
 
         detections_by_pixel: Dict[int, List[TransmitterId]] = {}
         for p in sorted(state.candidate_pixels):
-            block = sim.dwell(PixelMask.single_open(n, p), sim.identification_window_s)
+            block = sim.dwell(PixelMask(n, {p}), sim.identification_window_s)
             bits = sim.decode(block)
             dets = detect_packets(bits, id_table, corr_threshold)
             detections_by_pixel[p] = [
@@ -229,17 +223,17 @@ def run_controller(sim, T_s: float, snr_threshold_db: float,
             }
             if matching:
                 state = replace(state,
-                                mask=PixelMask.open_set(n, matching),
+                                mask=PixelMask(n, matching),
                                 locked_pixels=frozenset(matching))
             else:
                 state = replace(state, phase=Phase.DISCOVERY,
-                                mask=PixelMask.all_closed(n),
+                                mask=PixelMask(n),
                                 locked_pixels=frozenset())
         if state.phase is Phase.LOCKED:
             log("locked", locked_pixels=sorted(state.locked_pixels))
             return ControllerResult(state, events, True, cycles)
         log("identification_failed")
 
-    state = replace(state, phase=Phase.RESET, mask=PixelMask.all_closed(n))
+    state = replace(state, phase=Phase.RESET, mask=PixelMask(n))
     log("gave_up")
     return ControllerResult(state, events, False, cycles)

@@ -9,7 +9,7 @@ can be recomputed offline.
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -21,8 +21,7 @@ from .channel import (ChannelConfig, PixelMask, emitter_weights, receive,
                       received_snr_db)
 from .framing import (Detection, IdKind, IdLookupTable, TransmitterId,
                       detect_packets, make_id)
-from .geometry import (EmitterPlacement, MappingResult, OpticalSetup,
-                       map_emitters_to_pixels)
+from .geometry import EmitterPlacement, OpticalSetup, map_emitters_to_pixels
 from .metrics import LinkReport, bit_error_rate, goodput, packet_error_rate
 from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme,
                     StreamCursor, advance, demodulate, modulate)
@@ -41,7 +40,6 @@ class EmitterSpec:
     id_kind: IdKind
     gain: float = 1.0
     phase_offset: PhaseOffset = PhaseOffset.IN_PHASE
-    pixel: Optional[int] = None
     bit_source: dict = field(default_factory=lambda: {"type": "random"})
 
 
@@ -54,51 +52,34 @@ class ProtocolParams:
     select_target: Optional[IdKind] = None
     ident_window_packets: float = 4.2
 
+    def __post_init__(self):
+        for name, kind in (("T_s", float), ("snr_threshold_db", float),
+                           ("corr_threshold", int), ("retry_budget", int),
+                           ("ident_window_packets", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        if not (self.T_s > 0 and self.ident_window_packets > 0):
+            raise ScenarioError("T_s and ident_window_packets must be positive")
+
 
 @dataclass
 class Scenario:
+    """A parsed and checked scenario; `scenario_from_dict` builds it.
+
+    `channel` holds each emitter's resolved pixel; `threshold` is the
+    fixed OOK decision level, or None for the adaptive one."""
+
     name: str
     rng_seed: int
     duration_s: float
     optics: OpticalSetup
     modem: ModemConfig
     emitters: List[EmitterSpec]
-    channel: dict                     # ambient_dc, noise_sigma, leakage, saturation
-    placement: Optional[EmitterPlacement] = None
-    mask: Optional[List[bool]] = None
+    channel: ChannelConfig
+    mask: Optional[PixelMask] = None
     protocol: Optional[ProtocolParams] = None
-    threshold_mode: str = "ADAPTIVE"
-    threshold_level: Optional[float] = None
+    threshold: Optional[float] = None
     code_rate: float = 1.0
-    schema_version: int = SCHEMA_VERSION
     source_dict: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if (self.mask is None) == (self.protocol is None):
-            raise ScenarioError("scenario needs exactly one of mask / protocol")
-        if len(self.emitters) > self.optics.n_pixels:
-            raise ScenarioError("more emitters than shutter pixels")
-        if self.threshold_mode not in ("ADAPTIVE", "FIXED"):
-            raise ScenarioError("threshold mode must be ADAPTIVE or FIXED")
-        if self.threshold_mode == "FIXED" and self.threshold_level is None:
-            raise ScenarioError("FIXED threshold needs a level")
-
-    @property
-    def threshold(self) -> Optional[float]:
-        return self.threshold_level if self.threshold_mode == "FIXED" else None
-
-    def emitter_pixels(self) -> Tuple[int, ...]:
-        """Per-emitter pixel index: explicit assignment, else projected
-        through the lens from the placement."""
-        explicit = [e.pixel for e in self.emitters]
-        if all(p is not None for p in explicit):
-            return tuple(int(p) for p in explicit)
-        if self.placement is None:
-            raise ScenarioError("need either per-emitter pixels or a placement")
-        result = map_emitters_to_pixels(self.optics, self.placement)
-        if not result.feasible:
-            raise ScenarioError(f"placement infeasible: {result.reason}")
-        return result.mapping
 
     def id_table(self) -> IdLookupTable:
         return IdLookupTable([make_id(e.id_kind, e.label) for e in self.emitters])
@@ -108,47 +89,119 @@ class Scenario:
         return hashlib.sha256(blob).hexdigest()
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a JSON object")
+    return value
+
+
+def _per_pixel(values, n: int, what: str) -> list:
+    if not isinstance(values, list) or len(values) != n:
+        raise ScenarioError(f"{what} must be a list of {n} entries, one per pixel")
+    return values
+
+
+def _emitter_pixels(specs: List[dict], placement,
+                    optics: OpticalSetup) -> Tuple[int, ...]:
+    """Per-emitter pixel index: explicit assignment, else projected
+    through the lens from the placement."""
+    explicit = [e.get("pixel") for e in specs]
+    if all(p is not None for p in explicit):
+        pixels = tuple(int(p) for p in explicit)
+    elif placement:
+        placement = EmitterPlacement(tuple(tuple(p) for p in placement))
+        result = map_emitters_to_pixels(optics, placement)
+        if not result.feasible:
+            raise ScenarioError(f"placement infeasible: {result.reason}")
+        pixels = result.mapping
+    else:
+        raise ScenarioError("need either per-emitter pixels or a placement")
+    if any(not (0 <= p < optics.n_pixels) for p in pixels):
+        raise ScenarioError("emitter mapped to an invalid pixel")
+    return pixels
+
+
+def _parse(d: dict) -> Scenario:
+    version = _object(d, "scenario").get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise ScenarioError(f"scenario schema version {version} unsupported")
+    optics = OpticalSetup(**_object(d["optics"], "optics"))
+    n = optics.n_pixels
+    m = _object(d["modem"], "modem")
+    modem = ModemConfig(scheme=Scheme(m["scheme"]),
+                        **{k: v for k, v in m.items() if k != "scheme"})
+    specs = [_object(e, "emitter") for e in d["emitters"]]
+    emitters = [
+        EmitterSpec(label=int(e["label"]),
+                    id_kind=IdKind(e.get("id_kind", "BARKER13")),
+                    gain=float(e.get("gain", 1.0)),
+                    phase_offset=PhaseOffset(e.get("phase_offset", "IN_PHASE")),
+                    bit_source=_object(e.get("bit_source", {"type": "random"}),
+                                       "bit_source"))
+        for e in specs
+    ]
+    if len(emitters) > n:
+        raise ScenarioError("more emitters than shutter pixels")
+    kinds = {e.label: e.bit_source.get("type", "random") for e in emitters}
+    if len(kinds) < len(emitters) or min(kinds, default=0) < 0:
+        raise ScenarioError("emitter labels must be distinct and nonnegative")
+    for e in emitters:
+        kind = kinds[e.label]
+        if kind not in ("random", "pattern", "file", "same_as"):
+            raise ScenarioError(f"unknown bit source type {kind!r}")
+        if (kind == "same_as"
+                and kinds.get(e.bit_source.get("label")) in (None, "same_as")):
+            raise ScenarioError("same_as must name an emitter with bits of its own")
+    ch = _object(d.get("channel", {}), "channel")
+    channel = ChannelConfig(
+        emitter_gain=tuple(e.gain for e in emitters),
+        emitter_pixel=_emitter_pixels(specs, d.get("placement"), optics),
+        ambient_dc=_per_pixel(ch.get("ambient_dc", [0.0] * n), n, "ambient_dc"),
+        noise_sigma=float(ch.get("noise_sigma", 0.0)),
+        closed_leakage=float(ch.get("closed_leakage", 0.0)),
+        saturation_level=float(ch.get("saturation_level", float("inf"))),
+    )
+    mask = None
+    if d.get("mask") is not None:
+        states = _per_pixel(d["mask"], n, "mask")
+        if any(not isinstance(b, int) or b not in (0, 1) for b in states):
+            raise ScenarioError("mask entries must be 0, 1, true or false")
+        mask = PixelMask(n, (p for p, b in enumerate(states) if b))
+    protocol = None
+    if d.get("protocol") is not None:
+        p = dict(_object(d["protocol"], "protocol"))
+        if p.get("select_target") is not None:
+            p["select_target"] = IdKind(p["select_target"])
+        protocol = ProtocolParams(**p)
+    if (mask is None) == (protocol is None):
+        raise ScenarioError("scenario needs exactly one of mask / protocol")
+    thr = _object(d.get("threshold", {}), "threshold")
+    mode = thr.get("mode", "ADAPTIVE")
+    if mode not in ("ADAPTIVE", "FIXED"):
+        raise ScenarioError("threshold mode must be ADAPTIVE or FIXED")
+    if mode == "FIXED" and thr.get("level") is None:
+        raise ScenarioError("FIXED threshold needs a level")
+    return Scenario(
+        name=d.get("name", "scenario"),
+        rng_seed=int(d.get("rng_seed", 0)),
+        duration_s=float(d.get("duration_s", 0.0)),
+        optics=optics,
+        modem=modem,
+        emitters=emitters,
+        channel=channel,
+        mask=mask,
+        protocol=protocol,
+        threshold=float(thr["level"]) if mode == "FIXED" else None,
+        code_rate=float(d.get("code_rate", 1.0)),
+        source_dict=d,
+    )
+
+
 def scenario_from_dict(d: dict) -> Scenario:
+    """Parse and check a scenario dict once: whatever is wrong with it,
+    a ScenarioError says so."""
     try:
-        optics = OpticalSetup(**d["optics"])
-        modem = ModemConfig(scheme=Scheme(d["modem"]["scheme"]),
-                            **{k: v for k, v in d["modem"].items() if k != "scheme"})
-        emitters = [
-            EmitterSpec(label=int(e["label"]),
-                        id_kind=IdKind(e.get("id_kind", "BARKER13")),
-                        gain=float(e.get("gain", 1.0)),
-                        phase_offset=PhaseOffset(e.get("phase_offset", "IN_PHASE")),
-                        pixel=e.get("pixel"),
-                        bit_source=e.get("bit_source", {"type": "random"}))
-            for e in d["emitters"]
-        ]
-        placement = None
-        if d.get("placement"):
-            placement = EmitterPlacement(tuple(tuple(p) for p in d["placement"]))
-        protocol = None
-        if d.get("protocol") is not None:
-            p = dict(d["protocol"])
-            if p.get("select_target") is not None:
-                p["select_target"] = IdKind(p["select_target"])
-            protocol = ProtocolParams(**p)
-        thr = d.get("threshold", {"mode": "ADAPTIVE"})
-        return Scenario(
-            name=d.get("name", "scenario"),
-            rng_seed=int(d.get("rng_seed", 0)),
-            duration_s=float(d.get("duration_s", 0.0)),
-            optics=optics,
-            modem=modem,
-            emitters=emitters,
-            channel=d.get("channel", {}),
-            placement=placement,
-            mask=[bool(b) for b in d["mask"]] if d.get("mask") is not None else None,
-            protocol=protocol,
-            threshold_mode=thr.get("mode", "ADAPTIVE"),
-            threshold_level=thr.get("level"),
-            code_rate=float(d.get("code_rate", 1.0)),
-            schema_version=int(d.get("schema_version", SCHEMA_VERSION)),
-            source_dict=d,
-        )
+        return _parse(d)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise
@@ -207,11 +260,9 @@ def emitter_bits(spec: EmitterSpec, scenario: Scenario, n_bits: int,
             return rng.integers(0, 2, size=n).astype(np.uint8)
         if kind == "pattern":
             pat = _bits_from_str(src["bits"])
-        elif kind == "file":
+        else:   # "file"
             text = Path(src["path"]).read_text()
             pat = _bits_from_str("".join(c for c in text if c in "01"))
-        else:
-            raise ScenarioError(f"unknown bit source type {kind!r}")
         if len(pat) == 0:
             raise ScenarioError(f"{kind} bit source has no bits")
         return np.resize(pat, n)
@@ -247,25 +298,13 @@ class LinkSimulation:
         self.fs = self.modem.sample_rate
         self.sps = self.modem.samples_per_symbol
         self.n_pixels = scenario.optics.n_pixels
-        pixels = scenario.emitter_pixels()
-        ch = scenario.channel
-        self.channel_cfg = ChannelConfig(
-            emitter_gain=tuple(e.gain for e in scenario.emitters),
-            emitter_pixel=pixels,
-            ambient_dc=tuple(ch.get("ambient_dc", [0.0] * self.n_pixels)),
-            noise_sigma=float(ch.get("noise_sigma", 0.0)),
-            closed_leakage=float(ch.get("closed_leakage", 0.0)),
-            saturation_level=float(ch.get("saturation_level", float("inf"))),
-            rng_seed=seed,
-        )
         self.seed = seed
         self.rng = np.random.default_rng([seed, 31])
         self.clock = 0      # sample index
         window_packets = (scenario.protocol.ident_window_packets
                           if scenario.protocol is not None else 4.2)
         self.identification_window_s = (
-            window_packets * framing.PACKET_BITS
-            / (self.modem.symbol_rate * self.modem.bits_per_symbol))
+            window_packets * framing.PACKET_BITS / self.modem.symbol_rate)
         self._framed = scenario.protocol is not None
         self._n_bits = 0
         self._tx_bits: Dict[int, np.ndarray] = {}
@@ -296,7 +335,7 @@ class LinkSimulation:
         n_symbols = self._snap(duration_s) // self.sps
         self._need_bits(self.clock // self.sps + n_symbols
                         + self.modem.context_symbols)
-        weights = emitter_weights(mask, self.channel_cfg)
+        weights = emitter_weights(mask, self.scenario.channel)
         dark = SampleBlock(np.zeros(n_symbols * self.sps), self.fs)
         self.window = []
         for spec, cursor, weight in zip(self.scenario.emitters, self._cursors,
@@ -308,7 +347,7 @@ class LinkSimulation:
             else:
                 advance(bits, self.modem, n_symbols, cursor)
                 self.window.append(dark)
-        out = receive(self.window, mask, self.channel_cfg, rng=self.rng)
+        out = receive(self.window, mask, self.scenario.channel, rng=self.rng)
         self.clock += n_symbols * self.sps
         return out
 
@@ -385,27 +424,25 @@ def _expected_packets(start_bit: int, n_bits: int) -> int:
     return max(0, last - first)
 
 
-def _snr_estimate(sim: LinkSimulation, emitter_index: int,
-                  mask: PixelMask) -> float:
-    """Estimator-style SNR of the last dwell: its noiseless gated emitter
-    window vs a pure-noise block."""
-    cfg = sim.channel_cfg
-    quiet = ChannelConfig(
-        emitter_gain=tuple(g if i == emitter_index else 0.0
-                           for i, g in enumerate(cfg.emitter_gain)),
-        emitter_pixel=cfg.emitter_pixel,
-        ambient_dc=cfg.ambient_dc,
-        noise_sigma=0.0,
-        closed_leakage=cfg.closed_leakage,
-        saturation_level=cfg.saturation_level,
-        rng_seed=cfg.rng_seed,
-    )
-    sig = receive(sim.window, mask, quiet)
-    if cfg.noise_sigma == 0.0:
-        return float("inf") if float(np.var(sig.samples)) > 0 else float("-inf")
-    noise = SampleBlock(np.random.default_rng([sim.channel_cfg.rng_seed, 47])
-                        .normal(0.0, cfg.noise_sigma, size=len(sig)), sim.fs)
-    return received_snr_db(sig, noise)
+def _snr_estimates(sim: LinkSimulation, mask: PixelMask) -> Dict[str, float]:
+    """Estimator-style SNR of each emitter in the last dwell: its noiseless
+    gated window vs one pure-noise block drawn for the run."""
+    cfg = sim.scenario.channel
+    noise = None
+    if cfg.noise_sigma > 0 and sim.window:
+        noise = SampleBlock(np.random.default_rng([sim.seed, 47]).normal(
+            0.0, cfg.noise_sigma, size=len(sim.window[0])), sim.fs)
+    snrs = {}
+    for i, spec in enumerate(sim.scenario.emitters):
+        quiet = replace(cfg, noise_sigma=0.0, emitter_gain=tuple(
+            g if j == i else 0.0 for j, g in enumerate(cfg.emitter_gain)))
+        sig = receive(sim.window, mask, quiet)
+        if noise is not None:
+            snrs[str(spec.label)] = received_snr_db(sig, noise)
+        else:
+            snrs[str(spec.label)] = (float("inf") if np.var(sig.samples) > 0
+                                     else float("-inf"))
+    return snrs
 
 
 def _report(ctx: dict, ber: float, per: float, snr_db: float,
@@ -414,8 +451,7 @@ def _report(ctx: dict, ber: float, per: float, snr_db: float,
         ber=ber,
         per_percent=per,
         snr_db=snr_db,
-        goodput_bps=goodput(ber, ctx["code_rate"], ctx["symbol_rate"],
-                            ctx["bits_per_symbol"]),
+        goodput_bps=goodput(ber, ctx["code_rate"], ctx["symbol_rate"], 1),
         bits_compared=bits_compared,
         packets_expected=expected,
         packets_detected_valid=valid,
@@ -477,8 +513,7 @@ class _SlotScorer:
 
 def _rate_context(scenario: Scenario) -> dict:
     return {"code_rate": scenario.code_rate,
-            "symbol_rate": scenario.modem.symbol_rate,
-            "bits_per_symbol": scenario.modem.bits_per_symbol}
+            "symbol_rate": scenario.modem.symbol_rate}
 
 
 def run_scenario(scenario: Scenario, seed_override: Optional[int] = None,
@@ -507,7 +542,7 @@ def _maybe_dump(samples_dir, index: int, block: SampleBlock, t0_s: float) -> Non
 
 def _run_fixed_mask(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
     sim = LinkSimulation(scenario, seed)
-    mask = PixelMask(tuple(scenario.mask))
+    mask = scenario.mask
     n_bits = int(round(scenario.duration_s * scenario.modem.symbol_rate))
     ctx = dict(_rate_context(scenario), snr_db={})
     reports: Dict[str, dict] = {}
@@ -518,13 +553,12 @@ def _run_fixed_mask(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
         rx = sim.decode(block)
         _maybe_dump(samples_dir, 0, block, 0.0)
         dwells.append({"t0_s": 0.0, "pixel": None,
-                       "mask": [int(b) for b in mask.open_pixels],
+                       "mask": mask.states(),
                        "start_bit": 0, "bits": _bits_to_str(rx)})
         tx = {str(spec.label): sim.tx_bits(spec.label)[:len(rx)]
               for spec in scenario.emitters}
         tx_store = {label: _bits_to_str(bits) for label, bits in tx.items()}
-        ctx["snr_db"] = {str(spec.label): _snr_estimate(sim, i, mask)
-                         for i, spec in enumerate(scenario.emitters)}
+        ctx["snr_db"] = _snr_estimates(sim, mask)
         reports = _fixed_mask_reports(ctx, rx, tx)
     return TraceRecord(
         schema_version=SCHEMA_VERSION,
@@ -553,7 +587,7 @@ def _run_protocol(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
                             corr_threshold=params.corr_threshold,
                             retry_budget=params.retry_budget,
                             select_target=select)
-    pixels = scenario.emitter_pixels()
+    pixels = scenario.channel.emitter_pixel
     ctx = dict(_rate_context(scenario),
                corr_threshold=params.corr_threshold,
                emitters=[{"label": e.label, "id_kind": e.id_kind.value,
@@ -573,7 +607,7 @@ def _run_protocol(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
             pixel = locked[slot % len(locked)]
             t0 = sim.sim_time_s
             start_bit = sim.clock // sim.sps
-            block = sim.dwell(PixelMask.single_open(n, pixel), params.T_s)
+            block = sim.dwell(PixelMask(n, {pixel}), params.T_s)
             rx = sim.decode(block)
             _maybe_dump(samples_dir, len(dwells), block, t0)
             dets = detect_packets(rx, table, params.corr_threshold)

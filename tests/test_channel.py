@@ -13,18 +13,25 @@ def _blocks(*arrays, rate=1000.0):
 
 
 def test_mask_constructors():
-    assert PixelMask.all_open(3).open_pixels == (True, True, True)
-    assert PixelMask.all_closed(2).open_pixels == (False, False)
-    assert PixelMask.single_open(4, 2).open_indices == (2,)
-    assert PixelMask.open_set(4, [0, 3]).open_indices == (0, 3)
-    assert len(PixelMask.all_open(5)) == 5
+    assert PixelMask(3, range(3)).states() == [1, 1, 1]
+    assert PixelMask(2).states() == [0, 0]
+    assert PixelMask(2).open == frozenset()
+    assert PixelMask(4, {2}).open == frozenset({2})
+    assert PixelMask(4, [0, 3, 3]).states() == [1, 0, 0, 1]
+    assert PixelMask(5, [1]).n_pixels == 5
+
+
+@pytest.mark.parametrize("pixel", [-1, 4])
+def test_mask_rejects_out_of_range_pixel(pixel):
+    with pytest.raises(ChannelError):
+        PixelMask(4, {0, pixel})
 
 
 def test_receive_sums_open_pixels():
     cfg = ChannelConfig(emitter_gain=(1.0, 2.0), emitter_pixel=(0, 1),
                         ambient_dc=(0.0, 0.0))
     blocks = _blocks([1.0, 1.0], [0.5, 0.5])
-    out = receive(blocks, PixelMask.all_open(2), cfg)
+    out = receive(blocks, PixelMask(2, {0, 1}), cfg)
     np.testing.assert_allclose(out.samples, [2.0, 2.0])
     assert out.sample_rate == 1000.0
 
@@ -33,57 +40,61 @@ def test_closed_pixel_gates_with_leakage():
     cfg = ChannelConfig(emitter_gain=(1.0, 1.0), emitter_pixel=(0, 1),
                         ambient_dc=(0.0, 0.0), closed_leakage=0.1)
     blocks = _blocks([4.0], [2.0])
-    out = receive(blocks, PixelMask.single_open(2, 0), cfg)
+    out = receive(blocks, PixelMask(2, {0}), cfg)
     np.testing.assert_allclose(out.samples, [4.0 + 0.2])
-    out = receive(blocks, PixelMask.all_closed(2), cfg)
+    out = receive(blocks, PixelMask(2), cfg)
     np.testing.assert_allclose(out.samples, [0.6])
 
 
 def test_ambient_dc_follows_its_pixel_gate():
     cfg = ChannelConfig(emitter_gain=(), emitter_pixel=(),
                         ambient_dc=(3.0, 5.0))
-    out = receive([], PixelMask.single_open(2, 1), cfg)
+    out = receive([], PixelMask(2, {1}), cfg)
     assert out.samples.size == 0   # no emitter blocks -> zero-length output
     cfg2 = ChannelConfig(emitter_gain=(1.0,), emitter_pixel=(0,),
                          ambient_dc=(3.0, 5.0))
-    out = receive(_blocks([0.0, 0.0]), PixelMask.single_open(2, 1), cfg2)
+    out = receive(_blocks([0.0, 0.0]), PixelMask(2, {1}), cfg2)
     np.testing.assert_allclose(out.samples, [5.0, 5.0])
 
 
 def test_saturation_clips_and_floor_at_zero():
     cfg = ChannelConfig(emitter_gain=(1.0,), emitter_pixel=(0,),
                         ambient_dc=(0.0,), saturation_level=2.0)
-    out = receive(_blocks([-1.0, 1.0, 5.0]), PixelMask.all_open(1), cfg)
+    out = receive(_blocks([-1.0, 1.0, 5.0]), PixelMask(1, {0}), cfg)
     np.testing.assert_allclose(out.samples, [0.0, 1.0, 2.0])
 
 
 def test_noise_is_deterministic_per_seed():
     cfg = ChannelConfig(emitter_gain=(1.0,), emitter_pixel=(0,),
-                        ambient_dc=(0.0,), noise_sigma=0.5, rng_seed=11)
+                        ambient_dc=(0.0,), noise_sigma=0.5)
     blocks = _blocks(np.ones(256))
-    a = receive(blocks, PixelMask.all_open(1), cfg)
-    b = receive(blocks, PixelMask.all_open(1), cfg)
+    mask = PixelMask(1, {0})
+    a = receive(blocks, mask, cfg, rng=np.random.default_rng(11))
+    b = receive(blocks, mask, cfg, rng=np.random.default_rng(11))
     np.testing.assert_array_equal(a.samples, b.samples)
-    # an explicit generator advances across calls instead
+    # one generator advances across calls
     rng = np.random.default_rng(11)
-    c = receive(blocks, PixelMask.all_open(1), cfg, rng=rng)
-    d = receive(blocks, PixelMask.all_open(1), cfg, rng=rng)
+    c = receive(blocks, mask, cfg, rng=rng)
+    d = receive(blocks, mask, cfg, rng=rng)
     assert not np.array_equal(c.samples, d.samples)
+    # noise comes only from the caller's generator
+    with pytest.raises(ChannelError):
+        receive(blocks, mask, cfg)
 
 
 def test_receive_validation():
     cfg = ChannelConfig(emitter_gain=(1.0,), emitter_pixel=(0,),
                         ambient_dc=(0.0,))
     with pytest.raises(ChannelError):
-        receive([], PixelMask.all_open(1), cfg)          # missing block
+        receive([], PixelMask(1, {0}), cfg)          # missing block
     with pytest.raises(ChannelError):
-        receive(_blocks([1.0]), PixelMask.all_open(2), cfg)  # mask mismatch
+        receive(_blocks([1.0]), PixelMask(2, {0, 1}), cfg)  # mask mismatch
     bad = _blocks([1.0], [1.0])
     bad[1].sample_rate = 999.0
     cfg2 = ChannelConfig(emitter_gain=(1.0, 1.0), emitter_pixel=(0, 0),
                          ambient_dc=(0.0,))
     with pytest.raises(ChannelError):
-        receive(bad, PixelMask.all_open(1), cfg2)
+        receive(bad, PixelMask(1, {0}), cfg2)
     with pytest.raises(ChannelError):
         ChannelConfig(emitter_gain=(-1.0,), emitter_pixel=(0,),
                       ambient_dc=(0.0,))

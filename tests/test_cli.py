@@ -87,8 +87,29 @@ def test_replay_reports_non_binary_bits_as_error(tmp_path, capsys):
                    "'1'\n")
 
 
-@pytest.mark.parametrize("text", ['{"name": "no optics"}', '{"optics": ',
-                                  '[1, 2]'])
+def _edited(name, section, **values):
+    """A bundled scenario's JSON text with entries of one section (None:
+    the top level) replaced."""
+    d = json.loads(json.dumps(bundled_scenario(name).source_dict))
+    (d if section is None else d[section]).update(values)
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize("text", [
+    '{"name": "no optics"}', '{"optics": ', '[1, 2]',
+    pytest.param(_edited("protocol_clean", None, channel=[]),
+                 id="channel-list"),
+    pytest.param(_edited("protocol_clean", "channel", noise_sigma="abc"),
+                 id="noise_sigma-abc"),
+    pytest.param(_edited("protocol_clean", "channel", ambient_dc="xyz"),
+                 id="ambient_dc-xyz"),
+    pytest.param(_edited("table1_type1_case1", None, mask="01"),
+                 id="mask-string"),
+    pytest.param(_edited("protocol_clean", None, schema_version=99),
+                 id="schema_version-99"),
+    pytest.param(_edited("protocol_clean", "modem", bits_per_symbol=2),
+                 id="bits_per_symbol"),
+])
 def test_run_reports_malformed_scenario_as_error(tmp_path, capsys, text):
     src = tmp_path / "scenario.json"
     src.write_text(text)

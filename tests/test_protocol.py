@@ -19,34 +19,34 @@ TABLE = IdLookupTable([make_id(IdKind.BARKER13, 1),
 
 
 def test_initial_state_all_open():
-    st = initial_state(4, 2.0, 10.0, TABLE)
+    st = initial_state(4, 10.0, TABLE)
     assert st.phase is Phase.INIT
-    assert st.mask.open_pixels == (True,) * 4
+    assert st.mask.open == frozenset(range(4))
     assert st.locked_pixels == frozenset()
 
 
 def test_discovery_promotes_pixels_above_threshold():
-    st = initial_state(2, 2.0, 10.0, TABLE)
+    st = initial_state(2, 10.0, TABLE)
     st = replace(st, phase=Phase.DISCOVERY)
     # measured per-pixel SNRs: strong desired signal vs below-noise neighbor
     probes = {0: 19.97, 1: -0.27}
     st = step_discovery(st, probes.__getitem__)
     assert st.phase is Phase.IDENTIFICATION
     assert st.candidate_pixels == frozenset({0})
-    assert st.mask.open_indices == (0,)
+    assert st.mask.open == frozenset({0})
     assert st.pixel_snr_db == probes
 
 
 def test_discovery_no_candidates_resets():
-    st = initial_state(3, 2.0, 10.0, TABLE)
+    st = initial_state(3, 10.0, TABLE)
     st = replace(st, phase=Phase.DISCOVERY)
     st = step_discovery(st, lambda p: -5.0)
     assert st.phase is Phase.RESET
-    assert st.mask.open_pixels == (False, False, False)
+    assert st.mask == PixelMask(3)
 
 
 def test_identification_locks_matching_pixels():
-    st = initial_state(2, 2.0, 10.0, TABLE)
+    st = initial_state(2, 10.0, TABLE)
     st = replace(st, phase=Phase.IDENTIFICATION,
                  candidate_pixels=frozenset({0, 1}))
     good = make_id(IdKind.BARKER13, 1)
@@ -57,11 +57,11 @@ def test_identification_locks_matching_pixels():
     # nothing matches anywhere -> back to discovery, shutter closed
     st3 = step_identification(st, lambda p: [junk])
     assert st3.phase is Phase.DISCOVERY
-    assert st3.mask.open_pixels == (False, False)
+    assert st3.mask == PixelMask(2)
 
 
 def test_steps_reject_wrong_phase():
-    st = initial_state(2, 2.0, 10.0, TABLE)
+    st = initial_state(2, 10.0, TABLE)
     with pytest.raises(ProtocolError):
         step_discovery(st, lambda p: 0.0)
     with pytest.raises(ProtocolError):
@@ -133,7 +133,7 @@ class _StubSim:
         from shuttervlc.modem import SampleBlock
         n = int(round(duration_s * self.cfg.sample_rate))
         n = (n // 4) * 4
-        sig = self._wave[self.clock:self.clock + n] if mask.open_pixels[0] \
+        sig = self._wave[self.clock:self.clock + n] if 0 in mask.open \
             else np.full(n, self.cfg.dc_bias)
         self.clock += n
         return SampleBlock(sig + self.noise.normal(0, 0.02, n),
@@ -164,4 +164,4 @@ def test_run_controller_select_target_rejects_other_ids():
     assert not result.converged
     assert result.cycles_used == 2
     assert result.events[-1]["event"] == "gave_up"
-    assert result.state.mask.open_pixels == (False, False)
+    assert result.state.mask == PixelMask(2)

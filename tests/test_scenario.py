@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from shuttervlc.channel import ChannelConfig, PixelMask
 from shuttervlc.cli import main
 from shuttervlc.scenario import (Scenario, ScenarioError, TraceRecord,
                                  bundled_scenario, bundled_scenario_names,
@@ -32,6 +33,13 @@ BASE = {
 def _variant(**overrides):
     d = json.loads(json.dumps(BASE))
     d.update(overrides)
+    return d
+
+
+def _with(section, **values):
+    """BASE with entries of one section replaced."""
+    d = _variant()
+    d[section] = dict(d[section], **values)
     return d
 
 
@@ -73,6 +81,56 @@ def test_malformed_scenario_raises_scenario_error():
     bad_modem["modem"] = {"scheme": "OOK", "symbol_rate": -1}
     with pytest.raises(ScenarioError):
         scenario_from_dict(bad_modem)
+    malformed = [
+        _variant(mask="01"),            # a string, not a list
+        _variant(mask=[2, 0]),
+        _variant(mask=[1.0, 0]),
+        _variant(mask=[1]),             # one entry per pixel
+        _variant(schema_version=99),
+        _with("modem", bits_per_symbol=2),
+        _variant(channel=[]),
+        _with("channel", noise_sigma="abc"),
+        _with("channel", noise_sigma=float("nan")),
+        _with("channel", ambient_dc="xyz"),
+        _with("channel", ambient_dc=[0.0]),
+        _variant(threshold=[]),
+        _variant(threshold={"mode": "FIXED", "level": "high"}),
+        _variant(emitters=[{"label": 1, "pixel": 2}]),
+        _variant(emitters=[{"label": 1}]),      # no pixel, no placement
+        _variant(emitters=["label"]),
+        _variant(emitters=[{"label": 1, "pixel": 0}, {"label": 1, "pixel": 1}]),
+        _variant(emitters=[{"label": -1, "pixel": 0}]),
+        _variant(emitters=[{"label": 1, "pixel": 0, "bit_source": "random"}]),
+        _variant(emitters=[{"label": 1, "pixel": 0,
+                            "bit_source": {"type": "same_as", "label": 9}}]),
+        _variant(emitters=[{"label": 1, "pixel": 0,
+                            "bit_source": {"type": "noise"}}]),
+        _variant(mask=None, protocol={"T_s": "abc"}),
+        _variant(mask=None, protocol={"T_s": 0.0}),
+    ]
+    for d in malformed:
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(d)
+
+
+def test_scenario_is_typed_at_load():
+    sc = scenario_from_dict(_variant(threshold={"mode": "FIXED", "level": 1}))
+    assert sc.mask == PixelMask(2, {0})
+    assert sc.channel == ChannelConfig(
+        emitter_gain=(1.0,), emitter_pixel=(0,), ambient_dc=(0.0, 0.0),
+        noise_sigma=0.1, saturation_level=100.0)
+    assert sc.threshold == 1.0 and isinstance(sc.threshold, float)
+    assert scenario_from_dict(_variant(mask=[True, False])).mask == sc.mask
+
+
+def test_placement_maps_emitters_to_pixels():
+    # 0.0744 m off axis images onto the centre of the second column
+    sc = scenario_from_dict(_variant(emitters=[{"label": 1}],
+                                     placement=[[0.0744, 0.0]]))
+    assert sc.channel.emitter_pixel == (1,)
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(_variant(emitters=[{"label": 1}],
+                                    placement=[[1.0, 0.0]]))
 
 
 def test_emitter_bits_sources(tmp_path):
@@ -133,6 +191,7 @@ def test_fixed_mask_run_produces_report():
     assert rep["bits_compared"] == 1000
     assert rep["ber"] <= 0.01      # sigma 0.1 on a 0.5 depth is near-clean
     assert rep["snr_db"] > 10
+    assert rep["goodput_bps"] == pytest.approx((1 - rep["ber"]) * 1000)
     assert len(record.tx_bits["1"]) == 1000
 
 
