@@ -20,6 +20,13 @@ from .scenario import (ScenarioError, TraceRecord, bundled_scenario,
 from .tables import TABLE_NAMES, format_table, reproduce_table
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a nonnegative integer, not {text!r}")
+    return int(text)
+
+
 def _cmd_geometry(args) -> int:
     setup = OpticalSetup(d=args.d, S1=args.s1, S2=args.s2, BFL=args.bfl,
                          grid_rows=args.rows, grid_cols=args.cols)
@@ -51,8 +58,7 @@ def _cmd_run(args) -> int:
         scenario = bundled_scenario(args.scenario)
     else:
         scenario = load_scenario(args.scenario)
-    record = run_scenario(scenario, seed_override=args.seed,
-                          samples_dir=args.samples_dir)
+    record = run_scenario(scenario, seed_override=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{scenario.name}_trace.json"
@@ -146,10 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a scenario file end to end")
     p.add_argument("scenario", help="path to scenario JSON, or bundled name with --bundled")
     p.add_argument("--bundled", action="store_true")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="override the scenario seed (a nonnegative integer)")
     p.add_argument("--out", default=".", help="output directory for the trace")
-    p.add_argument("--samples-dir", default=None,
-                   help="also dump raw samples as CSV into this directory")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("tables", help="reproduce reference tables with pass/fail")

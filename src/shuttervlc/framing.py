@@ -8,7 +8,7 @@ correlation score (agreements minus disagreements over the 13 bits).
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -72,34 +72,22 @@ def frame(payload: Sequence[int], tid: TransmitterId) -> Packet:
 
 
 class IdLookupTable:
-    """Registered transmitter IDs, fixed before the link runs."""
+    """Registered transmitter IDs, fixed before the link runs; no two may
+    share a header."""
 
     def __init__(self, ids: Sequence[TransmitterId] = ()):
-        self._entries: Dict[Tuple[int, ...], int] = {}
-        for tid in ids:
-            self.register(tid)
-
-    def register(self, tid: TransmitterId) -> None:
-        if tid.id_bits in self._entries:
+        self.ids: List[TransmitterId] = list(ids)
+        if len({tid.id_bits for tid in self.ids}) < len(self.ids):
             raise FramingError("duplicate id_bits in lookup table")
-        self._entries[tid.id_bits] = tid.label
-
-    def lookup(self, bits: Sequence[int]) -> int | None:
-        return self._entries.get(tuple(int(b) for b in bits))
-
-    @property
-    def ids(self) -> List[TransmitterId]:
-        return [TransmitterId(b, lab) for b, lab in self._entries.items()]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
 class Detection:
     offset: int
     label: int
-    payload: Tuple[int, ...]
     score: int
 
 
@@ -145,6 +133,5 @@ def detect_packets(bits: Sequence[int], table: IdLookupTable,
     # the last key sorts first: most hits, then highest total, then residue
     lattice = np.lexsort((np.arange(len(counts)), -totals, -counts))[0]
     return [Detection(int(off), ids[int(best_id[off])].label,
-                      tuple(bits[off + HEADER_BITS:off + PACKET_BITS].tolist()),
                       int(best_score[off]))
             for off in hits[residues == lattice]]

@@ -23,10 +23,6 @@ class LinkReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinkReport":
-        return cls(**d)
-
 
 def bit_error_rate(tx: Sequence[int], rx: Sequence[int]) -> float:
     """Hamming distance over length; inputs must be aligned and equal-length."""

@@ -3,18 +3,17 @@ latency estimation and per-slot packet arithmetic.
 
 Discovery scans the pixels one at a time (all others closed) and records
 per-pixel SNR against a threshold; Identification re-opens each candidate
-pixel, decodes, and keeps only pixels whose packet headers match a
-registered transmitter ID. The controller loops Discovery after a failed
-Identification and gives up after a retry budget.
+pixel, decodes, and keeps only pixels where the header of a registered
+transmitter decoded bit for bit. The controller loops Discovery after a
+failed Identification and gives up after a retry budget.
 """
 
 import enum
 from dataclasses import dataclass, replace, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Set
 
 from .channel import PixelMask, received_snr_db
-from .framing import (HEADER_BITS, IdLookupTable, TransmitterId,
-                      detect_packets)
+from .framing import HEADER_BITS, IdLookupTable, detect_packets
 
 
 class ProtocolError(ValueError):
@@ -34,20 +33,18 @@ class ShutterControllerState:
     phase: Phase
     mask: PixelMask
     snr_threshold_db: float
-    id_table: IdLookupTable
     pixel_snr_db: Dict[int, float] = field(default_factory=dict)
     candidate_pixels: frozenset = frozenset()
     locked_pixels: frozenset = frozenset()
 
 
-def initial_state(n_pixels: int, snr_threshold_db: float,
-                  id_table: IdLookupTable) -> ShutterControllerState:
+def initial_state(n_pixels: int,
+                  snr_threshold_db: float) -> ShutterControllerState:
     """INIT state with all pixels open, ready to enter Discovery."""
     return ShutterControllerState(
         phase=Phase.INIT,
         mask=PixelMask(n_pixels, range(n_pixels)),
         snr_threshold_db=snr_threshold_db,
-        id_table=id_table,
     )
 
 
@@ -77,24 +74,21 @@ def step_discovery(state: ShutterControllerState,
 
 def step_identification(
         state: ShutterControllerState,
-        decoded_detections: Callable[[int], Sequence[TransmitterId]],
+        identified: Callable[[int], Set[int]],
 ) -> ShutterControllerState:
-    """Check each candidate pixel's decoded headers against the ID table.
+    """Lock the candidate pixels that identified a registered transmitter.
 
-    Pixels with at least one registered detection lock in and stay open;
-    with no match anywhere, all pixels close and the phase returns to
-    DISCOVERY."""
+    `identified(p)` is the set of labels whose header decoded bit for bit
+    on pixel `p` (a detection scoring HEADER_BITS); a header with any chip
+    error does not count. Pixels with at least one such label lock in and
+    stay open; with none anywhere, all pixels close and the phase returns
+    to DISCOVERY."""
     if state.phase is not Phase.IDENTIFICATION:
         raise ProtocolError(f"step_identification in phase {state.phase.name}")
     if not state.candidate_pixels:
         raise ProtocolError("identification with no candidate pixels")
     n = state.mask.n_pixels
-    locked = set()
-    for p in sorted(state.candidate_pixels):
-        for tid in decoded_detections(p):
-            if state.id_table.lookup(tid.id_bits) is not None:
-                locked.add(p)
-                break
+    locked = {p for p in state.candidate_pixels if identified(p)}
     if locked:
         return replace(state,
                        phase=Phase.LOCKED,
@@ -154,7 +148,7 @@ class ControllerResult:
 def run_controller(sim, T_s: float, snr_threshold_db: float,
                    id_table: IdLookupTable, corr_threshold: int = 11,
                    retry_budget: int = 3,
-                   select_target: Optional[TransmitterId] = None) -> ControllerResult:
+                   select_target: Optional[int] = None) -> ControllerResult:
     """Drive the state machine against a link simulation.
 
     `sim` supplies the physical side: `n_pixels`, `sim_time_s`,
@@ -163,13 +157,15 @@ def run_controller(sim, T_s: float, snr_threshold_db: float,
     contain a whole packet at any alignment). Each Discovery scan takes one
     extra all-closed dwell as the noise reference for the SNR probes.
 
-    With `select_target`, only the pixel carrying that ID may lock;
-    detections of other registered IDs send the controller back to
-    Discovery. Non-convergence after `retry_budget` full cycles is reported
+    Each identification dwell logs `detected_ids`: the labels of every
+    detection at or above `corr_threshold`, whether or not it locks. With
+    `select_target` (a label), only a pixel that identified that label may
+    lock; pixels that identified only other labels send the controller back
+    to Discovery. Non-convergence after `retry_budget` full cycles is reported
     in the result, not raised.
     """
     n = sim.n_pixels
-    state = initial_state(n, snr_threshold_db, id_table)
+    state = initial_state(n, snr_threshold_db)
     events: List[dict] = []
 
     def log(event: str, **extra):
@@ -201,26 +197,18 @@ def run_controller(sim, T_s: float, snr_threshold_db: float,
             log("reset")
             continue
 
-        detections_by_pixel: Dict[int, List[TransmitterId]] = {}
+        identified: Dict[int, Set[int]] = {}
         for p in sorted(state.candidate_pixels):
             block = sim.dwell(PixelMask(n, {p}), sim.identification_window_s)
-            bits = sim.decode(block)
-            dets = detect_packets(bits, id_table, corr_threshold)
-            detections_by_pixel[p] = [
-                TransmitterId(tuple(bits[d.offset:d.offset + HEADER_BITS]),
-                              d.label)
-                for d in dets
-            ]
+            dets = detect_packets(sim.decode(block), id_table, corr_threshold)
+            identified[p] = {d.label for d in dets if d.score == HEADER_BITS}
             log("identification_dwell", pixel=p,
                 detected_ids=sorted({d.label for d in dets}))
-        state = step_identification(state, lambda p: detections_by_pixel[p])
+        state = step_identification(state, identified.__getitem__)
 
         if state.phase is Phase.LOCKED and select_target is not None:
-            matching = {
-                p for p in state.locked_pixels
-                if any(t.id_bits == select_target.id_bits
-                       for t in detections_by_pixel[p])
-            }
+            matching = {p for p in state.locked_pixels
+                        if select_target in identified[p]}
             if matching:
                 state = replace(state,
                                 mask=PixelMask(n, matching),

@@ -19,8 +19,8 @@ import numpy as np
 from . import framing
 from .channel import (ChannelConfig, PixelMask, emitter_weights, receive,
                       received_snr_db)
-from .framing import (Detection, IdKind, IdLookupTable, TransmitterId,
-                      detect_packets, make_id)
+from .framing import (Detection, IdKind, IdLookupTable, detect_packets,
+                      make_id)
 from .geometry import EmitterPlacement, OpticalSetup, map_emitters_to_pixels
 from .metrics import LinkReport, bit_error_rate, goodput, packet_error_rate
 from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme,
@@ -49,7 +49,7 @@ class ProtocolParams:
     snr_threshold_db: float = 10.0
     corr_threshold: int = 11
     retry_budget: int = 3
-    select_target: Optional[IdKind] = None
+    select_target: Optional[int] = None     # an emitter label
     ident_window_packets: float = 4.2
 
     def __post_init__(self):
@@ -152,6 +152,9 @@ def _parse(d: dict) -> Scenario:
         if (kind == "same_as"
                 and kinds.get(e.bit_source.get("label")) in (None, "same_as")):
             raise ScenarioError("same_as must name an emitter with bits of its own")
+        seed = e.bit_source.get("seed") if kind == "random" else None
+        if seed is not None and not (isinstance(seed, int) and seed >= 0):
+            raise ScenarioError("a bit source seed must be a nonnegative integer")
     ch = _object(d.get("channel", {}), "channel")
     channel = ChannelConfig(
         emitter_gain=tuple(e.gain for e in emitters),
@@ -170,8 +173,13 @@ def _parse(d: dict) -> Scenario:
     protocol = None
     if d.get("protocol") is not None:
         p = dict(_object(d["protocol"], "protocol"))
-        if p.get("select_target") is not None:
-            p["select_target"] = IdKind(p["select_target"])
+        target = p.get("select_target")
+        if target is not None:
+            carriers = [e.label for e in emitters if e.id_kind.value == target]
+            if not carriers:
+                raise ScenarioError(
+                    f"select_target {target!r} is no emitter's id_kind")
+            p["select_target"] = carriers[0]
         protocol = ProtocolParams(**p)
     if (mask is None) == (protocol is None):
         raise ScenarioError("scenario needs exactly one of mask / protocol")
@@ -181,10 +189,19 @@ def _parse(d: dict) -> Scenario:
         raise ScenarioError("threshold mode must be ADAPTIVE or FIXED")
     if mode == "FIXED" and thr.get("level") is None:
         raise ScenarioError("FIXED threshold needs a level")
+    rng_seed = int(d.get("rng_seed", 0))
+    duration_s = float(d.get("duration_s", 0.0))
+    code_rate = float(d.get("code_rate", 1.0))
+    if rng_seed < 0:
+        raise ScenarioError("rng_seed must be nonnegative")
+    if not 0 <= duration_s < float("inf"):
+        raise ScenarioError("duration_s must be finite and nonnegative")
+    if not 0 < code_rate <= 1:
+        raise ScenarioError("code_rate must be in (0, 1]")
     return Scenario(
         name=d.get("name", "scenario"),
-        rng_seed=int(d.get("rng_seed", 0)),
-        duration_s=float(d.get("duration_s", 0.0)),
+        rng_seed=rng_seed,
+        duration_s=duration_s,
         optics=optics,
         modem=modem,
         emitters=emitters,
@@ -192,7 +209,7 @@ def _parse(d: dict) -> Scenario:
         mask=mask,
         protocol=protocol,
         threshold=float(thr["level"]) if mode == "FIXED" else None,
-        code_rate=float(d.get("code_rate", 1.0)),
+        code_rate=code_rate,
         source_dict=d,
     )
 
@@ -516,31 +533,21 @@ def _rate_context(scenario: Scenario) -> dict:
             "symbol_rate": scenario.modem.symbol_rate}
 
 
-def run_scenario(scenario: Scenario, seed_override: Optional[int] = None,
-                 samples_dir=None) -> TraceRecord:
+def run_scenario(scenario: Scenario,
+                 seed_override: Optional[int] = None) -> TraceRecord:
     """Execute a scenario end to end and return its trace.
 
     Fixed-mask scenarios modulate, pass through the channel once, and score
     BER per emitter. Protocol scenarios drive the shutter controller and,
     once locked, time-slot reception round-robin over the locked pixels.
-    `samples_dir` opts in to raw-sample CSV dumps (one file per dwell).
     """
     seed = scenario.rng_seed if seed_override is None else seed_override
     if scenario.mask is not None:
-        return _run_fixed_mask(scenario, seed, samples_dir)
-    return _run_protocol(scenario, seed, samples_dir)
+        return _run_fixed_mask(scenario, seed)
+    return _run_protocol(scenario, seed)
 
 
-def _maybe_dump(samples_dir, index: int, block: SampleBlock, t0_s: float) -> None:
-    if samples_dir is None:
-        return
-    path = Path(samples_dir) / f"dwell_{index:04d}.csv"
-    t = t0_s + np.arange(len(block)) / block.sample_rate
-    np.savetxt(path, np.column_stack([t, block.samples]), delimiter=",",
-               fmt="%.9f")
-
-
-def _run_fixed_mask(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
+def _run_fixed_mask(scenario: Scenario, seed: int) -> TraceRecord:
     sim = LinkSimulation(scenario, seed)
     mask = scenario.mask
     n_bits = int(round(scenario.duration_s * scenario.modem.symbol_rate))
@@ -551,7 +558,6 @@ def _run_fixed_mask(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
     if n_bits > 0:
         block = sim.dwell(mask, scenario.duration_s)
         rx = sim.decode(block)
-        _maybe_dump(samples_dir, 0, block, 0.0)
         dwells.append({"t0_s": 0.0, "pixel": None,
                        "mask": mask.states(),
                        "start_bit": 0, "bits": _bits_to_str(rx)})
@@ -576,17 +582,15 @@ def _run_fixed_mask(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
     )
 
 
-def _run_protocol(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
+def _run_protocol(scenario: Scenario, seed: int) -> TraceRecord:
     params = scenario.protocol
     sim = LinkSimulation(scenario, seed)
     n = scenario.optics.n_pixels
-    select = (make_id(params.select_target)
-              if params.select_target is not None else None)
     table = scenario.id_table()
     result = run_controller(sim, params.T_s, params.snr_threshold_db, table,
                             corr_threshold=params.corr_threshold,
                             retry_budget=params.retry_budget,
-                            select_target=select)
+                            select_target=params.select_target)
     pixels = scenario.channel.emitter_pixel
     ctx = dict(_rate_context(scenario),
                corr_threshold=params.corr_threshold,
@@ -609,7 +613,6 @@ def _run_protocol(scenario: Scenario, seed: int, samples_dir) -> TraceRecord:
             start_bit = sim.clock // sim.sps
             block = sim.dwell(PixelMask(n, {pixel}), params.T_s)
             rx = sim.decode(block)
-            _maybe_dump(samples_dir, len(dwells), block, t0)
             dets = detect_packets(rx, table, params.corr_threshold)
             dwell_index = len(dwells)
             dwells.append({"t0_s": round(t0, 9), "pixel": pixel,

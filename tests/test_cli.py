@@ -109,6 +109,12 @@ def _edited(name, section, **values):
                  id="schema_version-99"),
     pytest.param(_edited("protocol_clean", "modem", bits_per_symbol=2),
                  id="bits_per_symbol"),
+    pytest.param(_edited("gmsk_demo", None, rng_seed=-1), id="rng_seed--1"),
+    pytest.param(_edited("gmsk_demo", None, emitters=[
+        {"label": 1, "pixel": 0, "bit_source": {"type": "random", "seed": -3}}]),
+                 id="bit_source-seed--3"),
+    pytest.param(_edited("gmsk_demo", None, code_rate=2.0), id="code_rate-2"),
+    pytest.param(_edited("gmsk_demo", None, duration_s=-5), id="duration_s--5"),
 ])
 def test_run_reports_malformed_scenario_as_error(tmp_path, capsys, text):
     src = tmp_path / "scenario.json"
@@ -117,6 +123,13 @@ def test_run_reports_malformed_scenario_as_error(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("shuttervlc: error: ")
     assert err.count("\n") == 1
+
+
+def test_negative_seed_option_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "gmsk_demo", "--bundled", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["replay", "run"])

@@ -69,11 +69,11 @@ def test_lookup_table():
     table = IdLookupTable([make_id(IdKind.BARKER13, 1),
                            make_id(IdKind.BARKER11_PADDED, 2)])
     assert len(table) == 2
-    assert table.lookup(BARKER_13) == 1
-    assert table.lookup(BARKER_11 + (1, 1)) == 2
-    assert table.lookup((0,) * 13) is None
+    assert [tid.label for tid in table.ids] == [1, 2]
+    assert [tid.id_bits for tid in table.ids] == [BARKER_13, BARKER_11 + (1, 1)]
     with pytest.raises(FramingError):
-        table.register(make_id(IdKind.BARKER13, 9))
+        IdLookupTable([make_id(IdKind.BARKER13, 1),
+                       make_id(IdKind.BARKER13, 9)])
 
 
 def test_correlation_score_counts_disagreements():
@@ -140,14 +140,6 @@ def test_detect_recovers_corrupted_headers():
     assert dets[1].score == 11
 
 
-def test_detect_payload_matches_stream():
-    rng = np.random.default_rng(31)
-    bits = _packet_stream([2], rng)
-    table = IdLookupTable([make_id(IdKind.BARKER11_PADDED, 2)])
-    (det,) = detect_packets(bits, table)
-    assert det.payload == tuple(bits[HEADER_BITS:PACKET_BITS])
-
-
 def test_detect_argument_validation():
     table = IdLookupTable([make_id(IdKind.BARKER13, 1)])
     with pytest.raises(FramingError):
@@ -177,13 +169,9 @@ def _reference_detect(bits, table, corr_threshold):
         cnt, tot = counts.get(res, (0, 0))
         counts[res] = (cnt + 1, tot + int(best_score[off]))
     lattice = min(counts, key=lambda r: (-counts[r][0], -counts[r][1], r))
-    detections = []
-    for off in hits[residues == lattice]:
-        tid = ids[int(best_id[off])]
-        payload = tuple(int(b) for b in bits[off + HEADER_BITS:off + PACKET_BITS])
-        detections.append(Detection(int(off), tid.label, payload,
-                                    int(best_score[off])))
-    return detections
+    return [Detection(int(off), ids[int(best_id[off])].label,
+                      int(best_score[off]))
+            for off in hits[residues == lattice]]
 
 
 # three hits of score 7 outvote two of score 13 despite a lower total

@@ -56,4 +56,8 @@ def test_link_report_dict_roundtrip():
     rep = LinkReport(ber=1e-3, per_percent=5.87, snr_db=19.97,
                      goodput_bps=1.3e6, bits_compared=10000,
                      packets_expected=477, packets_detected_valid=449)
-    assert LinkReport.from_dict(rep.to_dict()) == rep
+    d = rep.to_dict()
+    assert d == {"ber": 1e-3, "per_percent": 5.87, "snr_db": 19.97,
+                 "goodput_bps": 1.3e6, "bits_compared": 10000,
+                 "packets_expected": 477, "packets_detected_valid": 449}
+    assert LinkReport(**d) == rep

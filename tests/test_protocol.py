@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from shuttervlc.channel import PixelMask
-from shuttervlc.framing import (IdKind, IdLookupTable, PACKET_BITS,
-                                TransmitterId, frame, make_id)
+from shuttervlc.framing import (IdKind, IdLookupTable, PACKET_BITS, frame,
+                                make_id)
 from shuttervlc.modem import ModemConfig, Scheme, demodulate, modulate
 from shuttervlc.protocol import (LatencyModel, Phase, ProtocolError,
                                  estimate_latency, initial_state,
@@ -19,14 +19,14 @@ TABLE = IdLookupTable([make_id(IdKind.BARKER13, 1),
 
 
 def test_initial_state_all_open():
-    st = initial_state(4, 10.0, TABLE)
+    st = initial_state(4, 10.0)
     assert st.phase is Phase.INIT
     assert st.mask.open == frozenset(range(4))
     assert st.locked_pixels == frozenset()
 
 
 def test_discovery_promotes_pixels_above_threshold():
-    st = initial_state(2, 10.0, TABLE)
+    st = initial_state(2, 10.0)
     st = replace(st, phase=Phase.DISCOVERY)
     # measured per-pixel SNRs: strong desired signal vs below-noise neighbor
     probes = {0: 19.97, 1: -0.27}
@@ -38,7 +38,7 @@ def test_discovery_promotes_pixels_above_threshold():
 
 
 def test_discovery_no_candidates_resets():
-    st = initial_state(3, 10.0, TABLE)
+    st = initial_state(3, 10.0)
     st = replace(st, phase=Phase.DISCOVERY)
     st = step_discovery(st, lambda p: -5.0)
     assert st.phase is Phase.RESET
@@ -46,26 +46,26 @@ def test_discovery_no_candidates_resets():
 
 
 def test_identification_locks_matching_pixels():
-    st = initial_state(2, 10.0, TABLE)
+    st = initial_state(2, 10.0)
     st = replace(st, phase=Phase.IDENTIFICATION,
                  candidate_pixels=frozenset({0, 1}))
-    good = make_id(IdKind.BARKER13, 1)
-    junk = TransmitterId((0,) * 13, 99)
-    st2 = step_identification(st, lambda p: [good] if p == 0 else [junk])
+    # pixel 0 identified transmitter 1, pixel 1 identified nobody
+    st2 = step_identification(st, lambda p: {1} if p == 0 else set())
     assert st2.phase is Phase.LOCKED
     assert st2.locked_pixels == frozenset({0})
-    # nothing matches anywhere -> back to discovery, shutter closed
-    st3 = step_identification(st, lambda p: [junk])
+    assert st2.mask.open == frozenset({0})
+    # nothing identified anywhere -> back to discovery, shutter closed
+    st3 = step_identification(st, lambda p: set())
     assert st3.phase is Phase.DISCOVERY
     assert st3.mask == PixelMask(2)
 
 
 def test_steps_reject_wrong_phase():
-    st = initial_state(2, 10.0, TABLE)
+    st = initial_state(2, 10.0)
     with pytest.raises(ProtocolError):
         step_discovery(st, lambda p: 0.0)
     with pytest.raises(ProtocolError):
-        step_identification(st, lambda p: [])
+        step_identification(st, lambda p: set())
 
 
 def test_latency_reference_values():
@@ -109,9 +109,10 @@ def test_packets_per_slot_floors():
 
 
 class _StubSim:
-    """Two-pixel link: transmitter 1 on pixel 0, nothing on pixel 1."""
+    """Two-pixel link: transmitter 1 on pixel 0, nothing on pixel 1. With
+    `header_chip_error`, the first chip of every header is flipped."""
 
-    def __init__(self):
+    def __init__(self, header_chip_error=False):
         self.cfg = ModemConfig(scheme=Scheme.OOK, symbol_rate=10_000,
                                samples_per_symbol=4)
         rng = np.random.default_rng(99)
@@ -119,6 +120,8 @@ class _StubSim:
         chunks = [frame(tuple(rng.integers(0, 2, PACKET_BITS - 13)), tid).bits
                   for _ in range(40)]
         self._bits = np.concatenate(chunks)
+        if header_chip_error:
+            self._bits[::PACKET_BITS] ^= 1
         self._wave = modulate(self._bits, self.cfg).samples
         self.noise = rng
         self.n_pixels = 2
@@ -157,11 +160,23 @@ def test_run_controller_locks_on_signal_pixel():
 
 
 def test_run_controller_select_target_rejects_other_ids():
-    # demanding the 11-chip padded ID that nobody transmits -> no lock
+    # demanding transmitter 2 (the 11-chip padded ID), which nobody
+    # transmits -> no lock
     result = run_controller(_StubSim(), T_s=0.5, snr_threshold_db=10.0,
-                            id_table=TABLE, retry_budget=2,
-                            select_target=make_id(IdKind.BARKER11_PADDED, 2))
+                            id_table=TABLE, retry_budget=2, select_target=2)
     assert not result.converged
     assert result.cycles_used == 2
     assert result.events[-1]["event"] == "gave_up"
     assert result.state.mask == PixelMask(2)
+
+
+def test_run_controller_locks_only_on_bit_exact_headers():
+    # every header carries one chip error: detected at score 11, so pixel 0
+    # reports transmitter 1, but it never identifies it and never locks
+    result = run_controller(_StubSim(header_chip_error=True), T_s=0.5,
+                            snr_threshold_db=10.0, id_table=TABLE,
+                            retry_budget=2)
+    assert not result.converged
+    idents = [e for e in result.events if e["event"] == "identification_dwell"]
+    assert [e["detected_ids"] for e in idents] == [[1], [1]]
+    assert result.events[-1]["event"] == "gave_up"

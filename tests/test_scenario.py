@@ -107,6 +107,13 @@ def test_malformed_scenario_raises_scenario_error():
                             "bit_source": {"type": "noise"}}]),
         _variant(mask=None, protocol={"T_s": "abc"}),
         _variant(mask=None, protocol={"T_s": 0.0}),
+        # no emitter carries the 11-chip padded ID
+        _variant(mask=None, protocol={"select_target": "BARKER11_PADDED"}),
+        _variant(rng_seed=-1),
+        _variant(emitters=[{"label": 1, "pixel": 0,
+                            "bit_source": {"type": "random", "seed": -3}}]),
+        _variant(code_rate=2.0),
+        _variant(duration_s=-5.0),
     ]
     for d in malformed:
         with pytest.raises(ScenarioError):
@@ -254,15 +261,6 @@ def test_protocol_no_signal_does_not_converge():
     assert record.reports == {}
     assert record.events[-1]["event"] == "gave_up"
     assert record.events[-1]["mask"] == [0, 0]
-
-
-def test_samples_dir_dumps_csv(tmp_path):
-    run_scenario(scenario_from_dict(_variant(duration_s=0.1)),
-                 samples_dir=tmp_path)
-    files = sorted(tmp_path.glob("dwell_*.csv"))
-    assert len(files) == 1
-    data = np.loadtxt(files[0], delimiter=",")
-    assert data.shape == (400, 2)   # 0.1 s at 4 kHz sample rate
 
 
 @pytest.mark.parametrize("field,value", [("snr_db", 99.0),
