@@ -11,9 +11,8 @@ from .metrics import LinkReport, bit_error_rate, goodput, packet_error_rate
 from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme, demodulate,
                     modulate)
 from .protocol import (ControllerResult, LatencyEstimate, LatencyModel, Phase,
-                       ShutterControllerState, estimate_latency, initial_state,
-                       packets_per_slot, run_controller, step_discovery,
-                       step_identification)
+                       ProtocolParams, estimate_latency, packets_per_slot,
+                       run_controller)
 from .scenario import (Scenario, TraceRecord, bundled_scenario,
                        bundled_scenario_names, load_scenario, replay_trace,
                        run_scenario, scenario_from_dict)

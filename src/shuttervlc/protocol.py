@@ -1,23 +1,27 @@
-"""Automated shutter control: Discovery/Identification state machine,
-latency estimation and per-slot packet arithmetic.
+"""Automated shutter control, latency estimation and per-slot packet
+arithmetic.
 
-Discovery scans the pixels one at a time (all others closed) and records
-per-pixel SNR against a threshold; Identification re-opens each candidate
-pixel, decodes, and keeps only pixels where the header of a registered
-transmitter decoded bit for bit. The controller loops Discovery after a
-failed Identification and gives up after a retry budget.
+`run_controller` drives the shutter through the paper's two steps.
+Discovery scans the pixels one at a time (all others closed) and makes the
+pixels whose SNR reaches the threshold candidates. Identification opens
+each candidate in turn, decodes, and locks the candidates on which the
+header of a registered transmitter (of `select_target`, if set) decoded
+bit for bit. A scan with no candidate resets, an identification with no
+lock closes the shutter and scans again, and the controller gives up after
+its retry budget.
 """
 
 import enum
-from dataclasses import dataclass, replace, field
-from typing import Callable, Dict, List, Optional, Set
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from .channel import PixelMask, received_snr_db
 from .framing import HEADER_BITS, IdLookupTable, detect_packets
 
 
 class ProtocolError(ValueError):
-    """Raised when a step is applied in the wrong phase."""
+    """Raised for protocol, latency or slot parameters out of range."""
 
 
 class Phase(enum.Enum):
@@ -29,75 +33,29 @@ class Phase(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ShutterControllerState:
-    phase: Phase
-    mask: PixelMask
-    snr_threshold_db: float
-    pixel_snr_db: Dict[int, float] = field(default_factory=dict)
-    candidate_pixels: frozenset = frozenset()
-    locked_pixels: frozenset = frozenset()
+class ProtocolParams:
+    T_s: float = 0.5
+    snr_threshold_db: float = 10.0
+    corr_threshold: int = 11
+    retry_budget: int = 3
+    select_target: Optional[int] = None     # an emitter label
+    ident_window_packets: float = 4.2
 
-
-def initial_state(n_pixels: int,
-                  snr_threshold_db: float) -> ShutterControllerState:
-    """INIT state with all pixels open, ready to enter Discovery."""
-    return ShutterControllerState(
-        phase=Phase.INIT,
-        mask=PixelMask(n_pixels, range(n_pixels)),
-        snr_threshold_db=snr_threshold_db,
-    )
-
-
-def step_discovery(state: ShutterControllerState,
-                   snr_probe: Callable[[int], float]) -> ShutterControllerState:
-    """Scan every pixel through `snr_probe` (one T_s dwell each, that pixel
-    open and all others closed). Pixels at or above the SNR threshold become
-    candidates and are opened for Identification; if none qualify, all
-    pixels close and the phase falls to RESET."""
-    if state.phase is not Phase.DISCOVERY:
-        raise ProtocolError(f"step_discovery in phase {state.phase.name}")
-    n = state.mask.n_pixels
-    snrs = {p: float(snr_probe(p)) for p in range(n)}
-    candidates = frozenset(p for p, s in snrs.items() if s >= state.snr_threshold_db)
-    if candidates:
-        return replace(state,
-                       phase=Phase.IDENTIFICATION,
-                       mask=PixelMask(n, candidates),
-                       pixel_snr_db=snrs,
-                       candidate_pixels=candidates)
-    return replace(state,
-                   phase=Phase.RESET,
-                   mask=PixelMask(n),
-                   pixel_snr_db=snrs,
-                   candidate_pixels=frozenset())
-
-
-def step_identification(
-        state: ShutterControllerState,
-        identified: Callable[[int], Set[int]],
-) -> ShutterControllerState:
-    """Lock the candidate pixels that identified a registered transmitter.
-
-    `identified(p)` is the set of labels whose header decoded bit for bit
-    on pixel `p` (a detection scoring HEADER_BITS); a header with any chip
-    error does not count. Pixels with at least one such label lock in and
-    stay open; with none anywhere, all pixels close and the phase returns
-    to DISCOVERY."""
-    if state.phase is not Phase.IDENTIFICATION:
-        raise ProtocolError(f"step_identification in phase {state.phase.name}")
-    if not state.candidate_pixels:
-        raise ProtocolError("identification with no candidate pixels")
-    n = state.mask.n_pixels
-    locked = {p for p in state.candidate_pixels if identified(p)}
-    if locked:
-        return replace(state,
-                       phase=Phase.LOCKED,
-                       mask=PixelMask(n, locked),
-                       locked_pixels=frozenset(locked))
-    return replace(state,
-                   phase=Phase.DISCOVERY,
-                   mask=PixelMask(n),
-                   locked_pixels=frozenset())
+    def __post_init__(self):
+        for name, kind in (("T_s", float), ("snr_threshold_db", float),
+                           ("corr_threshold", int), ("retry_budget", int),
+                           ("ident_window_packets", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        if not all(0 < x < math.inf
+                   for x in (self.T_s, self.ident_window_packets)):
+            raise ProtocolError(
+                "T_s and ident_window_packets must be finite and positive")
+        if not math.isfinite(self.snr_threshold_db):
+            raise ProtocolError("snr_threshold_db must be finite")
+        if not 1 <= self.corr_threshold <= HEADER_BITS:
+            raise ProtocolError(f"corr_threshold must be in 1..{HEADER_BITS}")
+        if self.retry_budget < 0:
+            raise ProtocolError("retry_budget must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -139,17 +97,17 @@ def packets_per_slot(symbol_rate: float, bits_per_symbol: int,
 
 @dataclass
 class ControllerResult:
-    state: ShutterControllerState
-    events: List[dict]
     converged: bool
     cycles_used: int
+    locked_pixels: frozenset
+    pixel_snr_db: Dict[int, float]      # of the last Discovery scan
+    events: List[dict]
 
 
-def run_controller(sim, T_s: float, snr_threshold_db: float,
-                   id_table: IdLookupTable, corr_threshold: int = 11,
-                   retry_budget: int = 3,
-                   select_target: Optional[int] = None) -> ControllerResult:
-    """Drive the state machine against a link simulation.
+def run_controller(sim, params: ProtocolParams,
+                   id_table: IdLookupTable) -> ControllerResult:
+    """Run Discovery and Identification against a link simulation until a
+    pixel locks or `params.retry_budget` cycles have run.
 
     `sim` supplies the physical side: `n_pixels`, `sim_time_s`,
     `dwell(mask, duration_s) -> SampleBlock` (advancing its clock),
@@ -157,71 +115,66 @@ def run_controller(sim, T_s: float, snr_threshold_db: float,
     contain a whole packet at any alignment). Each Discovery scan takes one
     extra all-closed dwell as the noise reference for the SNR probes.
 
-    Each identification dwell logs `detected_ids`: the labels of every
-    detection at or above `corr_threshold`, whether or not it locks. With
-    `select_target` (a label), only a pixel that identified that label may
-    lock; pixels that identified only other labels send the controller back
-    to Discovery. Non-convergence after `retry_budget` full cycles is reported
-    in the result, not raised.
+    Every event records the controller's phase and mask; a dwell event's
+    mask is the controller's, not the one the dwell opened. Each
+    identification dwell logs `detected_ids`: the labels of every detection
+    at or above `corr_threshold`, whether or not it locks. A candidate locks
+    only if a detection on it scores HEADER_BITS and carries
+    `select_target` (any label if that is None). Non-convergence is
+    reported in the result, not raised.
     """
     n = sim.n_pixels
-    state = initial_state(n, snr_threshold_db)
+    phase, mask = Phase.INIT, PixelMask(n, range(n))
+    snrs: Dict[int, float] = {}
     events: List[dict] = []
 
     def log(event: str, **extra):
         rec = {"sim_time_s": round(sim.sim_time_s, 9),
                "event": event,
-               "phase": state.phase.value,
-               "mask": state.mask.states()}
+               "phase": phase.value,
+               "mask": mask.states()}
         rec.update(extra)
         events.append(rec)
 
     log("init")
     cycles = 0
-    for cycle in range(retry_budget):
-        cycles = cycle + 1
-        state = replace(state, phase=Phase.DISCOVERY)
-        noise_ref = sim.dwell(PixelMask(n), T_s)
+    for cycles in range(1, params.retry_budget + 1):
+        phase = Phase.DISCOVERY
+        noise_ref = sim.dwell(PixelMask(n), params.T_s)
         log("noise_reference_dwell")
-
-        def probe(pixel: int) -> float:
-            block = sim.dwell(PixelMask(n, {pixel}), T_s)
-            snr = received_snr_db(block, noise_ref)
-            log("discovery_dwell", pixel=pixel, pixel_snr_db=round(snr, 4))
-            return snr
-
-        state = step_discovery(state, probe)
+        snrs = {}
+        for p in range(n):
+            block = sim.dwell(PixelMask(n, {p}), params.T_s)
+            snrs[p] = received_snr_db(block, noise_ref)
+            log("discovery_dwell", pixel=p, pixel_snr_db=round(snrs[p], 4))
+        candidates = [p for p, s in snrs.items()
+                      if s >= params.snr_threshold_db]
+        phase = Phase.IDENTIFICATION if candidates else Phase.RESET
+        mask = PixelMask(n, candidates)
         log("discovery_done",
-            pixel_snr_db={p: round(s, 4) for p, s in state.pixel_snr_db.items()})
-        if state.phase is Phase.RESET:
+            pixel_snr_db={p: round(s, 4) for p, s in snrs.items()})
+        if not candidates:
             log("reset")
             continue
 
-        identified: Dict[int, Set[int]] = {}
-        for p in sorted(state.candidate_pixels):
+        locked = []
+        for p in candidates:
             block = sim.dwell(PixelMask(n, {p}), sim.identification_window_s)
-            dets = detect_packets(sim.decode(block), id_table, corr_threshold)
-            identified[p] = {d.label for d in dets if d.score == HEADER_BITS}
+            dets = detect_packets(sim.decode(block), id_table,
+                                  params.corr_threshold)
+            if any(d.score == HEADER_BITS
+                   and params.select_target in (None, d.label) for d in dets):
+                locked.append(p)
             log("identification_dwell", pixel=p,
                 detected_ids=sorted({d.label for d in dets}))
-        state = step_identification(state, identified.__getitem__)
-
-        if state.phase is Phase.LOCKED and select_target is not None:
-            matching = {p for p in state.locked_pixels
-                        if select_target in identified[p]}
-            if matching:
-                state = replace(state,
-                                mask=PixelMask(n, matching),
-                                locked_pixels=frozenset(matching))
-            else:
-                state = replace(state, phase=Phase.DISCOVERY,
-                                mask=PixelMask(n),
-                                locked_pixels=frozenset())
-        if state.phase is Phase.LOCKED:
-            log("locked", locked_pixels=sorted(state.locked_pixels))
-            return ControllerResult(state, events, True, cycles)
+        if locked:
+            phase, mask = Phase.LOCKED, PixelMask(n, locked)
+            log("locked", locked_pixels=locked)
+            return ControllerResult(True, cycles, frozenset(locked), snrs,
+                                    events)
+        phase, mask = Phase.DISCOVERY, PixelMask(n)
         log("identification_failed")
 
-    state = replace(state, phase=Phase.RESET, mask=PixelMask(n))
+    phase, mask = Phase.RESET, PixelMask(n)
     log("gave_up")
-    return ControllerResult(state, events, False, cycles)
+    return ControllerResult(False, cycles, frozenset(), snrs, events)

@@ -25,7 +25,7 @@ from .geometry import EmitterPlacement, OpticalSetup, map_emitters_to_pixels
 from .metrics import LinkReport, bit_error_rate, goodput, packet_error_rate
 from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme,
                     StreamCursor, advance, demodulate, modulate)
-from .protocol import run_controller
+from .protocol import ProtocolParams, run_controller
 
 SCHEMA_VERSION = 1
 
@@ -41,24 +41,6 @@ class EmitterSpec:
     gain: float = 1.0
     phase_offset: PhaseOffset = PhaseOffset.IN_PHASE
     bit_source: dict = field(default_factory=lambda: {"type": "random"})
-
-
-@dataclass(frozen=True)
-class ProtocolParams:
-    T_s: float = 0.5
-    snr_threshold_db: float = 10.0
-    corr_threshold: int = 11
-    retry_budget: int = 3
-    select_target: Optional[int] = None     # an emitter label
-    ident_window_packets: float = 4.2
-
-    def __post_init__(self):
-        for name, kind in (("T_s", float), ("snr_threshold_db", float),
-                           ("corr_threshold", int), ("retry_budget", int),
-                           ("ident_window_packets", float)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
-        if not (self.T_s > 0 and self.ident_window_packets > 0):
-            raise ScenarioError("T_s and ident_window_packets must be positive")
 
 
 @dataclass
@@ -219,7 +201,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     a ScenarioError says so."""
     try:
         return _parse(d)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"bad scenario: {exc}") from exc
@@ -257,23 +239,25 @@ def emitter_bits(spec: EmitterSpec, scenario: Scenario, n_bits: int,
                  framed: bool, run_seed: Optional[int] = None) -> np.ndarray:
     """The first n_bits of an emitter's transmit stream, as uint8.
 
-    Framed streams are back-to-back 2096-bit packets (header + payload from
-    the bit source); unframed streams use the source bits directly. Every
-    source is prefix-stable: a longer call returns the same leading bits,
-    so a run can regenerate a longer prefix whenever it needs more."""
+    Framed streams are back-to-back 2096-bit packets (the emitter's own
+    header + payload from the bit source); unframed streams use the source
+    bits directly. A `same_as` source takes the bits of the named emitter's
+    source. Every source is prefix-stable: a longer call returns the same
+    leading bits, so a run can regenerate a longer prefix whenever it needs
+    more."""
     if run_seed is None:
         run_seed = scenario.rng_seed
-    src = spec.bit_source
-    kind = src.get("type", "random")
-    if kind == "same_as":
+    src, src_label = spec.bit_source, spec.label
+    if src.get("type") == "same_as":
         ref = next(e for e in scenario.emitters if e.label == src["label"])
-        return emitter_bits(ref, scenario, n_bits, framed, run_seed)
+        src, src_label = ref.bit_source, ref.label
+    kind = src.get("type", "random")
 
     def raw(n: int) -> np.ndarray:
         if kind == "random":
             seed = src.get("seed")
             rng = (np.random.default_rng(seed) if seed is not None
-                   else _payload_rng(run_seed, spec.label))
+                   else _payload_rng(run_seed, src_label))
             return rng.integers(0, 2, size=n).astype(np.uint8)
         if kind == "pattern":
             pat = _bits_from_str(src["bits"])
@@ -542,6 +526,8 @@ def run_scenario(scenario: Scenario,
     once locked, time-slot reception round-robin over the locked pixels.
     """
     seed = scenario.rng_seed if seed_override is None else seed_override
+    if seed < 0:
+        raise ScenarioError("seed must be nonnegative")
     if scenario.mask is not None:
         return _run_fixed_mask(scenario, seed)
     return _run_protocol(scenario, seed)
@@ -587,10 +573,7 @@ def _run_protocol(scenario: Scenario, seed: int) -> TraceRecord:
     sim = LinkSimulation(scenario, seed)
     n = scenario.optics.n_pixels
     table = scenario.id_table()
-    result = run_controller(sim, params.T_s, params.snr_threshold_db, table,
-                            corr_threshold=params.corr_threshold,
-                            retry_budget=params.retry_budget,
-                            select_target=params.select_target)
+    result = run_controller(sim, params, table)
     pixels = scenario.channel.emitter_pixel
     ctx = dict(_rate_context(scenario),
                corr_threshold=params.corr_threshold,
@@ -598,13 +581,13 @@ def _run_protocol(scenario: Scenario, seed: int) -> TraceRecord:
                           "pixel": p}
                          for e, p in zip(scenario.emitters, pixels)],
                pixel_snr_db={str(p): s for p, s
-                             in result.state.pixel_snr_db.items()})
+                             in result.pixel_snr_db.items()})
 
     dwells: List[dict] = []
     detections: List[dict] = []
     scorer = _SlotScorer(ctx, sim.tx_bits)
     if result.converged and scenario.duration_s > 0:
-        locked = sorted(result.state.locked_pixels)
+        locked = sorted(result.locked_pixels)
         remaining = scenario.duration_s
         slot = 0
         while remaining >= params.T_s / 2:

@@ -115,6 +115,8 @@ def _edited(name, section, **values):
                  id="bit_source-seed--3"),
     pytest.param(_edited("gmsk_demo", None, code_rate=2.0), id="code_rate-2"),
     pytest.param(_edited("gmsk_demo", None, duration_s=-5), id="duration_s--5"),
+    pytest.param(_edited("protocol_clean", "protocol", T_s=2.0).replace(
+        '"T_s": 2.0', '"T_s": 1e999'), id="T_s-1e999"),
 ])
 def test_run_reports_malformed_scenario_as_error(tmp_path, capsys, text):
     src = tmp_path / "scenario.json"

@@ -1,6 +1,4 @@
-"""Shutter controller state machine, latency model and slot arithmetic."""
-
-from dataclasses import replace
+"""Shutter controller, latency model and slot arithmetic."""
 
 import numpy as np
 import pytest
@@ -9,63 +7,12 @@ from shuttervlc.channel import PixelMask
 from shuttervlc.framing import (IdKind, IdLookupTable, PACKET_BITS, frame,
                                 make_id)
 from shuttervlc.modem import ModemConfig, Scheme, demodulate, modulate
-from shuttervlc.protocol import (LatencyModel, Phase, ProtocolError,
-                                 estimate_latency, initial_state,
-                                 packets_per_slot, run_controller,
-                                 step_discovery, step_identification)
+from shuttervlc.protocol import (LatencyModel, ProtocolError, ProtocolParams,
+                                 estimate_latency, packets_per_slot,
+                                 run_controller)
 
 TABLE = IdLookupTable([make_id(IdKind.BARKER13, 1),
                        make_id(IdKind.BARKER11_PADDED, 2)])
-
-
-def test_initial_state_all_open():
-    st = initial_state(4, 10.0)
-    assert st.phase is Phase.INIT
-    assert st.mask.open == frozenset(range(4))
-    assert st.locked_pixels == frozenset()
-
-
-def test_discovery_promotes_pixels_above_threshold():
-    st = initial_state(2, 10.0)
-    st = replace(st, phase=Phase.DISCOVERY)
-    # measured per-pixel SNRs: strong desired signal vs below-noise neighbor
-    probes = {0: 19.97, 1: -0.27}
-    st = step_discovery(st, probes.__getitem__)
-    assert st.phase is Phase.IDENTIFICATION
-    assert st.candidate_pixels == frozenset({0})
-    assert st.mask.open == frozenset({0})
-    assert st.pixel_snr_db == probes
-
-
-def test_discovery_no_candidates_resets():
-    st = initial_state(3, 10.0)
-    st = replace(st, phase=Phase.DISCOVERY)
-    st = step_discovery(st, lambda p: -5.0)
-    assert st.phase is Phase.RESET
-    assert st.mask == PixelMask(3)
-
-
-def test_identification_locks_matching_pixels():
-    st = initial_state(2, 10.0)
-    st = replace(st, phase=Phase.IDENTIFICATION,
-                 candidate_pixels=frozenset({0, 1}))
-    # pixel 0 identified transmitter 1, pixel 1 identified nobody
-    st2 = step_identification(st, lambda p: {1} if p == 0 else set())
-    assert st2.phase is Phase.LOCKED
-    assert st2.locked_pixels == frozenset({0})
-    assert st2.mask.open == frozenset({0})
-    # nothing identified anywhere -> back to discovery, shutter closed
-    st3 = step_identification(st, lambda p: set())
-    assert st3.phase is Phase.DISCOVERY
-    assert st3.mask == PixelMask(2)
-
-
-def test_steps_reject_wrong_phase():
-    st = initial_state(2, 10.0)
-    with pytest.raises(ProtocolError):
-        step_discovery(st, lambda p: 0.0)
-    with pytest.raises(ProtocolError):
-        step_identification(st, lambda p: set())
 
 
 def test_latency_reference_values():
@@ -110,9 +57,10 @@ def test_packets_per_slot_floors():
 
 class _StubSim:
     """Two-pixel link: transmitter 1 on pixel 0, nothing on pixel 1. With
-    `header_chip_error`, the first chip of every header is flipped."""
+    `header_chip_error`, the first chip of every header is flipped; with
+    `dark`, transmitter 1 is off too."""
 
-    def __init__(self, header_chip_error=False):
+    def __init__(self, header_chip_error=False, dark=False):
         self.cfg = ModemConfig(scheme=Scheme.OOK, symbol_rate=10_000,
                                samples_per_symbol=4)
         rng = np.random.default_rng(99)
@@ -123,6 +71,7 @@ class _StubSim:
         if header_chip_error:
             self._bits[::PACKET_BITS] ^= 1
         self._wave = modulate(self._bits, self.cfg).samples
+        self.dark = dark
         self.noise = rng
         self.n_pixels = 2
         self.clock = 0
@@ -136,7 +85,8 @@ class _StubSim:
         from shuttervlc.modem import SampleBlock
         n = int(round(duration_s * self.cfg.sample_rate))
         n = (n // 4) * 4
-        sig = self._wave[self.clock:self.clock + n] if 0 in mask.open \
+        sig = self._wave[self.clock:self.clock + n] \
+            if 0 in mask.open and not self.dark \
             else np.full(n, self.cfg.dc_bias)
         self.clock += n
         return SampleBlock(sig + self.noise.normal(0, 0.02, n),
@@ -146,37 +96,66 @@ class _StubSim:
         return demodulate(block, self.cfg)
 
 
+def _control(sim, **params):
+    return run_controller(sim, ProtocolParams(T_s=0.5, snr_threshold_db=10.0,
+                                              **params), TABLE)
+
+
+def _phase_mask(events, name):
+    """(phase, mask) of every event called `name`."""
+    return [(e["phase"], e["mask"]) for e in events if e["event"] == name]
+
+
 def test_run_controller_locks_on_signal_pixel():
-    result = run_controller(_StubSim(), T_s=0.5, snr_threshold_db=10.0,
-                            id_table=TABLE)
+    result = _control(_StubSim())
     assert result.converged
     assert result.cycles_used == 1
-    assert result.state.locked_pixels == frozenset({0})
+    assert result.locked_pixels == frozenset({0})
+    assert result.pixel_snr_db[0] >= 10 > result.pixel_snr_db[1]
+    assert [e["event"] for e in result.events] == [
+        "init", "noise_reference_dwell", "discovery_dwell", "discovery_dwell",
+        "discovery_done", "identification_dwell", "locked"]
+    assert _phase_mask(result.events, "init") == [("INIT", [1, 1])]
+    assert _phase_mask(result.events, "discovery_done") == [
+        ("IDENTIFICATION", [1, 0])]
+    assert _phase_mask(result.events, "locked") == [("LOCKED", [1, 0])]
+    assert result.events[-1]["locked_pixels"] == [0]
+
+
+def test_run_controller_resets_when_no_pixel_reaches_threshold():
+    result = _control(_StubSim(dark=True), retry_budget=2)
+    assert not result.converged
+    assert result.cycles_used == 2
+    assert result.locked_pixels == frozenset()
     names = [e["event"] for e in result.events]
-    assert names[0] == "init"
-    assert names.count("noise_reference_dwell") == 1
-    assert names.count("discovery_dwell") == 2
-    assert names[-1] == "locked"
+    assert names.count("reset") == 2
+    assert "identification_dwell" not in names
+    assert _phase_mask(result.events, "reset") == [("RESET", [0, 0])] * 2
+    assert _phase_mask(result.events, "gave_up") == [("RESET", [0, 0])]
+    assert names[-1] == "gave_up"
 
 
 def test_run_controller_select_target_rejects_other_ids():
     # demanding transmitter 2 (the 11-chip padded ID), which nobody
-    # transmits -> no lock
-    result = run_controller(_StubSim(), T_s=0.5, snr_threshold_db=10.0,
-                            id_table=TABLE, retry_budget=2, select_target=2)
+    # transmits: pixel 0 identifies transmitter 1 bit for bit, yet no lock
+    result = _control(_StubSim(), retry_budget=2, select_target=2)
     assert not result.converged
     assert result.cycles_used == 2
+    assert result.locked_pixels == frozenset()
+    assert _phase_mask(result.events, "identification_failed") == [
+        ("DISCOVERY", [0, 0])] * 2
     assert result.events[-1]["event"] == "gave_up"
-    assert result.state.mask == PixelMask(2)
+    assert result.events[-1]["mask"] == [0, 0]
 
 
 def test_run_controller_locks_only_on_bit_exact_headers():
     # every header carries one chip error: detected at score 11, so pixel 0
     # reports transmitter 1, but it never identifies it and never locks
-    result = run_controller(_StubSim(header_chip_error=True), T_s=0.5,
-                            snr_threshold_db=10.0, id_table=TABLE,
-                            retry_budget=2)
+    result = _control(_StubSim(header_chip_error=True), retry_budget=2)
     assert not result.converged
+    assert result.locked_pixels == frozenset()
     idents = [e for e in result.events if e["event"] == "identification_dwell"]
     assert [e["detected_ids"] for e in idents] == [[1], [1]]
+    assert _phase_mask(result.events, "identification_failed") == [
+        ("DISCOVERY", [0, 0])] * 2
     assert result.events[-1]["event"] == "gave_up"

@@ -114,6 +114,13 @@ def test_malformed_scenario_raises_scenario_error():
                             "bit_source": {"type": "random", "seed": -3}}]),
         _variant(code_rate=2.0),
         _variant(duration_s=-5.0),
+        _variant(mask=None, protocol={"T_s": float("inf")}),
+        _variant(mask=None, protocol={"ident_window_packets": float("inf")}),
+        _variant(mask=None, protocol={"snr_threshold_db": float("nan")}),
+        _variant(mask=None, protocol={"corr_threshold": 14}),
+        _variant(mask=None, protocol={"corr_threshold": 0}),
+        _variant(mask=None, protocol={"corr_threshold": float("inf")}),
+        _variant(mask=None, protocol={"retry_budget": -2}),
     ]
     for d in malformed:
         with pytest.raises(ScenarioError):
@@ -183,12 +190,25 @@ def test_pattern_source_rejects_non_binary():
         emitter_bits(sc.emitters[0], sc, 8, framed=False)
 
 
+_SAME_AS = [{"label": 1, "pixel": 0, "id_kind": "BARKER13"},
+            {"label": 2, "pixel": 1, "id_kind": "BARKER11_PADDED",
+             "bit_source": {"type": "same_as", "label": 1}}]
+
+
 def test_emitter_bits_framed_structure():
-    from shuttervlc.framing import BARKER_13, PACKET_BITS
+    from shuttervlc.framing import BARKER_11, BARKER_13, PACKET_BITS
     sc = scenario_from_dict(_variant())
     bits = emitter_bits(sc.emitters[0], sc, 2 * PACKET_BITS, framed=True)
     assert tuple(bits[:13]) == BARKER_13
     assert tuple(bits[PACKET_BITS:PACKET_BITS + 13]) == BARKER_13
+    # a same_as emitter sends its own header over the other's payload
+    sc = scenario_from_dict(_variant(emitters=_SAME_AS))
+    ref, copy = (emitter_bits(e, sc, 2 * PACKET_BITS, framed=True)
+                 for e in sc.emitters)
+    for start in (0, PACKET_BITS):
+        assert tuple(copy[start:start + 13]) == BARKER_11 + (1, 1)
+        np.testing.assert_array_equal(copy[start + 13:start + PACKET_BITS],
+                                      ref[start + 13:start + PACKET_BITS])
 
 
 def test_fixed_mask_run_produces_report():
@@ -214,6 +234,8 @@ def test_run_is_deterministic_and_seed_sensitive():
     assert a == b
     c = run_scenario(scenario_from_dict(d), seed_override=123).to_json()
     assert a != c
+    with pytest.raises(ScenarioError):
+        run_scenario(scenario_from_dict(d), seed_override=-1)
 
 
 def test_trace_save_load_roundtrip(tmp_path):
@@ -261,6 +283,16 @@ def test_protocol_no_signal_does_not_converge():
     assert record.reports == {}
     assert record.events[-1]["event"] == "gave_up"
     assert record.events[-1]["mask"] == [0, 0]
+
+
+def test_protocol_locks_on_same_as_emitter_by_its_own_header():
+    d = json.loads(json.dumps(bundled_scenario("protocol_clean").source_dict))
+    d["duration_s"] = 0.0
+    d["emitters"][1]["bit_source"] = {"type": "same_as", "label": 1}
+    d["protocol"]["select_target"] = "BARKER11_PADDED"
+    record = run_scenario(scenario_from_dict(d))
+    assert record.converged
+    assert record.events[-1]["locked_pixels"] == [1]
 
 
 @pytest.mark.parametrize("field,value", [("snr_db", 99.0),
