@@ -8,7 +8,7 @@ translates to a minimum separation h = d * S1 / BFL in the emitter plane.
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 
 class InvalidSetupError(ValueError):
@@ -103,21 +103,3 @@ def map_emitters_to_pixels(setup: OpticalSetup,
         return MappingResult(False, reason="two emitters image onto the same pixel")
     return MappingResult(True, mapping=tuple(mapping))
 
-
-def default_placement(setup: OpticalSetup, n_emitters: int) -> EmitterPlacement:
-    """Emitters on the horizontal axis, adjacent pairs separated by exactly h.
-
-    Positioned so that emitter i images onto the center of column i of the
-    grid's first row; useful as a feasible-by-construction placement.
-    """
-    if n_emitters > setup.grid_cols:
-        raise InvalidSetupError("more emitters than grid columns")
-    scale = setup.BFL / setup.S1
-    width = setup.grid_cols * setup.d
-    height = setup.grid_rows * setup.d
-    positions = []
-    for i in range(n_emitters):
-        ix = (i + 0.5) * setup.d - width / 2.0
-        iy = 0.5 * setup.d - height / 2.0
-        positions.append((ix / scale, iy / scale))
-    return EmitterPlacement(tuple(positions))

@@ -35,16 +35,15 @@ def bit_error_rate(tx: Sequence[int], rx: Sequence[int]) -> float:
     return float(np.mean(tx != rx))
 
 
-def packet_error_rate(detections, expected: int) -> float:
-    """Percentage of expected packets not validly detected.
+def packet_error_rate(valid: int, expected: int) -> float:
+    """Percentage of expected packets not validly detected, from the count
+    of valid detections.
 
-    `detections` is either a list of valid detections or their count.
     A packet counts as valid by header detection alone; payload bit errors
     do not invalidate it.
     """
     if expected <= 0:
         raise MetricsError("expected packet count must be positive")
-    valid = detections if isinstance(detections, int) else len(detections)
     per = 100.0 * (1.0 - valid / expected)
     return float(min(max(per, 0.0), 100.0))
 

@@ -42,6 +42,9 @@ class ProtocolParams:
     ident_window_packets: float = 4.2
 
     def __post_init__(self):
+        for name in ("corr_threshold", "retry_budget"):
+            if int(getattr(self, name)) != getattr(self, name):
+                raise ProtocolError(f"{name} must be an integer")
         for name, kind in (("T_s", float), ("snr_threshold_db", float),
                            ("corr_threshold", int), ("retry_budget", int),
                            ("ident_window_packets", float)):

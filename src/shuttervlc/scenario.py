@@ -9,6 +9,7 @@ can be recomputed offline.
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -36,11 +37,15 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class EmitterSpec:
+    """An emitter resolved at load. Its payload repeats `pattern`, or is
+    random bits from `seed`, or else from the run seed and `stream` (its own
+    label, or that of the emitter its `same_as` source names)."""
     label: int
     id_kind: IdKind
-    gain: float = 1.0
-    phase_offset: PhaseOffset = PhaseOffset.IN_PHASE
-    bit_source: dict = field(default_factory=lambda: {"type": "random"})
+    phase_offset: PhaseOffset
+    pattern: Optional[np.ndarray]
+    seed: Optional[int]
+    stream: int
 
 
 @dataclass
@@ -48,7 +53,8 @@ class Scenario:
     """A parsed and checked scenario; `scenario_from_dict` builds it.
 
     `channel` holds each emitter's resolved pixel; `threshold` is the
-    fixed OOK decision level, or None for the adaptive one."""
+    fixed OOK decision level, or None for the adaptive one; `id_table` holds
+    the emitters' headers when there is a protocol to identify them."""
 
     name: str
     rng_seed: int
@@ -61,10 +67,8 @@ class Scenario:
     protocol: Optional[ProtocolParams] = None
     threshold: Optional[float] = None
     code_rate: float = 1.0
+    id_table: Optional[IdLookupTable] = None
     source_dict: dict = field(default_factory=dict, repr=False)
-
-    def id_table(self) -> IdLookupTable:
-        return IdLookupTable([make_id(e.id_kind, e.label) for e in self.emitters])
 
     def canonical_hash(self) -> str:
         blob = json.dumps(self.source_dict, sort_keys=True).encode()
@@ -103,6 +107,53 @@ def _emitter_pixels(specs: List[dict], placement,
     return pixels
 
 
+def _own_bits(src: dict) -> Tuple[Optional[np.ndarray], Optional[int]]:
+    """(pattern, seed) of a bit source that is not `same_as`; a `file`
+    source is read here, and only here."""
+    kind = src.get("type", "random")
+    if kind == "random":
+        seed = src.get("seed")
+        if seed is not None and not (isinstance(seed, int) and seed >= 0):
+            raise ScenarioError("a bit source seed must be a nonnegative integer")
+        return None, seed
+    key = {"pattern": "bits", "file": "path"}.get(kind)
+    if key is None:
+        raise ScenarioError(f"unknown bit source type {kind!r}")
+    if key not in src:
+        raise ScenarioError(f"a {kind} bit source needs {key!r}")
+    text = src[key]
+    if kind == "file":
+        try:
+            text = "".join(c for c in Path(text).read_text() if c in "01")
+        except OSError as exc:
+            raise ScenarioError(f"bit source file unreadable: {exc}") from exc
+    pattern = _bits_from_str(text)
+    if pattern.size == 0:
+        raise ScenarioError(f"{kind} bit source has no bits")
+    return pattern, None
+
+
+def _emitters(specs: List[dict]) -> List[EmitterSpec]:
+    """Resolve each emitter's header, phase and bit source; a `same_as`
+    source takes the pattern, seed and stream of the emitter it names."""
+    sources = {int(e["label"]): _object(e.get("bit_source", {"type": "random"}),
+                                        "bit_source") for e in specs}
+    if len(sources) < len(specs) or min(sources, default=0) < 0:
+        raise ScenarioError("emitter labels must be distinct and nonnegative")
+    own = {label: _own_bits(src) for label, src in sources.items()
+           if src.get("type") != "same_as"}
+    emitters = []
+    for e, (label, src) in zip(specs, sources.items()):
+        stream = src.get("label") if src.get("type") == "same_as" else label
+        if stream not in own:
+            raise ScenarioError("same_as must name an emitter with bits of its own")
+        emitters.append(EmitterSpec(
+            label, IdKind(e.get("id_kind", "BARKER13")),
+            PhaseOffset(e.get("phase_offset", "IN_PHASE")), *own[stream],
+            int(stream)))
+    return emitters
+
+
 def _parse(d: dict) -> Scenario:
     version = _object(d, "scenario").get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
@@ -113,33 +164,12 @@ def _parse(d: dict) -> Scenario:
     modem = ModemConfig(scheme=Scheme(m["scheme"]),
                         **{k: v for k, v in m.items() if k != "scheme"})
     specs = [_object(e, "emitter") for e in d["emitters"]]
-    emitters = [
-        EmitterSpec(label=int(e["label"]),
-                    id_kind=IdKind(e.get("id_kind", "BARKER13")),
-                    gain=float(e.get("gain", 1.0)),
-                    phase_offset=PhaseOffset(e.get("phase_offset", "IN_PHASE")),
-                    bit_source=_object(e.get("bit_source", {"type": "random"}),
-                                       "bit_source"))
-        for e in specs
-    ]
-    if len(emitters) > n:
+    if len(specs) > n:
         raise ScenarioError("more emitters than shutter pixels")
-    kinds = {e.label: e.bit_source.get("type", "random") for e in emitters}
-    if len(kinds) < len(emitters) or min(kinds, default=0) < 0:
-        raise ScenarioError("emitter labels must be distinct and nonnegative")
-    for e in emitters:
-        kind = kinds[e.label]
-        if kind not in ("random", "pattern", "file", "same_as"):
-            raise ScenarioError(f"unknown bit source type {kind!r}")
-        if (kind == "same_as"
-                and kinds.get(e.bit_source.get("label")) in (None, "same_as")):
-            raise ScenarioError("same_as must name an emitter with bits of its own")
-        seed = e.bit_source.get("seed") if kind == "random" else None
-        if seed is not None and not (isinstance(seed, int) and seed >= 0):
-            raise ScenarioError("a bit source seed must be a nonnegative integer")
+    emitters = _emitters(specs)
     ch = _object(d.get("channel", {}), "channel")
     channel = ChannelConfig(
-        emitter_gain=tuple(e.gain for e in emitters),
+        emitter_gain=tuple(float(e.get("gain", 1.0)) for e in specs),
         emitter_pixel=_emitter_pixels(specs, d.get("placement"), optics),
         ambient_dc=_per_pixel(ch.get("ambient_dc", [0.0] * n), n, "ambient_dc"),
         noise_sigma=float(ch.get("noise_sigma", 0.0)),
@@ -152,7 +182,7 @@ def _parse(d: dict) -> Scenario:
         if any(not isinstance(b, int) or b not in (0, 1) for b in states):
             raise ScenarioError("mask entries must be 0, 1, true or false")
         mask = PixelMask(n, (p for p, b in enumerate(states) if b))
-    protocol = None
+    protocol = id_table = None
     if d.get("protocol") is not None:
         p = dict(_object(d["protocol"], "protocol"))
         target = p.get("select_target")
@@ -163,6 +193,7 @@ def _parse(d: dict) -> Scenario:
                     f"select_target {target!r} is no emitter's id_kind")
             p["select_target"] = carriers[0]
         protocol = ProtocolParams(**p)
+        id_table = IdLookupTable([make_id(e.id_kind, e.label) for e in emitters])
     if (mask is None) == (protocol is None):
         raise ScenarioError("scenario needs exactly one of mask / protocol")
     thr = _object(d.get("threshold", {}), "threshold")
@@ -171,11 +202,11 @@ def _parse(d: dict) -> Scenario:
         raise ScenarioError("threshold mode must be ADAPTIVE or FIXED")
     if mode == "FIXED" and thr.get("level") is None:
         raise ScenarioError("FIXED threshold needs a level")
-    rng_seed = int(d.get("rng_seed", 0))
+    rng_seed = d.get("rng_seed", 0)
     duration_s = float(d.get("duration_s", 0.0))
     code_rate = float(d.get("code_rate", 1.0))
-    if rng_seed < 0:
-        raise ScenarioError("rng_seed must be nonnegative")
+    if not isinstance(rng_seed, int) or rng_seed < 0:
+        raise ScenarioError("rng_seed must be a nonnegative integer")
     if not 0 <= duration_s < float("inf"):
         raise ScenarioError("duration_s must be finite and nonnegative")
     if not 0 < code_rate <= 1:
@@ -192,19 +223,28 @@ def _parse(d: dict) -> Scenario:
         protocol=protocol,
         threshold=float(thr["level"]) if mode == "FIXED" else None,
         code_rate=code_rate,
+        id_table=id_table,
         source_dict=d,
     )
+
+
+@contextmanager
+def _malformed(what: str):
+    """Report whatever a malformed document raises as a ScenarioError."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        if isinstance(exc, ScenarioError):
+            raise
+        raise ScenarioError(f"bad {what}: {exc}") from exc
 
 
 def scenario_from_dict(d: dict) -> Scenario:
     """Parse and check a scenario dict once: whatever is wrong with it,
     a ScenarioError says so."""
-    try:
+    with _malformed("scenario"):
         return _parse(d)
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"bad scenario: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
@@ -231,51 +271,28 @@ def bundled_scenario(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # bit sources
 
-def _payload_rng(scenario_seed: int, label: int) -> np.random.Generator:
-    return np.random.default_rng([scenario_seed, label, 17])
-
-
-def emitter_bits(spec: EmitterSpec, scenario: Scenario, n_bits: int,
-                 framed: bool, run_seed: Optional[int] = None) -> np.ndarray:
+def emitter_bits(spec: EmitterSpec, n_bits: int, framed: bool,
+                 run_seed: int) -> np.ndarray:
     """The first n_bits of an emitter's transmit stream, as uint8.
 
     Framed streams are back-to-back 2096-bit packets (the emitter's own
     header + payload from the bit source); unframed streams use the source
-    bits directly. A `same_as` source takes the bits of the named emitter's
-    source. Every source is prefix-stable: a longer call returns the same
-    leading bits, so a run can regenerate a longer prefix whenever it needs
-    more."""
-    if run_seed is None:
-        run_seed = scenario.rng_seed
-    src, src_label = spec.bit_source, spec.label
-    if src.get("type") == "same_as":
-        ref = next(e for e in scenario.emitters if e.label == src["label"])
-        src, src_label = ref.bit_source, ref.label
-    kind = src.get("type", "random")
-
-    def raw(n: int) -> np.ndarray:
-        if kind == "random":
-            seed = src.get("seed")
-            rng = (np.random.default_rng(seed) if seed is not None
-                   else _payload_rng(run_seed, src_label))
-            return rng.integers(0, 2, size=n).astype(np.uint8)
-        if kind == "pattern":
-            pat = _bits_from_str(src["bits"])
-        else:   # "file"
-            text = Path(src["path"]).read_text()
-            pat = _bits_from_str("".join(c for c in text if c in "01"))
-        if len(pat) == 0:
-            raise ScenarioError(f"{kind} bit source has no bits")
-        return np.resize(pat, n)
-
-    if not framed:
-        return raw(n_bits)
+    bits directly. Every source is prefix-stable: a longer call returns the
+    same leading bits, so a run can regenerate a longer prefix whenever it
+    needs more."""
     n_packets = -(-n_bits // framing.PACKET_BITS)
-    payload = raw(n_packets * framing.PAYLOAD_BITS).reshape(
-        n_packets, framing.PAYLOAD_BITS)
+    n = n_packets * framing.PAYLOAD_BITS if framed else n_bits
+    if spec.pattern is not None:
+        payload = np.resize(spec.pattern, n)
+    else:
+        rng = np.random.default_rng(spec.seed if spec.seed is not None
+                                    else [run_seed, spec.stream, 17])
+        payload = rng.integers(0, 2, size=n).astype(np.uint8)
+    if not framed:
+        return payload
     header = np.array(make_id(spec.id_kind, spec.label).id_bits, dtype=np.uint8)
     packets = np.hstack([np.broadcast_to(header, (n_packets, len(header))),
-                         payload])
+                         payload.reshape(n_packets, framing.PAYLOAD_BITS)])
     return packets.ravel()[:n_bits]
 
 
@@ -302,11 +319,10 @@ class LinkSimulation:
         self.seed = seed
         self.rng = np.random.default_rng([seed, 31])
         self.clock = 0      # sample index
-        window_packets = (scenario.protocol.ident_window_packets
-                          if scenario.protocol is not None else 4.2)
-        self.identification_window_s = (
-            window_packets * framing.PACKET_BITS / self.modem.symbol_rate)
         self._framed = scenario.protocol is not None
+        self.identification_window_s = (
+            scenario.protocol.ident_window_packets * framing.PACKET_BITS
+            / self.modem.symbol_rate if self._framed else None)
         self._n_bits = 0
         self._tx_bits: Dict[int, np.ndarray] = {}
         self._cursors = [StreamCursor() for _ in scenario.emitters]
@@ -320,9 +336,8 @@ class LinkSimulation:
         if n_bits <= self._n_bits:
             return
         self._n_bits = max(n_bits, 2 * self._n_bits)
-        self._tx_bits = {spec.label: emitter_bits(spec, self.scenario,
-                                                  self._n_bits, self._framed,
-                                                  run_seed=self.seed)
+        self._tx_bits = {spec.label: emitter_bits(spec, self._n_bits,
+                                                  self._framed, self.seed)
                          for spec in self.scenario.emitters}
 
     def tx_bits(self, label: int) -> np.ndarray:
@@ -526,11 +541,17 @@ def run_scenario(scenario: Scenario,
     once locked, time-slot reception round-robin over the locked pixels.
     """
     seed = scenario.rng_seed if seed_override is None else seed_override
-    if seed < 0:
-        raise ScenarioError("seed must be nonnegative")
+    if not isinstance(seed, int) or seed < 0:
+        raise ScenarioError("seed must be a nonnegative integer")
     if scenario.mask is not None:
         return _run_fixed_mask(scenario, seed)
     return _run_protocol(scenario, seed)
+
+
+def _record(scenario: Scenario, seed: int, **fields) -> TraceRecord:
+    return TraceRecord(schema_version=SCHEMA_VERSION, scenario_name=scenario.name,
+                       scenario_hash=scenario.canonical_hash(), seed=seed,
+                       **fields)
 
 
 def _run_fixed_mask(scenario: Scenario, seed: int) -> TraceRecord:
@@ -552,27 +573,16 @@ def _run_fixed_mask(scenario: Scenario, seed: int) -> TraceRecord:
         tx_store = {label: _bits_to_str(bits) for label, bits in tx.items()}
         ctx["snr_db"] = _snr_estimates(sim, mask)
         reports = _fixed_mask_reports(ctx, rx, tx)
-    return TraceRecord(
-        schema_version=SCHEMA_VERSION,
-        scenario_name=scenario.name,
-        scenario_hash=scenario.canonical_hash(),
-        seed=seed,
-        mode="fixed_mask",
-        converged=None,
-        events=[],
-        dwells=dwells,
-        detections=[],
-        tx_bits=tx_store,
-        reports=reports,
-        context=ctx,
-    )
+    return _record(scenario, seed, mode="fixed_mask", converged=None,
+                   events=[], dwells=dwells, detections=[], tx_bits=tx_store,
+                   reports=reports, context=ctx)
 
 
 def _run_protocol(scenario: Scenario, seed: int) -> TraceRecord:
     params = scenario.protocol
     sim = LinkSimulation(scenario, seed)
     n = scenario.optics.n_pixels
-    table = scenario.id_table()
+    table = scenario.id_table
     result = run_controller(sim, params, table)
     pixels = scenario.channel.emitter_pixel
     ctx = dict(_rate_context(scenario),
@@ -617,20 +627,9 @@ def _run_protocol(scenario: Scenario, seed: int) -> TraceRecord:
             tx_store[str(spec.label)] = _bits_to_str(
                 sim.tx_bits(spec.label)[:max_bit])
 
-    return TraceRecord(
-        schema_version=SCHEMA_VERSION,
-        scenario_name=scenario.name,
-        scenario_hash=scenario.canonical_hash(),
-        seed=seed,
-        mode="protocol",
-        converged=result.converged,
-        events=result.events,
-        dwells=dwells,
-        detections=detections,
-        tx_bits=tx_store,
-        reports=reports,
-        context=ctx,
-    )
+    return _record(scenario, seed, mode="protocol", converged=result.converged,
+                   events=result.events, dwells=dwells, detections=detections,
+                   tx_bits=tx_store, reports=reports, context=ctx)
 
 
 def replay_trace(record) -> Dict[str, dict]:
@@ -645,26 +644,29 @@ def replay_trace(record) -> Dict[str, dict]:
     label in fixed-mask mode, `pixel_snr_db` per pixel in protocol mode),
     as do the rates behind goodput. A report edited in the trace therefore
     differs from its replay; bits and `context` edited consistently with
-    the reports do not show."""
+    the reports do not show. A trace with a field missing or malformed
+    raises a ScenarioError."""
     if not isinstance(record, TraceRecord):
         record = TraceRecord.load(record)
-    ctx = record.context
-    tx = {label: _bits_from_str(bits) for label, bits in record.tx_bits.items()}
-    if record.mode == "fixed_mask":
-        if not tx:
-            return {}
-        if "snr_db" not in ctx:
-            raise ScenarioError("fixed-mask trace context has no snr_db")
-        rx = _bits_from_str(record.dwells[0]["bits"])
-        return _fixed_mask_reports(ctx, rx, tx)
+    if record.mode not in ("fixed_mask", "protocol"):
+        raise ScenarioError(f"unknown trace mode {record.mode!r}")
+    with _malformed("trace"):
+        ctx = record.context
+        tx = {label: _bits_from_str(bits)
+              for label, bits in record.tx_bits.items()}
+        if record.mode == "fixed_mask":
+            if not tx:
+                return {}
+            rx = _bits_from_str(record.dwells[0]["bits"])
+            return _fixed_mask_reports(ctx, rx, tx)
 
-    table = IdLookupTable([make_id(IdKind(e["id_kind"]), e["label"])
-                           for e in ctx["emitters"]])
-    scorer = _SlotScorer(ctx, lambda label: tx[str(label)])
-    for dw in record.dwells:
-        if dw["pixel"] not in scorer.label_of_pixel:
-            continue
-        rx = _bits_from_str(dw["bits"])
-        scorer.add(dw["pixel"], dw["start_bit"], rx,
-                   detect_packets(rx, table, ctx["corr_threshold"]))
-    return scorer.reports()
+        table = IdLookupTable([make_id(IdKind(e["id_kind"]), e["label"])
+                               for e in ctx["emitters"]])
+        scorer = _SlotScorer(ctx, lambda label: tx[str(label)])
+        for dw in record.dwells:
+            if dw["pixel"] not in scorer.label_of_pixel:
+                continue
+            rx = _bits_from_str(dw["bits"])
+            scorer.add(dw["pixel"], dw["start_bit"], rx,
+                       detect_packets(rx, table, ctx["corr_threshold"]))
+        return scorer.reports()

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from shuttervlc.cli import main
-from shuttervlc.scenario import bundled_scenario
+from shuttervlc.scenario import bundled_scenario, run_scenario
 
 
 def test_geometry_json(capsys):
@@ -87,6 +87,41 @@ def test_replay_reports_non_binary_bits_as_error(tmp_path, capsys):
                    "'1'\n")
 
 
+def _trace(name):
+    return json.loads(run_scenario(bundled_scenario(name)).to_json())
+
+
+@pytest.mark.parametrize("name,edit", [
+    pytest.param("protocol_clean", lambda d, k=key: d["context"].pop(k),
+                 id=key)
+    for key in ("emitters", "corr_threshold", "pixel_snr_db", "symbol_rate")
+] + [
+    pytest.param("protocol_clean", lambda d, k=key: d["dwells"][0].pop(k),
+                 id=f"dwell-without-{key}") for key in ("bits", "start_bit")
+] + [
+    pytest.param("protocol_clean",
+                 lambda d: d["context"]["emitters"][0].update(id_kind="FOO"),
+                 id="id_kind-FOO"),
+    pytest.param("protocol_clean", lambda d: d.update(dwells=5), id="dwells-5"),
+    pytest.param("protocol_clean", lambda d: d.update(context={}),
+                 id="context-empty"),
+    pytest.param("protocol_clean", lambda d: d.update(mode="weird"),
+                 id="mode-weird"),
+    pytest.param("table1_type1_case1", lambda d: d.update(dwells=[]),
+                 id="fixed-mask-without-dwells"),
+    pytest.param("table1_type1_case1",
+                 lambda d: d["context"].update(snr_db=[]), id="snr_db-list"),
+])
+def test_replay_reports_malformed_trace_as_error(tmp_path, capsys, name, edit):
+    d = _trace(name)
+    edit(d)
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(d))
+    assert main(["replay", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shuttervlc: error: ") and err.count("\n") == 1
+
+
 def _edited(name, section, **values):
     """A bundled scenario's JSON text with entries of one section (None:
     the top level) replaced."""
@@ -113,6 +148,9 @@ def _edited(name, section, **values):
     pytest.param(_edited("gmsk_demo", None, emitters=[
         {"label": 1, "pixel": 0, "bit_source": {"type": "random", "seed": -3}}]),
                  id="bit_source-seed--3"),
+    pytest.param(_edited("gmsk_demo", None, emitters=[
+        {"label": 1, "pixel": 0, "bit_source": {"type": "pattern"}}]),
+                 id="pattern-without-bits"),
     pytest.param(_edited("gmsk_demo", None, code_rate=2.0), id="code_rate-2"),
     pytest.param(_edited("gmsk_demo", None, duration_s=-5), id="duration_s--5"),
     pytest.param(_edited("protocol_clean", "protocol", T_s=2.0).replace(

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from shuttervlc.geometry import (EmitterPlacement, InvalidSetupError,
-                                 OpticalSetup, default_placement,
-                                 map_emitters_to_pixels, min_angle,
-                                 min_separation)
+                                 OpticalSetup, map_emitters_to_pixels,
+                                 min_angle, min_separation)
 
 PROTO = dict(d=0.036, S1=0.155, S2=0.082, BFL=0.0375, grid_rows=1, grid_cols=2)
 
@@ -37,29 +36,20 @@ def test_separation_matches_image_scale_oracle():
 
 
 def test_separation_boundary_feasibility_oracle():
-    # emitters exactly h apart (centered per pixel) map to distinct pixels;
-    # shrinking the separation below h collapses them onto one pixel
+    # emitters exactly h apart (at +-h/2, imaging onto the centres of the
+    # two pixels) map to distinct pixels; shrinking the separation below h
+    # collapses them onto one pixel
     setup = OpticalSetup(**PROTO)
     h = min_separation(setup)
-    good = default_placement(setup, 2)
-    x0, x1 = good.positions[0][0], good.positions[1][0]
-    assert x1 - x0 == pytest.approx(h, rel=1e-12)
-    assert map_emitters_to_pixels(setup, good).feasible
+    x0, x1 = -h / 2, h / 2
+    good = EmitterPlacement(((x0, 0.0), (x1, 0.0)))
+    result = map_emitters_to_pixels(setup, good)
+    assert result.feasible and result.mapping == (0, 1)
 
-    squeezed = EmitterPlacement(((x0 + 0.6 * h, good.positions[0][1]),
-                                 (x1, good.positions[1][1])))
+    squeezed = EmitterPlacement(((x0 + 0.6 * h, 0.0), (x1, 0.0)))
     result = map_emitters_to_pixels(setup, squeezed)
     assert not result.feasible
     assert "same pixel" in result.reason
-
-
-def test_default_placement_maps_to_consecutive_pixels():
-    setup = OpticalSetup(d=0.01, S1=0.2, S2=0.05, BFL=0.05,
-                         grid_rows=1, grid_cols=4)
-    placement = default_placement(setup, 4)
-    result = map_emitters_to_pixels(setup, placement)
-    assert result.feasible
-    assert result.mapping == (0, 1, 2, 3)
 
 
 def test_mapping_half_open_boundary():
@@ -92,8 +82,6 @@ def test_invalid_setups_rejected():
         OpticalSetup(d=0.01, S1=0.1, S2=0.05, BFL=0.05, grid_cols=0)
     with pytest.raises(InvalidSetupError):
         EmitterPlacement(((0.0, 0.0), (0.0, 0.0)))
-    with pytest.raises(InvalidSetupError):
-        default_placement(OpticalSetup(**PROTO), 3)   # only 2 columns
 
 
 def test_grid_pixel_count():

@@ -74,7 +74,13 @@ def test_fixed_threshold_needs_level():
     assert scenario_from_dict(_variant()).threshold is None
 
 
-def test_malformed_scenario_raises_scenario_error():
+def _source(**bit_source):
+    """BASE with its one emitter given this bit source."""
+    return _variant(emitters=[{"label": 1, "pixel": 0,
+                               "bit_source": bit_source}])
+
+
+def test_malformed_scenario_raises_scenario_error(tmp_path):
     with pytest.raises(ScenarioError):
         scenario_from_dict({"name": "broken"})
     bad_modem = _variant()
@@ -121,6 +127,16 @@ def test_malformed_scenario_raises_scenario_error():
         _variant(mask=None, protocol={"corr_threshold": 0}),
         _variant(mask=None, protocol={"corr_threshold": float("inf")}),
         _variant(mask=None, protocol={"retry_budget": -2}),
+        _variant(mask=None, protocol={"corr_threshold": 11.7}),
+        _variant(mask=None, protocol={"retry_budget": 2.5}),
+        _variant(rng_seed=1.5),
+        _source(type="pattern"),
+        _source(type="pattern", bits=""),
+        _source(type="file"),
+        _source(type="file", path=str(tmp_path / "missing.txt")),
+        dict(bundled_scenario("protocol_clean").source_dict, emitters=[
+            {"label": 1, "pixel": 0, "id_kind": "BARKER13"},
+            {"label": 2, "pixel": 1, "id_kind": "BARKER13"}]),
     ]
     for d in malformed:
         with pytest.raises(ScenarioError):
@@ -148,46 +164,47 @@ def test_placement_maps_emitters_to_pixels():
 
 
 def test_emitter_bits_sources(tmp_path):
-    sc = scenario_from_dict(_variant())
-    spec = sc.emitters[0]
+    spec = scenario_from_dict(_variant()).emitters[0]
 
-    pattern = scenario_from_dict(_variant(emitters=[
-        {"label": 1, "pixel": 0, "bit_source": {"type": "pattern",
-                                                "bits": "101"}}]))
-    bits = emitter_bits(pattern.emitters[0], pattern, 8, framed=False)
+    pattern = scenario_from_dict(_source(type="pattern", bits="101"))
+    bits = emitter_bits(pattern.emitters[0], 8, False, 5)
     np.testing.assert_array_equal(bits, [1, 0, 1, 1, 0, 1, 1, 0])
 
     path = tmp_path / "bits.txt"
     path.write_text("0110\n")
-    filed = scenario_from_dict(_variant(emitters=[
-        {"label": 1, "pixel": 0, "bit_source": {"type": "file",
-                                                "path": str(path)}}]))
-    bits = emitter_bits(filed.emitters[0], filed, 6, framed=False)
+    filed = scenario_from_dict(_source(type="file", path=str(path)))
+    bits = emitter_bits(filed.emitters[0], 6, False, 5)
     np.testing.assert_array_equal(bits, [0, 1, 1, 0, 0, 1])
 
-    # random source is deterministic per (seed, label)
-    a = emitter_bits(spec, sc, 100, framed=False)
-    b = emitter_bits(spec, sc, 100, framed=False)
+    # random source is deterministic per (run seed, label)
+    a = emitter_bits(spec, 100, False, 5)
+    b = emitter_bits(spec, 100, False, 5)
     np.testing.assert_array_equal(a, b)
-    c = emitter_bits(spec, sc, 100, framed=False, run_seed=6)
+    c = emitter_bits(spec, 100, False, 6)
     assert not np.array_equal(a, c)
 
 
 def test_emitter_bits_prefix_stable():
-    sc = scenario_from_dict(_variant())
+    spec = scenario_from_dict(_variant()).emitters[0]
     for framed in (False, True):
-        short = emitter_bits(sc.emitters[0], sc, 5000, framed=framed)
-        long = emitter_bits(sc.emitters[0], sc, 12345, framed=framed)
+        short = emitter_bits(spec, 5000, framed, 5)
+        long = emitter_bits(spec, 12345, framed, 5)
         assert short.dtype == np.uint8
         np.testing.assert_array_equal(long[:5000], short)
 
 
 def test_pattern_source_rejects_non_binary():
-    sc = scenario_from_dict(_variant(emitters=[
-        {"label": 1, "pixel": 0, "bit_source": {"type": "pattern",
-                                                "bits": "102"}}]))
     with pytest.raises(ScenarioError):
-        emitter_bits(sc.emitters[0], sc, 8, framed=False)
+        scenario_from_dict(_source(type="pattern", bits="102"))
+
+
+def test_file_source_is_read_once_at_load(tmp_path):
+    path = tmp_path / "bits.txt"
+    path.write_text("0110100111\n")
+    sc = scenario_from_dict(_source(type="file", path=str(path)))
+    before = run_scenario(sc).to_json()
+    path.unlink()
+    assert run_scenario(sc).to_json() == before
 
 
 _SAME_AS = [{"label": 1, "pixel": 0, "id_kind": "BARKER13"},
@@ -198,12 +215,12 @@ _SAME_AS = [{"label": 1, "pixel": 0, "id_kind": "BARKER13"},
 def test_emitter_bits_framed_structure():
     from shuttervlc.framing import BARKER_11, BARKER_13, PACKET_BITS
     sc = scenario_from_dict(_variant())
-    bits = emitter_bits(sc.emitters[0], sc, 2 * PACKET_BITS, framed=True)
+    bits = emitter_bits(sc.emitters[0], 2 * PACKET_BITS, True, 5)
     assert tuple(bits[:13]) == BARKER_13
     assert tuple(bits[PACKET_BITS:PACKET_BITS + 13]) == BARKER_13
     # a same_as emitter sends its own header over the other's payload
     sc = scenario_from_dict(_variant(emitters=_SAME_AS))
-    ref, copy = (emitter_bits(e, sc, 2 * PACKET_BITS, framed=True)
+    ref, copy = (emitter_bits(e, 2 * PACKET_BITS, True, 5)
                  for e in sc.emitters)
     for start in (0, PACKET_BITS):
         assert tuple(copy[start:start + 13]) == BARKER_11 + (1, 1)
@@ -234,8 +251,13 @@ def test_run_is_deterministic_and_seed_sensitive():
     assert a == b
     c = run_scenario(scenario_from_dict(d), seed_override=123).to_json()
     assert a != c
-    with pytest.raises(ScenarioError):
-        run_scenario(scenario_from_dict(d), seed_override=-1)
+    for bad in (-1, 1.5, "7"):
+        with pytest.raises(ScenarioError):
+            run_scenario(scenario_from_dict(d), seed_override=bad)
+    # non-integral protocol parameters are not truncated
+    for field in ("corr_threshold", "retry_budget"):
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(_variant(mask=None, protocol={field: 2.5}))
 
 
 def test_trace_save_load_roundtrip(tmp_path):
