@@ -92,12 +92,14 @@ class Detection:
 
 
 def correlation_scores(bits: np.ndarray, id_bits: Sequence[int]) -> np.ndarray:
-    """Bipolar sliding correlation of a header over a bit stream."""
-    bip = 2.0 * np.asarray(bits, dtype=float) - 1.0
-    ref = 2.0 * np.asarray(id_bits, dtype=float) - 1.0
-    if len(bip) < len(ref):
-        return np.zeros(0)
-    return np.round(np.correlate(bip, ref, mode="valid")).astype(int)
+    """Bipolar sliding correlation of a header over a bit stream: at each
+    offset, agreements minus disagreements, 2 * agreements - len(id_bits)."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    n = max(len(bits) - len(id_bits) + 1, 0)
+    agree = np.zeros(n, dtype=np.int16)
+    for t, b in enumerate(id_bits):
+        agree += bits[t:t + n] == b
+    return 2 * agree - len(id_bits)
 
 
 def detect_packets(bits: Sequence[int], table: IdLookupTable,
@@ -109,21 +111,24 @@ def detect_packets(bits: Sequence[int], table: IdLookupTable,
     inside random payload, so instead of taking matches greedily the
     detector picks the packet-grid alignment with the most above-threshold
     hits (ties: higher total score, then lower offset) and emits detections
-    along that lattice; at each hit the highest-scoring registered ID wins.
-    Only offsets where the complete 2096-bit packet fits are reported.
+    along that lattice; at each hit the highest-scoring registered ID wins,
+    the first on a tie. Only offsets where the complete 2096-bit packet fits
+    are reported.
     """
     if len(table) == 0:
         raise FramingError("empty lookup table")
     if not (1 <= corr_threshold <= HEADER_BITS):
         raise FramingError("corr_threshold must be in [1, 13]")
-    bits = np.asarray(bits, dtype=int)
+    bits = np.asarray(bits, dtype=np.uint8)
     if len(bits) < PACKET_BITS:
         return []
     ids = table.ids
-    scores = np.stack([correlation_scores(bits, tid.id_bits) for tid in ids])
-    last = len(bits) - PACKET_BITS
-    best_id = np.argmax(scores[:, :last + 1], axis=0)
-    best_score = scores[best_id, np.arange(last + 1)]
+    head = bits[:len(bits) - PACKET_BITS + HEADER_BITS]
+    scores = [correlation_scores(head, tid.id_bits) for tid in ids]
+    best_score, best_id = scores[0], np.zeros(len(scores[0]), dtype=np.intp)
+    for i, score in enumerate(scores[1:], 1):
+        best_id = np.where(score > best_score, i, best_id)
+        best_score = np.maximum(score, best_score)
     hits = np.nonzero(best_score >= corr_threshold)[0]
     if hits.size == 0:
         return []

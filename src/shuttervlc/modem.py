@@ -10,6 +10,7 @@ frequency discriminator work).
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,10 @@ class ModemConfig:
     modulation_depth: float = 0.5
 
     def __post_init__(self):
+        for name in ("samples_per_symbol", "gmsk_span"):
+            if int(getattr(self, name)) != getattr(self, name):
+                raise ModemError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.symbol_rate <= 0:
             raise ModemError("symbol_rate must be positive")
         if self.samples_per_symbol < 2:
@@ -62,7 +67,7 @@ class ModemConfig:
 
     @property
     def context_symbols(self) -> int:
-        """Symbols beyond either edge of a window that its samples depend
+        """Symbols past the end of a window that its samples may depend
         on: one GMSK frequency pulse span, none for OOK."""
         return self.gmsk_span + 1 if self.scheme is Scheme.GMSK else 0
 
@@ -95,13 +100,41 @@ def _gmsk_frequency_pulse(cfg: ModemConfig) -> np.ndarray:
     return pulse / pulse.sum()
 
 
-def _gmsk_frequency(bits, cfg: ModemConfig) -> np.ndarray:
-    """Per-sample phase increments / (pi/2): one frequency pulse per bit,
-    including the filter tails past either end."""
+@lru_cache(maxsize=16)
+def _gmsk_phase_taps(cfg: ModemConfig) -> tuple[int, np.ndarray]:
+    """(j0, taps): the phase pulse q = cumsum(frequency pulse), centred and
+    sampled per symbol. Symbol s adds taps[r, t] to the data phase at sample
+    (s + j0 + t) * sps + r; before that it adds 0, after it exactly 1."""
     sps = cfg.samples_per_symbol
-    impulses = np.zeros(len(bits) * sps)
-    impulses[::sps] = 2.0 * np.asarray(bits) - 1.0
-    return np.convolve(impulses, _gmsk_frequency_pulse(cfg))
+    q = np.cumsum(_gmsk_frequency_pulse(cfg))
+    delay = (len(q) - sps) // 2
+    j0 = -((delay + sps - 1) // sps)
+    n_taps = (len(q) - 2 - delay) // sps - j0 + 1
+    idx = (j0 + np.arange(n_taps)) * sps + np.arange(sps)[:, None] + delay
+    taps = np.concatenate(([0.0], q[:-1], [1.0]))[np.clip(idx + 1, 0, len(q))]
+    taps.setflags(write=False)      # shared by every call with this cfg
+    return j0, taps
+
+
+def _gmsk_phase(bits: np.ndarray, cfg: ModemConfig, first: int,
+                n_symbols: int) -> np.ndarray:
+    """Unscaled data phase (units of pi/2) at the samples of symbols
+    [first, first + n_symbols) of a stream that holds `bits` from symbol 0.
+
+    phase[m] = sum_s (2 b_s - 1) q[m + delay - s * sps]. A symbol whose
+    pulse has passed adds exactly +-1, so the phase is an integer running
+    sum plus, per sample phase, a short convolution over the symbols still
+    in transition."""
+    j0, taps = _gmsk_phase_taps(cfg)
+    lo, hi = first - (j0 + taps.shape[1] - 1), first + n_symbols - j0
+    i, j = np.clip((lo, hi), 0, len(bits))
+    a = np.pad(2.0 * bits[i:j] - 1.0, (i - lo, hi - j))
+    settled = 2 * int(np.count_nonzero(bits[:i])) - i
+    run = np.cumsum(a[:n_symbols]) - a[:n_symbols] + settled
+    out = np.empty((n_symbols, len(taps)))
+    for r, w in enumerate(taps):
+        np.add(run, np.convolve(a, w, "valid"), out=out[:, r])
+    return out.ravel()
 
 
 def gmsk_data_phase(bits, cfg: ModemConfig) -> np.ndarray:
@@ -110,87 +143,49 @@ def gmsk_data_phase(bits, cfg: ModemConfig) -> np.ndarray:
     Includes the filter tails, so an isolated bit accumulates exactly
     +-pi/2 in total.
     """
-    return (np.pi / 2.0) * np.cumsum(_gmsk_frequency(bits, cfg))
-
-
-@dataclass
-class StreamCursor:
-    """Where the next window of a stream starts: its first symbol and, for
-    GMSK, the unscaled data phase accumulated before that window."""
-
-    symbol: int = 0
-    phase: float = 0.0
-
-
-def _advance(bits: np.ndarray, cfg: ModemConfig, n_symbols: int,
-             cursor: StreamCursor) -> np.ndarray | None:
-    """Check the window of `n_symbols` symbols at `cursor` and move the
-    cursor past it. For GMSK, return the window's unscaled data phase per
-    sample, whose running sum the cursor carries on; None for OOK."""
-    first, stop = cursor.symbol, cursor.symbol + n_symbols
-    if n_symbols < 1:
-        raise ModemError("bits must be nonempty")
-    if stop > len(bits):
-        raise ModemError("window runs past the end of the bits")
-    cursor.symbol = stop
-    if cfg.scheme is Scheme.OOK:
-        return None
-    sps = cfg.samples_per_symbol
-    lo = max(0, first - cfg.context_symbols)
-    freq = _gmsk_frequency(bits[lo:stop + cfg.context_symbols], cfg)
-    # trim so each symbol's frequency mass is centered in its window;
-    # the stream's phase also counts the pulse lead-in before sample 0
-    delay = (len(_gmsk_frequency_pulse(cfg)) - sps) // 2
-    start = (first - lo) * sps + delay
-    lead = delay if first == 0 else 0
-    acc = np.cumsum(np.concatenate(
-        ([cursor.phase], freq[start - lead:start + n_symbols * sps])))[1:]
-    cursor.phase = float(acc[-1])
-    return acc[lead:]
+    bits = np.asarray(bits)
+    sps, n_pulse = cfg.samples_per_symbol, len(_gmsk_frequency_pulse(cfg))
+    lead = n_pulse // sps + 1       # whole symbols that cover the lead-in
+    phase = _gmsk_phase(bits, cfg, -lead, 2 * lead + len(bits))
+    start = lead * sps - (n_pulse - sps) // 2
+    return (np.pi / 2.0) * phase[start:start + len(bits) * sps + n_pulse - 1]
 
 
 def modulate(bits, cfg: ModemConfig,
              phase_offset: PhaseOffset = PhaseOffset.IN_PHASE,
-             n_symbols: int | None = None,
-             cursor: StreamCursor | None = None) -> SampleBlock:
+             first: int = 0, n_symbols: int | None = None) -> SampleBlock:
     """Intensity samples (samples_per_symbol per bit) of one window of a
     bit stream.
 
     `bits` holds the stream's leading bits. The window is `n_symbols`
-    symbols from `cursor.symbol`, and the cursor advances past it; without
-    a cursor the window is the whole of `bits`. Consecutive windows
-    concatenate to the samples of one window spanning them all. A GMSK
-    pulse spreads over `cfg.context_symbols` symbols, so a GMSK window also
-    reads that many bits either side of it; past the end of `bits` the
-    stream is taken to have ended.
+    symbols from symbol `first`, by default the rest of `bits`; it is a
+    function of the bits alone, so windows cut anywhere concatenate to the
+    samples of one window spanning them all. A GMSK window also counts the
+    bits before it and reads up to `cfg.context_symbols` bits past its end;
+    past the end of `bits` the stream is taken to have ended.
     """
     bits = np.asarray(bits)
-    if cursor is None:
-        cursor = StreamCursor()
     if n_symbols is None:
-        n_symbols = len(bits) - cursor.symbol
-    first = cursor.symbol
-    data_phase = _advance(bits, cfg, n_symbols, cursor)
+        n_symbols = len(bits) - first
+    if n_symbols < 1:
+        raise ModemError("bits must be nonempty")
+    if first < 0 or first + n_symbols > len(bits):
+        raise ModemError("window runs past the end of the bits")
     sps = cfg.samples_per_symbol
-    if data_phase is None:
-        m = np.repeat(2.0 * bits[first:cursor.symbol] - 1.0, sps)
+    if cfg.scheme is Scheme.OOK:
+        m = np.repeat(2.0 * bits[first:first + n_symbols] - 1.0, sps)
     else:
-        phase = (np.pi / 2.0) * data_phase
-        n = np.arange(first * sps, cursor.symbol * sps)
-        carrier = 2 * np.pi * cfg.gmsk_carrier_cycles / sps * n
-        m = np.cos(carrier + phase)
+        # in place: a dwell's window is large, and every array is fresh
+        m = _gmsk_phase(bits, cfg, first, n_symbols)
+        m *= np.pi / 2.0
+        m += (2 * np.pi * cfg.gmsk_carrier_cycles / sps
+              * np.arange(first * sps, (first + n_symbols) * sps))
+        np.cos(m, out=m)
     if phase_offset is PhaseOffset.INVERTED:
-        m = -m
-    samples = cfg.dc_bias + cfg.modulation_depth * m
-    return SampleBlock(samples, cfg.sample_rate)
-
-
-def advance(bits, cfg: ModemConfig, n_symbols: int,
-            cursor: StreamCursor) -> None:
-    """Move `cursor` past the next `n_symbols` symbols of the stream
-    without synthesising their samples, leaving it exactly where
-    `modulate` of the same window would."""
-    _advance(np.asarray(bits), cfg, n_symbols, cursor)
+        np.negative(m, out=m)
+    m *= cfg.modulation_depth
+    m += cfg.dc_bias
+    return SampleBlock(m, cfg.sample_rate)
 
 
 def demodulate(block: SampleBlock, cfg: ModemConfig,

@@ -25,7 +25,7 @@ from .framing import (Detection, IdKind, IdLookupTable, detect_packets,
 from .geometry import EmitterPlacement, OpticalSetup, map_emitters_to_pixels
 from .metrics import LinkReport, bit_error_rate, goodput, packet_error_rate
 from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme,
-                    StreamCursor, advance, demodulate, modulate)
+                    demodulate, modulate)
 from .protocol import ProtocolParams, run_controller
 
 SCHEMA_VERSION = 1
@@ -87,13 +87,19 @@ def _per_pixel(values, n: int, what: str) -> list:
     return values
 
 
+def _integer(value, what: str) -> int:
+    if int(value) != value:
+        raise ScenarioError(f"{what} must be an integer")
+    return int(value)
+
+
 def _emitter_pixels(specs: List[dict], placement,
                     optics: OpticalSetup) -> Tuple[int, ...]:
     """Per-emitter pixel index: explicit assignment, else projected
     through the lens from the placement."""
     explicit = [e.get("pixel") for e in specs]
     if all(p is not None for p in explicit):
-        pixels = tuple(int(p) for p in explicit)
+        pixels = tuple(_integer(p, "pixel") for p in explicit)
     elif placement:
         placement = EmitterPlacement(tuple(tuple(p) for p in placement))
         result = map_emitters_to_pixels(optics, placement)
@@ -136,8 +142,9 @@ def _own_bits(src: dict) -> Tuple[Optional[np.ndarray], Optional[int]]:
 def _emitters(specs: List[dict]) -> List[EmitterSpec]:
     """Resolve each emitter's header, phase and bit source; a `same_as`
     source takes the pattern, seed and stream of the emitter it names."""
-    sources = {int(e["label"]): _object(e.get("bit_source", {"type": "random"}),
-                                        "bit_source") for e in specs}
+    sources = {_integer(e["label"], "label"):
+               _object(e.get("bit_source", {"type": "random"}), "bit_source")
+               for e in specs}
     if len(sources) < len(specs) or min(sources, default=0) < 0:
         raise ScenarioError("emitter labels must be distinct and nonnegative")
     own = {label: _own_bits(src) for label, src in sources.items()
@@ -305,10 +312,10 @@ class LinkSimulation:
     Every dwell modulates each emitter's window at the current clock, runs
     the channel with the shared noise generator, and advances the clock;
     dwell lengths are snapped to whole symbols so bit alignment is exact.
-    An emitter the mask gates to weight 0 is not synthesised: its stream
-    cursor only moves on, and its block in `window` is all zeros. Only one
-    dwell's samples exist at a time. The transmit bits are a prefix of each
-    stream that grows geometrically as the clock needs."""
+    A window is a function of the bits alone, so an emitter the mask gates
+    to weight 0 is not synthesised: its block in `window` is all zeros.
+    Only one dwell's samples exist at a time. The transmit bits are a
+    prefix of each stream that grows geometrically as the clock needs."""
 
     def __init__(self, scenario: Scenario, seed: int):
         self.scenario = scenario
@@ -325,7 +332,6 @@ class LinkSimulation:
             / self.modem.symbol_rate if self._framed else None)
         self._n_bits = 0
         self._tx_bits: Dict[int, np.ndarray] = {}
-        self._cursors = [StreamCursor() for _ in scenario.emitters]
         self.window: List[SampleBlock] = []     # emitter blocks of the last dwell
 
     @property
@@ -353,16 +359,10 @@ class LinkSimulation:
                         + self.modem.context_symbols)
         weights = emitter_weights(mask, self.scenario.channel)
         dark = SampleBlock(np.zeros(n_symbols * self.sps), self.fs)
-        self.window = []
-        for spec, cursor, weight in zip(self.scenario.emitters, self._cursors,
-                                        weights):
-            bits = self._tx_bits[spec.label]
-            if weight:
-                self.window.append(modulate(bits, self.modem, spec.phase_offset,
-                                            n_symbols, cursor))
-            else:
-                advance(bits, self.modem, n_symbols, cursor)
-                self.window.append(dark)
+        self.window = [
+            modulate(self._tx_bits[spec.label], self.modem, spec.phase_offset,
+                     self.clock // self.sps, n_symbols) if weight else dark
+            for spec, weight in zip(self.scenario.emitters, weights)]
         out = receive(self.window, mask, self.scenario.channel, rng=self.rng)
         self.clock += n_symbols * self.sps
         return out

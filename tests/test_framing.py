@@ -87,6 +87,18 @@ def test_correlation_score_counts_disagreements():
         assert correlation_scores(corrupted, BARKER_13)[0] == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(n_bits=st.integers(0, 200), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(list(IdKind)))
+def test_correlation_scores_match_bipolar_correlate(n_bits, seed, kind):
+    # the scores count agreements; the bipolar dot product is the oracle
+    bits = np.random.default_rng(seed).integers(0, 2, n_bits)
+    id_bits = make_id(kind).id_bits
+    expected = np.correlate(2.0 * bits - 1, 2.0 * np.array(id_bits) - 1,
+                            mode="valid") if n_bits >= HEADER_BITS else []
+    np.testing.assert_array_equal(correlation_scores(bits, id_bits), expected)
+
+
 def _packet_stream(labels, rng):
     chunks = []
     for lab in labels:
@@ -204,3 +216,23 @@ def test_detect_matches_reference_lattice_vote(n_bits, seed, lattices, kinds,
     table = IdLookupTable(ids)
     assert (detect_packets(bits, table, corr_threshold)
             == _reference_detect(bits, table, corr_threshold))
+
+
+@pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+def test_detect_tied_ids_go_to_the_first_registered(order):
+    # the two headers differ in 8 chips; flipping every other one of them
+    # gives a header that scores 5 against both, so the table's first ID
+    # must win
+    kinds = {1: IdKind.BARKER13, 2: IdKind.BARKER11_PADDED}
+    ids = [make_id(kinds[label], label) for label in order]
+    h1, h2 = (np.array(tid.id_bits) for tid in ids)
+    tied = h1.copy()
+    tied[np.flatnonzero(h1 != h2)[::2]] ^= 1
+    bits = np.zeros(3 * PACKET_BITS, dtype=int)
+    for k in range(3):
+        bits[7 + k * PACKET_BITS:7 + k * PACKET_BITS + HEADER_BITS] = tied
+    table = IdLookupTable(ids)
+    dets = detect_packets(bits, table, corr_threshold=5)
+    assert dets == _reference_detect(bits, table, 5)
+    assert [(d.offset, d.label, d.score) for d in dets] == [
+        (7, order[0], 5), (7 + PACKET_BITS, order[0], 5)]

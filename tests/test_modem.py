@@ -14,10 +14,9 @@ from scipy.special import erfc
 
 import shuttervlc
 from shuttervlc.modem import (ModemConfig, ModemError, PhaseOffset, SampleBlock,
-                              Scheme, StreamCursor, _demodulate_gmsk,
-                              _gmsk_frequency_pulse, _quadrature,
-                              _smooth_length, advance, demodulate,
-                              gmsk_data_phase, modulate)
+                              Scheme, _demodulate_gmsk, _gmsk_frequency_pulse,
+                              _gmsk_phase, _quadrature, _smooth_length,
+                              demodulate, gmsk_data_phase, modulate)
 
 OOK = ModemConfig(scheme=Scheme.OOK, symbol_rate=1000, samples_per_symbol=4,
                   dc_bias=1.0, modulation_depth=0.5)
@@ -39,6 +38,12 @@ def test_config_validation():
         # subcarrier at 1 cycle/symbol needs sample rate above 3 samples/cycle
         ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3, samples_per_symbol=4,
                     gmsk_carrier_cycles=1.6)
+    with pytest.raises(ModemError):
+        ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, samples_per_symbol=4.5)
+    with pytest.raises(ModemError):
+        ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3, gmsk_span=3.5)
+    cfg = ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, samples_per_symbol=4.0)
+    assert type(cfg.samples_per_symbol) is int
 
 
 def test_ook_sample_levels():
@@ -98,6 +103,44 @@ def test_gmsk_phase_continuity_bound():
     increments = np.abs(np.diff(phase))
     # per-sample phase step is bounded by the pulse's per-sample peak
     assert increments.max() <= (math.pi / 2) / GMSK.samples_per_symbol * 1.001
+
+
+def _convolution_phase(bits, cfg):
+    """The data phase as a running sum of the frequency pulse at the
+    sample rate, tails included (units of pi/2)."""
+    sps = cfg.samples_per_symbol
+    impulses = np.zeros(len(bits) * sps)
+    impulses[::sps] = 2.0 * np.asarray(bits) - 1.0
+    return np.cumsum(np.convolve(impulses, _gmsk_frequency_pulse(cfg)))
+
+
+@pytest.mark.parametrize("sps", [4, 5, 8, 16])
+def test_gmsk_phase_matches_convolution_oracle(sps):
+    # sample m of a window lies `delay` samples into the running sum, so
+    # each symbol's frequency mass is centred in its symbol
+    cfg = ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3,
+                      samples_per_symbol=sps)
+    delay = (len(_gmsk_frequency_pulse(cfg)) - sps) // 2
+    ctx = cfg.context_symbols
+    rng = np.random.default_rng(300 + sps)
+    for _ in range(40):
+        n_bits = int(rng.integers(1, 800))
+        bits = rng.integers(0, 2, n_bits).astype(np.uint8)
+        oracle = _convolution_phase(bits, cfg)
+        np.testing.assert_allclose(gmsk_data_phase(bits, cfg),
+                                   (np.pi / 2) * oracle, rtol=0, atol=1e-9)
+        first = int(rng.integers(0, n_bits))
+        windows = [(0, int(rng.integers(1, n_bits + 1))),
+                   (first, int(rng.integers(1, n_bits - first + 1)))]
+        if n_bits > ctx + 1:
+            # ends ctx symbols before the stream does: the bits past it
+            # are real, and the window reads only ctx of them
+            start = int(rng.integers(0, n_bits - ctx - 1))
+            windows.append((start, n_bits - ctx - start))
+        for first, n in windows:
+            phase = _gmsk_phase(bits[:first + n + ctx], cfg, first, n)
+            expected = oracle[first * sps + delay:(first + n) * sps + delay]
+            np.testing.assert_allclose(phase, expected, rtol=0, atol=1e-9)
 
 
 def test_ook_roundtrip_noiseless_property():
@@ -192,31 +235,25 @@ def test_windows_concatenate_to_one_shot_property(data, scheme, sps, offset,
                                          max_size=8)))) if n_bits > 1 else []
     edges = list(zip([0] + cuts, cuts + [n_bits]))
     whole = modulate(bits, cfg, offset).samples
-    cursor = StreamCursor()
-    parts = [modulate(bits, cfg, offset, b - a, cursor).samples
-             for a, b in edges]
+    parts = [modulate(bits, cfg, offset, a, b - a).samples for a, b in edges]
     assert np.array_equal(np.concatenate(parts), whole)
     # a window needs only cfg.context_symbols bits past its end
-    cursor = StreamCursor()
-    parts = [modulate(bits[:b + cfg.context_symbols], cfg, offset, b - a,
-                      cursor).samples for a, b in edges]
+    parts = [modulate(bits[:b + cfg.context_symbols], cfg, offset, a,
+                      b - a).samples for a, b in edges]
     assert np.array_equal(np.concatenate(parts), whole)
-    # a window skipped with advance leaves the cursor where modulate would
-    skipped = data.draw(st.lists(st.booleans(), min_size=len(edges),
-                                 max_size=len(edges)))
-    cursor = StreamCursor()
-    for (a, b), skip in zip(edges, skipped):
-        if skip:
-            advance(bits, cfg, b - a, cursor)
-        else:
-            part = modulate(bits, cfg, offset, b - a, cursor).samples
-            assert np.array_equal(part, whole[a * sps:b * sps])
-    assert cursor.symbol == n_bits
+    # a window starting anywhere is the one-shot slice, with no window
+    # modulated before it
+    a = data.draw(st.integers(0, n_bits - 1))
+    b = data.draw(st.integers(a + 1, n_bits))
+    part = modulate(bits, cfg, offset, a, b - a).samples
+    assert np.array_equal(part, whole[a * sps:b * sps])
 
 
 def test_window_past_end_of_bits_rejected():
     with pytest.raises(ModemError):
-        modulate([1, 0, 1], OOK, n_symbols=2, cursor=StreamCursor(symbol=2))
+        modulate([1, 0, 1], OOK, first=2, n_symbols=2)
+    with pytest.raises(ModemError):
+        modulate([1, 0, 1], OOK, first=-1, n_symbols=2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 64, 97, 128, 1001, 4097, 8819,
@@ -270,8 +307,7 @@ def test_gmsk_decisions_match_reference_discriminator(sps):
         for nsym in (1, 2, 13, 777, 8803, 20000):
             rng = np.random.default_rng([sps, nsym, round(sigma * 100)])
             bits = rng.integers(0, 2, nsym + 20)
-            x = modulate(bits, cfg, n_symbols=nsym,
-                         cursor=StreamCursor(symbol=10)).samples
+            x = modulate(bits, cfg, first=10, n_symbols=nsym).samples
             x = x + rng.normal(0, sigma, len(x))
             steps = _reference_gmsk_phase_steps(x, cfg, nsym)
             flipped = _demodulate_gmsk(x, cfg, nsym) != (steps > 0)

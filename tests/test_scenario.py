@@ -94,6 +94,7 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(mask=[1]),             # one entry per pixel
         _variant(schema_version=99),
         _with("modem", bits_per_symbol=2),
+        _with("modem", samples_per_symbol=4.5),
         _variant(channel=[]),
         _with("channel", noise_sigma="abc"),
         _with("channel", noise_sigma=float("nan")),
@@ -106,6 +107,8 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(emitters=["label"]),
         _variant(emitters=[{"label": 1, "pixel": 0}, {"label": 1, "pixel": 1}]),
         _variant(emitters=[{"label": -1, "pixel": 0}]),
+        _variant(emitters=[{"label": 1.5, "pixel": 0}]),
+        _variant(emitters=[{"label": 1, "pixel": 0.7}]),
         _variant(emitters=[{"label": 1, "pixel": 0, "bit_source": "random"}]),
         _variant(emitters=[{"label": 1, "pixel": 0,
                             "bit_source": {"type": "same_as", "label": 9}}]),
