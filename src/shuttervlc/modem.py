@@ -10,8 +10,6 @@ frequency discriminator work).
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 
@@ -100,7 +98,6 @@ def _gmsk_frequency_pulse(cfg: ModemConfig) -> np.ndarray:
     return pulse / pulse.sum()
 
 
-@lru_cache(maxsize=16)
 def _gmsk_phase_taps(cfg: ModemConfig) -> tuple[int, np.ndarray]:
     """(j0, taps): the phase pulse q = cumsum(frequency pulse), centred and
     sampled per symbol. Symbol s adds taps[r, t] to the data phase at sample
@@ -112,7 +109,6 @@ def _gmsk_phase_taps(cfg: ModemConfig) -> tuple[int, np.ndarray]:
     n_taps = (len(q) - 2 - delay) // sps - j0 + 1
     idx = (j0 + np.arange(n_taps)) * sps + np.arange(sps)[:, None] + delay
     taps = np.concatenate(([0.0], q[:-1], [1.0]))[np.clip(idx + 1, 0, len(q))]
-    taps.setflags(write=False)      # shared by every call with this cfg
     return j0, taps
 
 
@@ -131,10 +127,8 @@ def _gmsk_phase(bits: np.ndarray, cfg: ModemConfig, first: int,
     a = np.pad(2.0 * bits[i:j] - 1.0, (i - lo, hi - j))
     settled = 2 * int(np.count_nonzero(bits[:i])) - i
     run = np.cumsum(a[:n_symbols]) - a[:n_symbols] + settled
-    out = np.empty((n_symbols, len(taps)))
-    for r, w in enumerate(taps):
-        np.add(run, np.convolve(a, w, "valid"), out=out[:, r])
-    return out.ravel()
+    moving = np.stack([np.convolve(a, w, "valid") for w in taps], axis=1)
+    return (moving + run[:, None]).ravel()
 
 
 def gmsk_data_phase(bits, cfg: ModemConfig) -> np.ndarray:
@@ -175,17 +169,14 @@ def modulate(bits, cfg: ModemConfig,
     if cfg.scheme is Scheme.OOK:
         m = np.repeat(2.0 * bits[first:first + n_symbols] - 1.0, sps)
     else:
-        # in place: a dwell's window is large, and every array is fresh
-        m = _gmsk_phase(bits, cfg, first, n_symbols)
-        m *= np.pi / 2.0
-        m += (2 * np.pi * cfg.gmsk_carrier_cycles / sps
-              * np.arange(first * sps, (first + n_symbols) * sps))
-        np.cos(m, out=m)
+        phase = (np.pi / 2.0) * _gmsk_phase(bits, cfg, first, n_symbols)
+        n = np.arange(first * sps, (first + n_symbols) * sps)
+        carrier = 2 * np.pi * cfg.gmsk_carrier_cycles / sps * n
+        m = np.cos(carrier + phase)
     if phase_offset is PhaseOffset.INVERTED:
-        np.negative(m, out=m)
-    m *= cfg.modulation_depth
-    m += cfg.dc_bias
-    return SampleBlock(m, cfg.sample_rate)
+        m = -m
+    samples = cfg.dc_bias + cfg.modulation_depth * m
+    return SampleBlock(samples, cfg.sample_rate)
 
 
 def demodulate(block: SampleBlock, cfg: ModemConfig,

@@ -2,8 +2,7 @@
 """Paired benchmark of two checkouts: alternating linkbench runs, one JSON.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH.json
-        [--pairs 10] [--seconds 25] [--seed 51] [--traced 1]
-        [--workload NAME ...]
+        --seconds S [--pairs 10] [--seed 51] [--workload NAME ...]
 
 Both DIRs are source checkouts holding `linkbench/run.py`; make the parent
 one with `git clone` or `git archive` of the commit to compare against. For
@@ -11,13 +10,15 @@ every workload in the change checkout's `BENCHMARK.json` (or each
 --workload), pair i runs the benchmark once in each checkout at seed
 `--seed + i`, the parent first in even pairs and the change first in odd
 ones, so a drift in the host's speed falls on both sides alike. Then each
-side gets `--traced` runs with --trace 1 for the per-layer metrics.
+side gets one run with --trace 1, at seed `--seed`, for the per-layer
+metrics.
 
 The output holds, per workload and end-to-end metric, the median and
 quartiles of each side, the pairs the change won (by the metric's
 "better" direction), whether every run was correct with no failed
-operation, the medians of the per-layer metrics, and the machine: core
-count and the Python and numpy versions. Runs go one at a time.
+operation, the per-layer metrics of each side's traced run, and the
+machine: core count and the Python and numpy versions. Runs go one at a
+time.
 """
 
 import argparse
@@ -76,9 +77,7 @@ def bench_workload(sides: dict, workload: str, end_to_end: list,
             print(f"{workload} pair {i} {side}: "
                   f"{runs[side][-1]['metrics']['run_p50_s']['value']:.4g} s",
                   file=sys.stderr, flush=True)
-    traced = {side: [run_linkbench(path, workload, args.seed + k,
-                                   args.seconds, 1)
-                     for k in range(args.traced)]
+    traced = {side: run_linkbench(path, workload, args.seed, args.seconds, 1)
               for side, path in sides.items()}
     result = {"end_to_end": {}, "per_layer": {}, "correct": {}, "failed": {}}
     for metric in end_to_end:
@@ -92,15 +91,11 @@ def bench_workload(sides: dict, workload: str, end_to_end: list,
             unit=metric["unit"], better=metric["better"], change_won=won,
             pairs=args.pairs, **{side: spread(v) for side, v in values.items()})
     for side in sides:
-        everything = runs[side] + traced[side]
+        everything = runs[side] + [traced[side]]
         result["correct"][side] = all(r["correct"] for r in everything)
         result["failed"][side] = sum(r["failed"] for r in everything)
-        layers = {}
-        for r in traced[side]:
-            for name, m in r["metrics"].items():
-                layers.setdefault(name, []).append(m["value"])
-        result["per_layer"][side] = {name: statistics.median(v)
-                                     for name, v in layers.items()}
+        result["per_layer"][side] = {
+            name: m["value"] for name, m in traced[side]["metrics"].items()}
     return result
 
 
@@ -109,10 +104,9 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--seed", type=int, default=51)
-    ap.add_argument("--traced", type=int, default=1)
     ap.add_argument("--workload", action="append")
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -124,8 +118,7 @@ def main(argv=None) -> int:
                     "numpy": np.__version__},
         "commits": {side: commit_of(path) for side, path in sides.items()},
         "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                     "seeds": [args.seed, args.seed + args.pairs - 1],
-                     "traced_runs": args.traced},
+                     "seeds": [args.seed, args.seed + args.pairs - 1]},
         "workloads": {w: bench_workload(sides, w, bench["end_to_end"], args)
                       for w in workloads},
     }
