@@ -6,7 +6,7 @@ from .framing import (BARKER_11, BARKER_13, Detection, IdKind, IdLookupTable,
                       Packet, TransmitterId, detect_packets, frame, make_id)
 from .geometry import (EmitterPlacement, MappingResult, OpticalSetup,
                        map_emitters_to_pixels, min_angle, min_separation)
-from .metrics import LinkReport, bit_error_rate, goodput, packet_error_rate
+from .metrics import bit_error_rate, goodput, packet_error_rate
 from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme, demodulate,
                     modulate)
 from .protocol import (ControllerResult, LatencyEstimate, LatencyModel, Phase,

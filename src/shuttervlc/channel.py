@@ -6,6 +6,7 @@ or `closed_leakage` when CLOSED. AWGN and a hard saturation clip model the
 amplifier front end.
 """
 
+import math
 from dataclasses import dataclass
 from typing import FrozenSet, List, Sequence, Tuple
 
@@ -46,19 +47,25 @@ class ChannelConfig:
     saturation_level: float = float("inf")
 
     def __post_init__(self):
-        object.__setattr__(self, "emitter_gain", tuple(float(g) for g in self.emitter_gain))
-        object.__setattr__(self, "emitter_pixel", tuple(int(p) for p in self.emitter_pixel))
-        object.__setattr__(self, "ambient_dc", tuple(float(a) for a in self.ambient_dc))
-        if any(not g >= 0 for g in self.emitter_gain):
-            raise ChannelError("gains must be nonnegative")
+        for name, kind in (("emitter_gain", float), ("emitter_pixel", int),
+                           ("ambient_dc", float)):
+            object.__setattr__(self, name, tuple(map(kind, getattr(self, name))))
+        for name in ("noise_sigma", "closed_leakage", "saturation_level"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if any(not 0 <= g < math.inf for g in self.emitter_gain):
+            raise ChannelError("gains must be finite and nonnegative")
+        if not all(map(math.isfinite, self.ambient_dc)):
+            raise ChannelError("ambient_dc must be finite")
         if not (0 <= self.closed_leakage < 1):
             raise ChannelError("closed_leakage must be in [0, 1)")
-        if not self.noise_sigma >= 0:
-            raise ChannelError("noise_sigma must be nonnegative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ChannelError("noise_sigma must be finite and nonnegative")
         if not self.saturation_level > 0:
             raise ChannelError("saturation_level must be positive")
         if len(self.emitter_gain) != len(self.emitter_pixel):
             raise ChannelError("one gain per emitter required")
+        if any(not 0 <= p < len(self.ambient_dc) for p in self.emitter_pixel):
+            raise ChannelError("emitter mapped to an invalid pixel")
 
 
 def _gate(mask: PixelMask, cfg: ChannelConfig, pixel: int) -> float:
@@ -73,8 +80,6 @@ def emitter_weights(mask: PixelMask, cfg: ChannelConfig) -> Tuple[float, ...]:
     waveform need not be synthesised."""
     if mask.n_pixels != len(cfg.ambient_dc):
         raise ChannelError("mask length must match pixel count")
-    if any(not (0 <= p < mask.n_pixels) for p in cfg.emitter_pixel):
-        raise ChannelError("emitter mapped to an invalid pixel")
     return tuple(gain * _gate(mask, cfg, pixel)
                  for gain, pixel in zip(cfg.emitter_gain, cfg.emitter_pixel))
 

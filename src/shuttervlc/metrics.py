@@ -1,6 +1,5 @@
-"""Link quality metrics: BER, PER, SNR and goodput."""
+"""Link quality metrics: BER, PER and goodput."""
 
-from dataclasses import dataclass, asdict
 from typing import Sequence
 
 import numpy as np
@@ -8,20 +7,6 @@ import numpy as np
 
 class MetricsError(ValueError):
     """Raised for inconsistent metric inputs."""
-
-
-@dataclass
-class LinkReport:
-    ber: float
-    per_percent: float
-    snr_db: float
-    goodput_bps: float
-    bits_compared: int
-    packets_expected: int
-    packets_detected_valid: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def bit_error_rate(tx: Sequence[int], rx: Sequence[int]) -> float:

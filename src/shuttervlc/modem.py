@@ -9,6 +9,7 @@ frequency discriminator work).
 """
 
 import enum
+import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -43,15 +44,19 @@ class ModemConfig:
             if int(getattr(self, name)) != getattr(self, name):
                 raise ModemError(f"{name} must be an integer")
             object.__setattr__(self, name, int(getattr(self, name)))
-        if self.symbol_rate <= 0:
-            raise ModemError("symbol_rate must be positive")
+        if not 0 < self.symbol_rate < math.inf:
+            raise ModemError("symbol_rate must be finite and positive")
         if self.samples_per_symbol < 2:
             raise ModemError("samples_per_symbol must be >= 2")
         if not (0 < self.modulation_depth <= 1):
             raise ModemError("modulation_depth must be in (0, 1]")
-        if self.dc_bias < self.modulation_depth:
-            raise ModemError("dc_bias must cover modulation_depth "
+        if not self.modulation_depth <= self.dc_bias < math.inf:
+            raise ModemError("dc_bias must be finite and cover modulation_depth "
                              "(intensity must stay nonnegative)")
+        if not 0 < self.gmsk_bt < math.inf:
+            raise ModemError("gmsk_bt must be finite and positive")
+        if not self.gmsk_carrier_cycles > 0:
+            raise ModemError("gmsk_carrier_cycles must be positive")
         if self.scheme is Scheme.GMSK:
             if self.samples_per_symbol < 4:
                 raise ModemError("GMSK needs samples_per_symbol >= 4")

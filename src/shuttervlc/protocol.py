@@ -101,7 +101,6 @@ def packets_per_slot(symbol_rate: float, bits_per_symbol: int,
 @dataclass
 class ControllerResult:
     converged: bool
-    cycles_used: int
     locked_pixels: frozenset
     pixel_snr_db: Dict[int, float]      # of the last Discovery scan
     events: List[dict]
@@ -140,8 +139,7 @@ def run_controller(sim, params: ProtocolParams,
         events.append(rec)
 
     log("init")
-    cycles = 0
-    for cycles in range(1, params.retry_budget + 1):
+    for _ in range(params.retry_budget):
         phase = Phase.DISCOVERY
         noise_ref = sim.dwell(PixelMask(n), params.T_s)
         log("noise_reference_dwell")
@@ -173,11 +171,10 @@ def run_controller(sim, params: ProtocolParams,
         if locked:
             phase, mask = Phase.LOCKED, PixelMask(n, locked)
             log("locked", locked_pixels=locked)
-            return ControllerResult(True, cycles, frozenset(locked), snrs,
-                                    events)
+            return ControllerResult(True, frozenset(locked), snrs, events)
         phase, mask = Phase.DISCOVERY, PixelMask(n)
         log("identification_failed")
 
     phase, mask = Phase.RESET, PixelMask(n)
     log("gave_up")
-    return ControllerResult(False, cycles, frozenset(), snrs, events)
+    return ControllerResult(False, frozenset(), snrs, events)

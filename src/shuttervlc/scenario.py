@@ -10,7 +10,7 @@ can be recomputed offline.
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -23,7 +23,7 @@ from .channel import (ChannelConfig, PixelMask, emitter_weights, receive,
 from .framing import (Detection, IdKind, IdLookupTable, detect_packets,
                       make_id)
 from .geometry import EmitterPlacement, OpticalSetup, map_emitters_to_pixels
-from .metrics import LinkReport, bit_error_rate, goodput, packet_error_rate
+from .metrics import bit_error_rate, goodput, packet_error_rate
 from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme,
                     demodulate, modulate)
 from .protocol import ProtocolParams, run_controller
@@ -75,9 +75,23 @@ class Scenario:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _object(value, what: str) -> dict:
+# keys of the objects no dataclass checks; a bit source's one key by type
+_SCENARIO_KEYS = ("schema_version", "name", "rng_seed", "duration_s",
+                  "optics", "modem", "emitters", "placement", "channel",
+                  "mask", "protocol", "threshold", "code_rate")
+_EMITTER_KEYS = ("label", "pixel", "gain", "id_kind", "phase_offset",
+                 "bit_source")
+_SOURCE_KEY = {"random": "seed", "pattern": "bits", "file": "path",
+               "same_as": "label"}
+
+
+def _object(value, what: str, keys=None) -> dict:
+    """`value` as a JSON object; with `keys`, one that holds no other key."""
     if not isinstance(value, dict):
         raise ScenarioError(f"{what} must be a JSON object")
+    unknown = sorted(map(str, set(value) - set(keys or value)))
+    if unknown:
+        raise ScenarioError(f"unknown {what} key {unknown[0]!r}")
     return value
 
 
@@ -99,18 +113,22 @@ def _emitter_pixels(specs: List[dict], placement,
     through the lens from the placement."""
     explicit = [e.get("pixel") for e in specs]
     if all(p is not None for p in explicit):
-        pixels = tuple(_integer(p, "pixel") for p in explicit)
-    elif placement:
-        placement = EmitterPlacement(tuple(tuple(p) for p in placement))
-        result = map_emitters_to_pixels(optics, placement)
-        if not result.feasible:
-            raise ScenarioError(f"placement infeasible: {result.reason}")
-        pixels = result.mapping
-    else:
+        return tuple(_integer(p, "pixel") for p in explicit)
+    if not placement:
         raise ScenarioError("need either per-emitter pixels or a placement")
-    if any(not (0 <= p < optics.n_pixels) for p in pixels):
-        raise ScenarioError("emitter mapped to an invalid pixel")
-    return pixels
+    result = map_emitters_to_pixels(
+        optics, EmitterPlacement(tuple(tuple(p) for p in placement)))
+    if not result.feasible:
+        raise ScenarioError(f"placement infeasible: {result.reason}")
+    return result.mapping
+
+
+def _bit_source(value) -> dict:
+    src = _object(value, "bit_source")
+    kind = src.get("type", "random")
+    if kind not in _SOURCE_KEY:
+        raise ScenarioError(f"unknown bit source type {kind!r}")
+    return _object(src, f"{kind} bit source", ("type", _SOURCE_KEY[kind]))
 
 
 def _own_bits(src: dict) -> Tuple[Optional[np.ndarray], Optional[int]]:
@@ -122,9 +140,7 @@ def _own_bits(src: dict) -> Tuple[Optional[np.ndarray], Optional[int]]:
         if seed is not None and not (isinstance(seed, int) and seed >= 0):
             raise ScenarioError("a bit source seed must be a nonnegative integer")
         return None, seed
-    key = {"pattern": "bits", "file": "path"}.get(kind)
-    if key is None:
-        raise ScenarioError(f"unknown bit source type {kind!r}")
+    key = _SOURCE_KEY[kind]
     if key not in src:
         raise ScenarioError(f"a {kind} bit source needs {key!r}")
     text = src[key]
@@ -143,7 +159,7 @@ def _emitters(specs: List[dict]) -> List[EmitterSpec]:
     """Resolve each emitter's header, phase and bit source; a `same_as`
     source takes the pattern, seed and stream of the emitter it names."""
     sources = {_integer(e["label"], "label"):
-               _object(e.get("bit_source", {"type": "random"}), "bit_source")
+               _bit_source(e.get("bit_source", {"type": "random"}))
                for e in specs}
     if len(sources) < len(specs) or min(sources, default=0) < 0:
         raise ScenarioError("emitter labels must be distinct and nonnegative")
@@ -162,7 +178,8 @@ def _emitters(specs: List[dict]) -> List[EmitterSpec]:
 
 
 def _parse(d: dict) -> Scenario:
-    version = _object(d, "scenario").get("schema_version", SCHEMA_VERSION)
+    version = _object(d, "scenario", _SCENARIO_KEYS).get(
+        "schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"scenario schema version {version} unsupported")
     optics = OpticalSetup(**_object(d["optics"], "optics"))
@@ -170,19 +187,16 @@ def _parse(d: dict) -> Scenario:
     m = _object(d["modem"], "modem")
     modem = ModemConfig(scheme=Scheme(m["scheme"]),
                         **{k: v for k, v in m.items() if k != "scheme"})
-    specs = [_object(e, "emitter") for e in d["emitters"]]
-    if len(specs) > n:
-        raise ScenarioError("more emitters than shutter pixels")
+    specs = [_object(e, "emitter", _EMITTER_KEYS) for e in d["emitters"]]
+    if not 0 < len(specs) <= n:
+        raise ScenarioError(f"need 1 to {n} emitters for {n} shutter pixels")
     emitters = _emitters(specs)
     ch = _object(d.get("channel", {}), "channel")
     channel = ChannelConfig(
-        emitter_gain=tuple(float(e.get("gain", 1.0)) for e in specs),
+        emitter_gain=tuple(e.get("gain", 1.0) for e in specs),
         emitter_pixel=_emitter_pixels(specs, d.get("placement"), optics),
-        ambient_dc=_per_pixel(ch.get("ambient_dc", [0.0] * n), n, "ambient_dc"),
-        noise_sigma=float(ch.get("noise_sigma", 0.0)),
-        closed_leakage=float(ch.get("closed_leakage", 0.0)),
-        saturation_level=float(ch.get("saturation_level", float("inf"))),
-    )
+        **dict(ch, ambient_dc=_per_pixel(ch.get("ambient_dc", [0.0] * n), n,
+                                         "ambient_dc")))
     mask = None
     if d.get("mask") is not None:
         states = _per_pixel(d["mask"], n, "mask")
@@ -203,7 +217,7 @@ def _parse(d: dict) -> Scenario:
         id_table = IdLookupTable([make_id(e.id_kind, e.label) for e in emitters])
     if (mask is None) == (protocol is None):
         raise ScenarioError("scenario needs exactly one of mask / protocol")
-    thr = _object(d.get("threshold", {}), "threshold")
+    thr = _object(d.get("threshold", {}), "threshold", ("mode", "level"))
     mode = thr.get("mode", "ADAPTIVE")
     if mode not in ("ADAPTIVE", "FIXED"):
         raise ScenarioError("threshold mode must be ADAPTIVE or FIXED")
@@ -401,11 +415,11 @@ class TraceRecord:
     dwells: List[dict]              # {t0_s, pixel|mask, start_bit, bits}
     detections: List[dict]          # {dwell_index, offset, label, score}
     tx_bits: Dict[str, str]         # label -> bit string
-    reports: Dict[str, dict]        # label -> LinkReport dict
+    reports: Dict[str, dict]        # label -> report (see _report)
     context: dict                   # what replay needs to recompute
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return json.dumps(vars(self), sort_keys=True, indent=2)
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json())
@@ -463,20 +477,16 @@ def _snr_estimates(sim: LinkSimulation, mask: PixelMask) -> Dict[str, float]:
 
 def _report(ctx: dict, ber: float, per: float, snr_db: float,
             bits_compared: int, expected: int, valid: int) -> dict:
-    return LinkReport(
-        ber=ber,
-        per_percent=per,
-        snr_db=snr_db,
-        goodput_bps=goodput(ber, ctx["code_rate"], ctx["symbol_rate"], 1),
-        bits_compared=bits_compared,
-        packets_expected=expected,
-        packets_detected_valid=valid,
-    ).to_dict()
+    """One emitter's entry in a trace's `reports`."""
+    return {"ber": ber, "per_percent": per, "snr_db": snr_db,
+            "goodput_bps": goodput(ber, ctx["code_rate"], ctx["symbol_rate"], 1),
+            "bits_compared": bits_compared, "packets_expected": expected,
+            "packets_detected_valid": valid}
 
 
 def _fixed_mask_reports(ctx: dict, rx: np.ndarray,
                         tx: Dict[str, np.ndarray]) -> Dict[str, dict]:
-    """Per-emitter LinkReports of a fixed-mask dwell; a run and its replay
+    """Per-emitter reports of a fixed-mask dwell; a run and its replay
     both build them here. No packets are framed, so PER is 0."""
     return {label: _report(ctx, bit_error_rate(bits, rx[:len(bits)]), 0.0,
                            ctx["snr_db"].get(label, float("nan")),
@@ -486,7 +496,7 @@ def _fixed_mask_reports(ctx: dict, rx: np.ndarray,
 
 class _SlotScorer:
     """Per-emitter tallies over the locked slots of a protocol run, and the
-    LinkReports they give; a run and its replay both score here.
+    reports they give; a run and its replay both score here.
 
     `tx_bits(label)` returns an emitter's transmit bits."""
 
@@ -595,6 +605,7 @@ def _run_protocol(scenario: Scenario, seed: int) -> TraceRecord:
 
     dwells: List[dict] = []
     detections: List[dict] = []
+    end_bit: Dict[int, int] = {}        # pixel -> end of its last dwell
     scorer = _SlotScorer(ctx, sim.tx_bits)
     if result.converged and scenario.duration_s > 0:
         locked = sorted(result.locked_pixels)
@@ -615,25 +626,23 @@ def _run_protocol(scenario: Scenario, seed: int) -> TraceRecord:
                 detections.append({"dwell_index": dwell_index, "offset": d.offset,
                                    "label": d.label, "score": d.score})
             scorer.add(pixel, start_bit, rx, dets)
+            end_bit[pixel] = start_bit + len(rx)
             remaining -= block.duration_s
             slot += 1
 
     reports = scorer.reports()
-    tx_store: Dict[str, str] = {}
-    for spec, pixel in zip(scenario.emitters, pixels):
-        if str(spec.label) in reports:
-            max_bit = max((d["start_bit"] + len(d["bits"]) for d in dwells
-                           if d["pixel"] == pixel), default=0)
-            tx_store[str(spec.label)] = _bits_to_str(
-                sim.tx_bits(spec.label)[:max_bit])
+    tx_store = {str(spec.label): _bits_to_str(
+                    sim.tx_bits(spec.label)[:end_bit.get(pixel, 0)])
+                for spec, pixel in zip(scenario.emitters, pixels)
+                if str(spec.label) in reports}
 
     return _record(scenario, seed, mode="protocol", converged=result.converged,
                    events=result.events, dwells=dwells, detections=detections,
                    tx_bits=tx_store, reports=reports, context=ctx)
 
 
-def replay_trace(record) -> Dict[str, dict]:
-    """Recompute the LinkReports of a trace from its decoded bits.
+def replay_trace(record: TraceRecord) -> Dict[str, dict]:
+    """Recompute the reports of a trace from its decoded bits.
 
     Stored detections and reports are ignored. Re-derived from the
     per-dwell bit strings and the transmit bits (`tx_bits`): `ber`,
@@ -646,8 +655,6 @@ def replay_trace(record) -> Dict[str, dict]:
     differs from its replay; bits and `context` edited consistently with
     the reports do not show. A trace with a field missing or malformed
     raises a ScenarioError."""
-    if not isinstance(record, TraceRecord):
-        record = TraceRecord.load(record)
     if record.mode not in ("fixed_mask", "protocol"):
         raise ScenarioError(f"unknown trace mode {record.mode!r}")
     with _malformed("trace"):

@@ -101,6 +101,10 @@ def test_receive_validation():
     with pytest.raises(ChannelError):
         ChannelConfig(emitter_gain=(1.0,), emitter_pixel=(0,),
                       ambient_dc=(0.0,), closed_leakage=1.0)
+    for pixel in (-1, 2):       # an emitter on no pixel of the shutter
+        with pytest.raises(ChannelError):
+            ChannelConfig(emitter_gain=(1.0, 1.0), emitter_pixel=(0, pixel),
+                          ambient_dc=(0.0, 0.0))
 
 
 def test_snr_variance_ratio():

@@ -155,6 +155,12 @@ def _edited(name, section, **values):
     pytest.param(_edited("gmsk_demo", None, duration_s=-5), id="duration_s--5"),
     pytest.param(_edited("protocol_clean", "protocol", T_s=2.0).replace(
         '"T_s": 2.0', '"T_s": 1e999'), id="T_s-1e999"),
+    pytest.param(_edited("protocol_clean", "modem", symbol_rate=1.0).replace(
+        '"symbol_rate": 1.0', '"symbol_rate": 1e999'), id="symbol_rate-1e999"),
+    pytest.param(_edited("protocol_clean", "channel", noise_sgima=0.1),
+                 id="channel-misspelled-key"),
+    pytest.param(_edited("protocol_clean", None, emitters=[]),
+                 id="emitters-empty"),
 ])
 def test_run_reports_malformed_scenario_as_error(tmp_path, capsys, text):
     src = tmp_path / "scenario.json"

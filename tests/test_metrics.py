@@ -1,10 +1,11 @@
-"""BER, PER, goodput and report serialization."""
+"""BER, PER, goodput and the reports a run writes."""
 
 import numpy as np
 import pytest
 
-from shuttervlc.metrics import (LinkReport, MetricsError, bit_error_rate,
-                                goodput, packet_error_rate)
+from shuttervlc.metrics import (MetricsError, bit_error_rate, goodput,
+                                packet_error_rate)
+from shuttervlc.scenario import bundled_scenario, run_scenario
 
 
 def test_bit_error_rate_hamming():
@@ -51,12 +52,11 @@ def test_goodput_formula():
         goodput(0.1, 0.0, 1e6, 1)
 
 
-def test_link_report_dict_roundtrip():
-    rep = LinkReport(ber=1e-3, per_percent=5.87, snr_db=19.97,
-                     goodput_bps=1.3e6, bits_compared=10000,
-                     packets_expected=477, packets_detected_valid=449)
-    d = rep.to_dict()
-    assert d == {"ber": 1e-3, "per_percent": 5.87, "snr_db": 19.97,
-                 "goodput_bps": 1.3e6, "bits_compared": 10000,
-                 "packets_expected": 477, "packets_detected_valid": 449}
-    assert LinkReport(**d) == rep
+def test_run_report_has_exactly_seven_keys():
+    for name in ("table1_type1_case1", "protocol_clean"):
+        reports = run_scenario(bundled_scenario(name)).reports
+        assert reports
+        for rep in reports.values():
+            assert sorted(rep) == ["ber", "bits_compared", "goodput_bps",
+                                   "packets_detected_valid", "packets_expected",
+                                   "per_percent", "snr_db"]

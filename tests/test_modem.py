@@ -42,6 +42,17 @@ def test_config_validation():
         ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, samples_per_symbol=4.5)
     with pytest.raises(ModemError):
         ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3, gmsk_span=3.5)
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ModemError):
+            ModemConfig(scheme=Scheme.OOK, symbol_rate=rate)
+    with pytest.raises(ModemError):
+        ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, dc_bias=float("inf"))
+    for bad in ({"gmsk_bt": 0}, {"gmsk_bt": -0.35},
+                {"gmsk_bt": float("inf")}, {"gmsk_carrier_cycles": 0},
+                {"gmsk_carrier_cycles": -1}):
+        with pytest.raises(ModemError):
+            ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3,
+                        samples_per_symbol=8, **bad)
     cfg = ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, samples_per_symbol=4.0)
     assert type(cfg.samples_per_symbol) is int
 

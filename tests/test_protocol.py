@@ -106,10 +106,15 @@ def _phase_mask(events, name):
     return [(e["phase"], e["mask"]) for e in events if e["event"] == name]
 
 
+def _cycles(events):
+    """Discovery scans run: each opens with one noise reference dwell."""
+    return sum(e["event"] == "noise_reference_dwell" for e in events)
+
+
 def test_run_controller_locks_on_signal_pixel():
     result = _control(_StubSim())
     assert result.converged
-    assert result.cycles_used == 1
+    assert _cycles(result.events) == 1
     assert result.locked_pixels == frozenset({0})
     assert result.pixel_snr_db[0] >= 10 > result.pixel_snr_db[1]
     assert [e["event"] for e in result.events] == [
@@ -125,7 +130,7 @@ def test_run_controller_locks_on_signal_pixel():
 def test_run_controller_resets_when_no_pixel_reaches_threshold():
     result = _control(_StubSim(dark=True), retry_budget=2)
     assert not result.converged
-    assert result.cycles_used == 2
+    assert _cycles(result.events) == 2
     assert result.locked_pixels == frozenset()
     names = [e["event"] for e in result.events]
     assert names.count("reset") == 2
@@ -140,7 +145,7 @@ def test_run_controller_select_target_rejects_other_ids():
     # transmits: pixel 0 identifies transmitter 1 bit for bit, yet no lock
     result = _control(_StubSim(), retry_budget=2, select_target=2)
     assert not result.converged
-    assert result.cycles_used == 2
+    assert _cycles(result.events) == 2
     assert result.locked_pixels == frozenset()
     assert _phase_mask(result.events, "identification_failed") == [
         ("DISCOVERY", [0, 0])] * 2

@@ -74,6 +74,9 @@ def test_fixed_threshold_needs_level():
     assert scenario_from_dict(_variant()).threshold is None
 
 
+GMSK8 = {"scheme": "GMSK", "samples_per_symbol": 8}
+
+
 def _source(**bit_source):
     """BASE with its one emitter given this bit source."""
     return _variant(emitters=[{"label": 1, "pixel": 0,
@@ -140,6 +143,29 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         dict(bundled_scenario("protocol_clean").source_dict, emitters=[
             {"label": 1, "pixel": 0, "id_kind": "BARKER13"},
             {"label": 2, "pixel": 1, "id_kind": "BARKER13"}]),
+        # degenerate numbers, rejected where the config stores them
+        _with("modem", symbol_rate=float("nan")),
+        _with("modem", symbol_rate=float("inf")),
+        _with("modem", dc_bias=float("inf")),
+        _with("modem", **GMSK8, gmsk_bt=0),
+        _with("modem", **GMSK8, gmsk_bt=-0.35),
+        _with("modem", **GMSK8, gmsk_carrier_cycles=0),
+        _with("modem", **GMSK8, gmsk_carrier_cycles=-1),
+        _variant(emitters=[{"label": 1, "pixel": 0, "gain": float("inf")}]),
+        _with("channel", noise_sigma=float("inf")),
+        _with("channel", ambient_dc=[float("nan"), 0.0]),
+        _with("channel", ambient_dc=[0.0, float("inf")]),
+        # no emitter, and unknown keys in the untyped objects
+        _variant(emitters=[]),
+        _variant(duraton_s=1.0),
+        _with("channel", noise_sgima=0.1),
+        _with("channel", emitter_gain=[2.0]),
+        _variant(emitters=[{"label": 1, "pixel": 0, "gian": 2.0}]),
+        _source(type="random", sead=3),
+        _source(type="pattern", bits="01", seed=3),
+        _variant(emitters=[_SAME_AS[0], dict(_SAME_AS[1], bit_source={
+            "type": "same_as", "label": 1, "seed": 3})]),
+        _variant(threshold={"mode": "ADAPTIVE", "levle": 1.0}),
     ]
     for d in malformed:
         with pytest.raises(ScenarioError):
