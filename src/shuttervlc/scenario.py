@@ -20,8 +20,7 @@ import numpy as np
 from . import framing
 from .channel import (ChannelConfig, PixelMask, emitter_weights, receive,
                       received_snr_db)
-from .framing import (Detection, IdKind, IdLookupTable, detect_packets,
-                      make_id)
+from .framing import IdKind, IdLookupTable, detect_packets, make_id
 from .geometry import EmitterPlacement, OpticalSetup, map_emitters_to_pixels
 from .metrics import bit_error_rate, goodput, packet_error_rate
 from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme,
@@ -484,57 +483,67 @@ def _report(ctx: dict, ber: float, per: float, snr_db: float,
             "packets_detected_valid": valid}
 
 
-def _fixed_mask_reports(ctx: dict, rx: np.ndarray,
-                        tx: Dict[str, np.ndarray]) -> Dict[str, dict]:
-    """Per-emitter reports of a fixed-mask dwell; a run and its replay
-    both build them here. No packets are framed, so PER is 0."""
-    return {label: _report(ctx, bit_error_rate(bits, rx[:len(bits)]), 0.0,
-                           ctx["snr_db"].get(label, float("nan")),
-                           len(bits), 0, 0)
-            for label, bits in tx.items()}
+def _score(record: TraceRecord) -> Tuple[Dict[str, dict], List[dict]]:
+    """The reports and detections of a trace, from its `mode`, per-dwell
+    bits, `tx_bits` and `context` alone; a run and its replay both score
+    here.
 
+    A fixed-mask dwell is compared with every emitter's transmit bits; no
+    packets are framed, so PER is 0. A protocol dwell is searched for
+    packets and compared with every emitter on its pixel from the dwell's
+    first detection on; a detection is valid only for the emitter whose
+    label it carries. `snr_db` and the rates behind goodput come from
+    `context`."""
+    ctx = record.context
+    tx = {label: _bits_from_str(bits) for label, bits in record.tx_bits.items()}
+    if record.mode == "fixed_mask":
+        if not tx:
+            return {}, []
+        rx = _bits_from_str(record.dwells[0]["bits"])
+        return {label: _report(ctx, bit_error_rate(bits, rx[:len(bits)]), 0.0,
+                               ctx["snr_db"].get(label, float("nan")),
+                               len(bits), 0, 0)
+                for label, bits in tx.items()}, []
 
-class _SlotScorer:
-    """Per-emitter tallies over the locked slots of a protocol run, and the
-    reports they give; a run and its replay both score here.
+    table = IdLookupTable([make_id(IdKind(e["id_kind"]), e["label"])
+                           for e in ctx["emitters"]])
+    on_pixel: Dict[int, List[int]] = {}
+    for e in ctx["emitters"]:
+        on_pixel.setdefault(e["pixel"], []).append(e["label"])
+    stats = {e["label"]: {"errors": 0, "bits": 0, "expected": 0, "valid": 0}
+             for e in ctx["emitters"]}
+    detections: List[dict] = []
+    for index, dw in enumerate(record.dwells):
+        start = dw["start_bit"]
+        if not isinstance(start, int) or start < 0:
+            raise ScenarioError(
+                "a dwell's start_bit must be a nonnegative integer")
+        rx = _bits_from_str(dw["bits"])
+        dets = detect_packets(rx, table, ctx["corr_threshold"])
+        detections += [{"dwell_index": index, "offset": d.offset,
+                        "label": d.label, "score": d.score} for d in dets]
+        for label in on_pixel.get(dw["pixel"], ()):
+            st = stats[label]
+            st["expected"] += _expected_packets(start, len(rx))
+            st["valid"] += sum(1 for d in dets if d.label == label)
+            if dets:
+                o = dets[0].offset
+                sent = tx[str(label)][start + o:start + len(rx)]
+                st["errors"] += int(np.count_nonzero(sent != rx[o:]))
+                st["bits"] += len(rx) - o
 
-    `tx_bits(label)` returns an emitter's transmit bits."""
-
-    def __init__(self, ctx: dict, tx_bits):
-        self.ctx = ctx
-        self.tx_bits = tx_bits
-        self.label_of_pixel = {e["pixel"]: e["label"] for e in ctx["emitters"]}
-        self.stats = {e["label"]: {"errors": 0, "bits": 0, "expected": 0,
-                                   "valid": 0} for e in ctx["emitters"]}
-
-    def add(self, pixel: int, start_bit: int, rx: np.ndarray,
-            dets: List[Detection]) -> None:
-        label = self.label_of_pixel.get(pixel)
-        if label is None:
-            return
-        st = self.stats[label]
-        st["expected"] += _expected_packets(start_bit, len(rx))
-        st["valid"] += sum(1 for d in dets if d.label == label)
-        if dets:
-            o = dets[0].offset
-            tx = self.tx_bits(label)[start_bit + o:start_bit + len(rx)]
-            st["errors"] += int(np.count_nonzero(tx != rx[o:]))
-            st["bits"] += len(rx) - o
-
-    def reports(self) -> Dict[str, dict]:
-        reports = {}
-        for e in self.ctx["emitters"]:
-            st = self.stats[e["label"]]
-            if st["bits"] == 0 and st["expected"] == 0:
-                continue
-            ber = st["errors"] / st["bits"] if st["bits"] else 1.0
-            per = (packet_error_rate(st["valid"], st["expected"])
-                   if st["expected"] else 100.0)
-            snr = self.ctx["pixel_snr_db"].get(str(e["pixel"]), float("nan"))
-            reports[str(e["label"])] = _report(
-                self.ctx, ber, per, snr, st["bits"], st["expected"],
-                st["valid"])
-        return reports
+    reports = {}
+    for e in ctx["emitters"]:
+        st = stats[e["label"]]
+        if st["bits"] == 0 and st["expected"] == 0:
+            continue
+        ber = st["errors"] / st["bits"] if st["bits"] else 1.0
+        per = (packet_error_rate(st["valid"], st["expected"])
+               if st["expected"] else 100.0)
+        snr = ctx["pixel_snr_db"].get(str(e["pixel"]), float("nan"))
+        reports[str(e["label"])] = _report(ctx, ber, per, snr, st["bits"],
+                                           st["expected"], st["valid"])
+    return reports, detections
 
 
 def _rate_context(scenario: Scenario) -> dict:
@@ -546,22 +555,28 @@ def run_scenario(scenario: Scenario,
                  seed_override: Optional[int] = None) -> TraceRecord:
     """Execute a scenario end to end and return its trace.
 
-    Fixed-mask scenarios modulate, pass through the channel once, and score
-    BER per emitter. Protocol scenarios drive the shutter controller and,
-    once locked, time-slot reception round-robin over the locked pixels.
+    Fixed-mask scenarios modulate and pass through the channel once.
+    Protocol scenarios drive the shutter controller and, once locked,
+    time-slot reception round-robin over the locked pixels. The trace is
+    then scored as `replay_trace` scores it; `tx_bits` keeps the transmit
+    bits of the emitters with a report.
     """
     seed = scenario.rng_seed if seed_override is None else seed_override
     if not isinstance(seed, int) or seed < 0:
         raise ScenarioError("seed must be a nonnegative integer")
-    if scenario.mask is not None:
-        return _run_fixed_mask(scenario, seed)
-    return _run_protocol(scenario, seed)
+    run = _run_fixed_mask if scenario.mask is not None else _run_protocol
+    record = run(scenario, seed)
+    record.reports, record.detections = _score(record)
+    record.tx_bits = {label: bits for label, bits in record.tx_bits.items()
+                      if label in record.reports}
+    return record
 
 
 def _record(scenario: Scenario, seed: int, **fields) -> TraceRecord:
+    """An unscored trace: its `reports` and `detections` are empty."""
     return TraceRecord(schema_version=SCHEMA_VERSION, scenario_name=scenario.name,
                        scenario_hash=scenario.canonical_hash(), seed=seed,
-                       **fields)
+                       detections=[], reports={}, **fields)
 
 
 def _run_fixed_mask(scenario: Scenario, seed: int) -> TraceRecord:
@@ -569,31 +584,26 @@ def _run_fixed_mask(scenario: Scenario, seed: int) -> TraceRecord:
     mask = scenario.mask
     n_bits = int(round(scenario.duration_s * scenario.modem.symbol_rate))
     ctx = dict(_rate_context(scenario), snr_db={})
-    reports: Dict[str, dict] = {}
     dwells: List[dict] = []
     tx_store: Dict[str, str] = {}
     if n_bits > 0:
-        block = sim.dwell(mask, scenario.duration_s)
-        rx = sim.decode(block)
+        rx = sim.decode(sim.dwell(mask, scenario.duration_s))
         dwells.append({"t0_s": 0.0, "pixel": None,
                        "mask": mask.states(),
                        "start_bit": 0, "bits": _bits_to_str(rx)})
-        tx = {str(spec.label): sim.tx_bits(spec.label)[:len(rx)]
-              for spec in scenario.emitters}
-        tx_store = {label: _bits_to_str(bits) for label, bits in tx.items()}
+        tx_store = {str(spec.label):
+                    _bits_to_str(sim.tx_bits(spec.label)[:len(rx)])
+                    for spec in scenario.emitters}
         ctx["snr_db"] = _snr_estimates(sim, mask)
-        reports = _fixed_mask_reports(ctx, rx, tx)
     return _record(scenario, seed, mode="fixed_mask", converged=None,
-                   events=[], dwells=dwells, detections=[], tx_bits=tx_store,
-                   reports=reports, context=ctx)
+                   events=[], dwells=dwells, tx_bits=tx_store, context=ctx)
 
 
 def _run_protocol(scenario: Scenario, seed: int) -> TraceRecord:
     params = scenario.protocol
     sim = LinkSimulation(scenario, seed)
     n = scenario.optics.n_pixels
-    table = scenario.id_table
-    result = run_controller(sim, params, table)
+    result = run_controller(sim, params, scenario.id_table)
     pixels = scenario.channel.emitter_pixel
     ctx = dict(_rate_context(scenario),
                corr_threshold=params.corr_threshold,
@@ -604,76 +614,38 @@ def _run_protocol(scenario: Scenario, seed: int) -> TraceRecord:
                              in result.pixel_snr_db.items()})
 
     dwells: List[dict] = []
-    detections: List[dict] = []
     end_bit: Dict[int, int] = {}        # pixel -> end of its last dwell
-    scorer = _SlotScorer(ctx, sim.tx_bits)
     if result.converged and scenario.duration_s > 0:
         locked = sorted(result.locked_pixels)
         remaining = scenario.duration_s
-        slot = 0
         while remaining >= params.T_s / 2:
-            pixel = locked[slot % len(locked)]
+            pixel = locked[len(dwells) % len(locked)]
             t0 = sim.sim_time_s
             start_bit = sim.clock // sim.sps
             block = sim.dwell(PixelMask(n, {pixel}), params.T_s)
             rx = sim.decode(block)
-            dets = detect_packets(rx, table, params.corr_threshold)
-            dwell_index = len(dwells)
             dwells.append({"t0_s": round(t0, 9), "pixel": pixel,
                            "start_bit": int(start_bit),
                            "bits": _bits_to_str(rx)})
-            for d in dets:
-                detections.append({"dwell_index": dwell_index, "offset": d.offset,
-                                   "label": d.label, "score": d.score})
-            scorer.add(pixel, start_bit, rx, dets)
             end_bit[pixel] = start_bit + len(rx)
             remaining -= block.duration_s
-            slot += 1
 
-    reports = scorer.reports()
     tx_store = {str(spec.label): _bits_to_str(
-                    sim.tx_bits(spec.label)[:end_bit.get(pixel, 0)])
+                    sim.tx_bits(spec.label)[:end_bit[pixel]])
                 for spec, pixel in zip(scenario.emitters, pixels)
-                if str(spec.label) in reports}
-
+                if pixel in end_bit}
     return _record(scenario, seed, mode="protocol", converged=result.converged,
-                   events=result.events, dwells=dwells, detections=detections,
-                   tx_bits=tx_store, reports=reports, context=ctx)
+                   events=result.events, dwells=dwells, tx_bits=tx_store,
+                   context=ctx)
 
 
 def replay_trace(record: TraceRecord) -> Dict[str, dict]:
-    """Recompute the reports of a trace from its decoded bits.
-
-    Stored detections and reports are ignored. Re-derived from the
-    per-dwell bit strings and the transmit bits (`tx_bits`): `ber`,
-    `bits_compared`, `goodput_bps` and, in protocol mode, packet detection,
-    `packets_expected`, `packets_detected_valid` and `per_percent`.
-    Fixed-mask reports have no packets, so their `per_percent` and packet
-    counts are 0. `snr_db` comes from the run's `context` (`snr_db` per
-    label in fixed-mask mode, `pixel_snr_db` per pixel in protocol mode),
-    as do the rates behind goodput. A report edited in the trace therefore
-    differs from its replay; bits and `context` edited consistently with
-    the reports do not show. A trace with a field missing or malformed
-    raises a ScenarioError."""
+    """Recompute the reports of a trace with the scoring a run uses; its
+    stored reports and detections are ignored. A report edited in the trace
+    therefore differs from its replay; bits and `context` edited
+    consistently with the reports do not show. A trace with a field missing
+    or malformed raises a ScenarioError."""
     if record.mode not in ("fixed_mask", "protocol"):
         raise ScenarioError(f"unknown trace mode {record.mode!r}")
     with _malformed("trace"):
-        ctx = record.context
-        tx = {label: _bits_from_str(bits)
-              for label, bits in record.tx_bits.items()}
-        if record.mode == "fixed_mask":
-            if not tx:
-                return {}
-            rx = _bits_from_str(record.dwells[0]["bits"])
-            return _fixed_mask_reports(ctx, rx, tx)
-
-        table = IdLookupTable([make_id(IdKind(e["id_kind"]), e["label"])
-                               for e in ctx["emitters"]])
-        scorer = _SlotScorer(ctx, lambda label: tx[str(label)])
-        for dw in record.dwells:
-            if dw["pixel"] not in scorer.label_of_pixel:
-                continue
-            rx = _bits_from_str(dw["bits"])
-            scorer.add(dw["pixel"], dw["start_bit"], rx,
-                       detect_packets(rx, table, ctx["corr_threshold"]))
-        return scorer.reports()
+        return _score(record)[0]

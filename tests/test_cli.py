@@ -103,6 +103,9 @@ def _trace(name):
                  lambda d: d["context"]["emitters"][0].update(id_kind="FOO"),
                  id="id_kind-FOO"),
     pytest.param("protocol_clean", lambda d: d.update(dwells=5), id="dwells-5"),
+    pytest.param("protocol_clean",
+                 lambda d: d["dwells"][0].update(start_bit=-25000),
+                 id="start_bit-negative"),
     pytest.param("protocol_clean", lambda d: d.update(context={}),
                  id="context-empty"),
     pytest.param("protocol_clean", lambda d: d.update(mode="weird"),

@@ -346,6 +346,25 @@ def test_protocol_locks_on_same_as_emitter_by_its_own_header():
     assert record.events[-1]["locked_pixels"] == [1]
 
 
+def test_shared_pixel_reports_every_emitter_on_it():
+    # emitter 2 shares pixel 0 with emitter 1 but sends nothing: the pixel
+    # locks on emitter 1's header, which is scored as received, and
+    # emitter 2 is scored against the same bits
+    d = json.loads(json.dumps(bundled_scenario("protocol_clean").source_dict))
+    d["duration_s"] = 4
+    d["emitters"][1].update(pixel=0, gain=0.0)
+    record = run_scenario(scenario_from_dict(d))
+    assert record.events[-1]["locked_pixels"] == [0]
+    assert sorted(record.reports) == sorted(record.tx_bits) == ["1", "2"]
+    received, silent = record.reports["1"], record.reports["2"]
+    assert received["ber"] == 0.0 and received["per_percent"] == 0.0
+    assert received["packets_detected_valid"] == received["packets_expected"] > 0
+    assert silent["ber"] == pytest.approx(0.5, abs=0.02)
+    assert silent["per_percent"] == 100.0
+    assert silent["packets_detected_valid"] == 0
+    assert replay_trace(record) == record.reports
+
+
 @pytest.mark.parametrize("field,value", [("snr_db", 99.0),
                                          ("per_percent", 50.0)])
 def test_replay_fixed_mask_flags_tampered_snr_and_per(tmp_path, capsys,
