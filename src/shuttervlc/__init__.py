@@ -1,7 +1,8 @@
 """Link-level simulator and control protocol for multiple-access VLC on a
 single photodiode behind a pixelated LCD shutter."""
 
-from .channel import ChannelConfig, PixelMask, receive, received_snr_db
+from .channel import (ChannelConfig, PixelMask, ac_power, receive,
+                      received_snr_db)
 from .framing import (BARKER_11, BARKER_13, Detection, IdKind, IdLookupTable,
                       Packet, TransmitterId, detect_packets, frame, make_id)
 from .geometry import (EmitterPlacement, MappingResult, OpticalSetup,

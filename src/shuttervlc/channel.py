@@ -116,17 +116,24 @@ def receive(emitter_blocks: Sequence[SampleBlock], mask: PixelMask,
     return SampleBlock(out, rate)
 
 
-def received_snr_db(signal_only: SampleBlock, noise_only: SampleBlock) -> float:
-    """AC-coupled power ratio in dB: 10*log10(var(signal)/var(noise)).
-
-    Returns +inf when the noise block has zero AC power.
-    """
-    if len(signal_only) == 0 or len(noise_only) == 0:
+def ac_power(block: SampleBlock) -> float:
+    """AC power of a block: the variance of its samples."""
+    if len(block) == 0:
         raise ChannelError("SNR needs nonempty blocks")
-    p_sig = float(np.var(signal_only.samples))
-    p_noise = float(np.var(noise_only.samples))
-    if p_noise == 0.0:
+    return float(np.var(block.samples))
+
+
+def received_snr_db(signal_only: SampleBlock, noise_power: float) -> float:
+    """AC-coupled power ratio in dB: 10*log10(var(signal)/noise_power), with
+    `noise_power` the `ac_power` of a noise-only block, taken once for any
+    number of probes.
+
+    Returns +inf when the noise has zero AC power, and -inf when the signal
+    has none.
+    """
+    p_sig = ac_power(signal_only)
+    if noise_power == 0.0:
         return float("inf")
     if p_sig == 0.0:
         return float("-inf")
-    return float(10.0 * np.log10(p_sig / p_noise))
+    return float(10.0 * np.log10(p_sig / noise_power))

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .channel import PixelMask, received_snr_db
+from .channel import PixelMask, ac_power, received_snr_db
 from .framing import HEADER_BITS, IdLookupTable, detect_packets
 
 
@@ -141,12 +141,12 @@ def run_controller(sim, params: ProtocolParams,
     log("init")
     for _ in range(params.retry_budget):
         phase = Phase.DISCOVERY
-        noise_ref = sim.dwell(PixelMask(n), params.T_s)
+        noise_power = ac_power(sim.dwell(PixelMask(n), params.T_s))
         log("noise_reference_dwell")
         snrs = {}
         for p in range(n):
             block = sim.dwell(PixelMask(n, {p}), params.T_s)
-            snrs[p] = received_snr_db(block, noise_ref)
+            snrs[p] = received_snr_db(block, noise_power)
             log("discovery_dwell", pixel=p, pixel_snr_db=round(snrs[p], 4))
         candidates = [p for p, s in snrs.items()
                       if s >= params.snr_threshold_db]

@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import framing
-from .channel import (ChannelConfig, PixelMask, emitter_weights, receive,
-                      received_snr_db)
+from .channel import (ChannelConfig, PixelMask, ac_power, emitter_weights,
+                      receive, received_snr_db)
 from .framing import IdKind, IdLookupTable, detect_packets, make_id
 from .geometry import EmitterPlacement, OpticalSetup, map_emitters_to_pixels
 from .metrics import bit_error_rate, goodput, packet_error_rate
@@ -291,33 +291,62 @@ def bundled_scenario(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # bit sources
 
-def emitter_bits(spec: EmitterSpec, n_bits: int, framed: bool,
-                 run_seed: int) -> np.ndarray:
-    """The first n_bits of an emitter's transmit stream, as uint8.
+def emitter_bits(spec: EmitterSpec, rng: Optional[np.random.Generator],
+                 first: int, n_bits: int, framed: bool) -> np.ndarray:
+    """Bits `first` to `first + n_bits` of an emitter's transmit stream, as
+    uint8.
 
     Framed streams are back-to-back 2096-bit packets (the emitter's own
-    header + payload from the bit source); unframed streams use the source
-    bits directly. Every source is prefix-stable: a longer call returns the
-    same leading bits, so a run can regenerate a longer prefix whenever it
-    needs more."""
-    n_packets = -(-n_bits // framing.PACKET_BITS)
-    n = n_packets * framing.PAYLOAD_BITS if framed else n_bits
+    header + payload from the bit source), extended in whole packets: there
+    `first` and `n_bits` are multiples of PACKET_BITS. Unframed streams use
+    the source bits directly. A pattern is indexed modulo its length;
+    random bits come from `rng`, which must have drawn exactly the payload
+    before `first`, so a stream is the same however it is cut."""
+    start, n = first, n_bits
+    if framed:
+        n_packets = n_bits // framing.PACKET_BITS
+        start = first // framing.PACKET_BITS * framing.PAYLOAD_BITS
+        n = n_packets * framing.PAYLOAD_BITS
     if spec.pattern is not None:
-        payload = np.resize(spec.pattern, n)
+        payload = spec.pattern.take(np.arange(start, start + n), mode="wrap")
     else:
-        rng = np.random.default_rng(spec.seed if spec.seed is not None
-                                    else [run_seed, spec.stream, 17])
         payload = rng.integers(0, 2, size=n).astype(np.uint8)
     if not framed:
         return payload
     header = np.array(make_id(spec.id_kind, spec.label).id_bits, dtype=np.uint8)
     packets = np.hstack([np.broadcast_to(header, (n_packets, len(header))),
                          payload.reshape(n_packets, framing.PAYLOAD_BITS)])
-    return packets.ravel()[:n_bits]
+    return packets.ravel()
 
 
 # ---------------------------------------------------------------------------
 # simulation core
+
+class _TxStream:
+    """One emitter's transmit stream, each bit drawn once and only as far
+    as the run has read it, into a buffer whose capacity doubles."""
+
+    def __init__(self, spec: EmitterSpec, framed: bool, run_seed: int):
+        self.spec, self.framed = spec, framed
+        self.rng = None if spec.pattern is not None else np.random.default_rng(
+            spec.seed if spec.seed is not None else [run_seed, spec.stream, 17])
+        self.buf = np.empty(0, dtype=np.uint8)
+        self.n = 0          # bits drawn
+
+    def upto(self, n_bits: int) -> np.ndarray:
+        """The drawn bits, extended to at least the first n_bits."""
+        if n_bits > self.n:
+            if self.framed:
+                n_bits = -(-n_bits // framing.PACKET_BITS) * framing.PACKET_BITS
+            if n_bits > len(self.buf):
+                buf = np.empty(max(n_bits, 2 * len(self.buf)), dtype=np.uint8)
+                buf[:self.n] = self.buf[:self.n]
+                self.buf = buf
+            self.buf[self.n:n_bits] = emitter_bits(
+                self.spec, self.rng, self.n, n_bits - self.n, self.framed)
+            self.n = n_bits
+        return self.buf[:self.n]
+
 
 class LinkSimulation:
     """Emitter bit streams plus a channel and a sample clock.
@@ -327,8 +356,14 @@ class LinkSimulation:
     dwell lengths are snapped to whole symbols so bit alignment is exact.
     A window is a function of the bits alone, so an emitter the mask gates
     to weight 0 is not synthesised: its block in `window` is all zeros.
-    Only one dwell's samples exist at a time. The transmit bits are a
-    prefix of each stream that grows geometrically as the clock needs."""
+    Only one dwell's samples exist at a time.
+
+    Each emitter's bits come from one generator per run, seeded by its
+    source's `seed`, else by the run seed and its `stream`, and are drawn
+    once, when first read: a dwell extends each stream it lets through to
+    the window's end plus `context_symbols`, and `tx_bits` to the prefix a
+    trace stores, so a dark emitter draws nothing. A GMSK window still
+    reads every bit before it."""
 
     def __init__(self, scenario: Scenario, seed: int):
         self.scenario = scenario
@@ -339,42 +374,35 @@ class LinkSimulation:
         self.seed = seed
         self.rng = np.random.default_rng([seed, 31])
         self.clock = 0      # sample index
-        self._framed = scenario.protocol is not None
+        framed = scenario.protocol is not None
         self.identification_window_s = (
             scenario.protocol.ident_window_packets * framing.PACKET_BITS
-            / self.modem.symbol_rate if self._framed else None)
-        self._n_bits = 0
-        self._tx_bits: Dict[int, np.ndarray] = {}
+            / self.modem.symbol_rate if framed else None)
+        self._streams = {spec.label: _TxStream(spec, framed, seed)
+                         for spec in scenario.emitters}
         self.window: List[SampleBlock] = []     # emitter blocks of the last dwell
 
     @property
     def sim_time_s(self) -> float:
         return self.clock / self.fs
 
-    def _need_bits(self, n_bits: int) -> None:
-        if n_bits <= self._n_bits:
-            return
-        self._n_bits = max(n_bits, 2 * self._n_bits)
-        self._tx_bits = {spec.label: emitter_bits(spec, self._n_bits,
-                                                  self._framed, self.seed)
-                         for spec in self.scenario.emitters}
-
-    def tx_bits(self, label: int) -> np.ndarray:
-        return self._tx_bits[label]
+    def tx_bits(self, label: int, n_bits: int) -> np.ndarray:
+        """The first n_bits of an emitter's transmit stream."""
+        return self._streams[label].upto(n_bits)[:n_bits]
 
     def _snap(self, duration_s: float) -> int:
         n = int(round(duration_s * self.fs))
         return max(self.sps, (n // self.sps) * self.sps)
 
     def dwell(self, mask: PixelMask, duration_s: float) -> SampleBlock:
+        first = self.clock // self.sps
         n_symbols = self._snap(duration_s) // self.sps
-        self._need_bits(self.clock // self.sps + n_symbols
-                        + self.modem.context_symbols)
+        end = first + n_symbols + self.modem.context_symbols
         weights = emitter_weights(mask, self.scenario.channel)
         dark = SampleBlock(np.zeros(n_symbols * self.sps), self.fs)
         self.window = [
-            modulate(self._tx_bits[spec.label], self.modem, spec.phase_offset,
-                     self.clock // self.sps, n_symbols) if weight else dark
+            modulate(self._streams[spec.label].upto(end), self.modem,
+                     spec.phase_offset, first, n_symbols) if weight else dark
             for spec, weight in zip(self.scenario.emitters, weights)]
         out = receive(self.window, mask, self.scenario.channel, rng=self.rng)
         self.clock += n_symbols * self.sps
@@ -457,19 +485,20 @@ def _snr_estimates(sim: LinkSimulation, mask: PixelMask) -> Dict[str, float]:
     """Estimator-style SNR of each emitter in the last dwell: its noiseless
     gated window vs one pure-noise block drawn for the run."""
     cfg = sim.scenario.channel
-    noise = None
+    noise_power = None
     if cfg.noise_sigma > 0 and sim.window:
-        noise = SampleBlock(np.random.default_rng([sim.seed, 47]).normal(
-            0.0, cfg.noise_sigma, size=len(sim.window[0])), sim.fs)
+        noise_power = ac_power(SampleBlock(np.random.default_rng(
+            [sim.seed, 47]).normal(0.0, cfg.noise_sigma,
+                                   size=len(sim.window[0])), sim.fs))
     snrs = {}
     for i, spec in enumerate(sim.scenario.emitters):
         quiet = replace(cfg, noise_sigma=0.0, emitter_gain=tuple(
             g if j == i else 0.0 for j, g in enumerate(cfg.emitter_gain)))
         sig = receive(sim.window, mask, quiet)
-        if noise is not None:
-            snrs[str(spec.label)] = received_snr_db(sig, noise)
+        if noise_power is not None:
+            snrs[str(spec.label)] = received_snr_db(sig, noise_power)
         else:
-            snrs[str(spec.label)] = (float("inf") if np.var(sig.samples) > 0
+            snrs[str(spec.label)] = (float("inf") if ac_power(sig) > 0
                                      else float("-inf"))
     return snrs
 
@@ -492,7 +521,8 @@ def _score(record: TraceRecord) -> Tuple[Dict[str, dict], List[dict]]:
     packets are framed, so PER is 0. A protocol dwell is searched for
     packets and compared with every emitter on its pixel from the dwell's
     first detection on; a detection is valid only for the emitter whose
-    label it carries. `snr_db` and the rates behind goodput come from
+    label it carries; its pixel must be on the shutter that the `init`
+    event's mask records. `snr_db` and the rates behind goodput come from
     `context`."""
     ctx = record.context
     tx = {label: _bits_from_str(bits) for label, bits in record.tx_bits.items()}
@@ -512,17 +542,22 @@ def _score(record: TraceRecord) -> Tuple[Dict[str, dict], List[dict]]:
         on_pixel.setdefault(e["pixel"], []).append(e["label"])
     stats = {e["label"]: {"errors": 0, "bits": 0, "expected": 0, "valid": 0}
              for e in ctx["emitters"]}
+    n_pixels = next((len(e["mask"]) for e in record.events
+                     if e["event"] == "init"), 0)
     detections: List[dict] = []
     for index, dw in enumerate(record.dwells):
-        start = dw["start_bit"]
+        start, pixel = dw["start_bit"], dw["pixel"]
         if not isinstance(start, int) or start < 0:
             raise ScenarioError(
                 "a dwell's start_bit must be a nonnegative integer")
+        if not isinstance(pixel, int) or not 0 <= pixel < n_pixels:
+            raise ScenarioError(f"a dwell's pixel must be an integer on the "
+                                f"{n_pixels}-pixel shutter")
         rx = _bits_from_str(dw["bits"])
         dets = detect_packets(rx, table, ctx["corr_threshold"])
         detections += [{"dwell_index": index, "offset": d.offset,
                         "label": d.label, "score": d.score} for d in dets]
-        for label in on_pixel.get(dw["pixel"], ()):
+        for label in on_pixel.get(pixel, ()):
             st = stats[label]
             st["expected"] += _expected_packets(start, len(rx))
             st["valid"] += sum(1 for d in dets if d.label == label)
@@ -592,7 +627,7 @@ def _run_fixed_mask(scenario: Scenario, seed: int) -> TraceRecord:
                        "mask": mask.states(),
                        "start_bit": 0, "bits": _bits_to_str(rx)})
         tx_store = {str(spec.label):
-                    _bits_to_str(sim.tx_bits(spec.label)[:len(rx)])
+                    _bits_to_str(sim.tx_bits(spec.label, len(rx)))
                     for spec in scenario.emitters}
         ctx["snr_db"] = _snr_estimates(sim, mask)
     return _record(scenario, seed, mode="fixed_mask", converged=None,
@@ -631,7 +666,7 @@ def _run_protocol(scenario: Scenario, seed: int) -> TraceRecord:
             remaining -= block.duration_s
 
     tx_store = {str(spec.label): _bits_to_str(
-                    sim.tx_bits(spec.label)[:end_bit[pixel]])
+                    sim.tx_bits(spec.label, end_bit[pixel]))
                 for spec, pixel in zip(scenario.emitters, pixels)
                 if pixel in end_bit}
     return _record(scenario, seed, mode="protocol", converged=result.converged,

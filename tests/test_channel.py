@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shuttervlc.channel import (ChannelConfig, ChannelError, PixelMask,
-                                receive, received_snr_db)
+                                ac_power, receive, received_snr_db)
 from shuttervlc.modem import SampleBlock
 
 
@@ -111,7 +111,7 @@ def test_snr_variance_ratio():
     rng = np.random.default_rng(0)
     sig = SampleBlock(np.sin(np.linspace(0, 200 * np.pi, 20000)), 1000.0)
     noise = SampleBlock(rng.normal(0, 0.1, 20000), 1000.0)
-    snr = received_snr_db(sig, noise)
+    snr = received_snr_db(sig, ac_power(noise))
     expected = 10 * np.log10(np.var(sig.samples) / np.var(noise.samples))
     assert snr == pytest.approx(expected, abs=1e-9)
     assert 16 < snr < 18   # ~0.5/0.01 -> 17 dB
@@ -120,15 +120,19 @@ def test_snr_variance_ratio():
 def test_snr_sentinels():
     flat = SampleBlock(np.ones(100), 1000.0)
     wiggly = SampleBlock(np.array([0.0, 1.0] * 50), 1000.0)
-    assert received_snr_db(wiggly, flat) == float("inf")
-    assert received_snr_db(flat, wiggly) == float("-inf")
+    assert received_snr_db(wiggly, ac_power(flat)) == float("inf")
+    assert received_snr_db(flat, ac_power(wiggly)) == float("-inf")
+    empty = SampleBlock(np.zeros(0), 1.0)
     with pytest.raises(ChannelError):
-        received_snr_db(SampleBlock(np.zeros(0), 1.0), flat)
+        received_snr_db(empty, ac_power(wiggly))
+    with pytest.raises(ChannelError):
+        ac_power(empty)
 
 
 def test_snr_monotone_in_noise_power():
     rng = np.random.default_rng(8)
     sig = SampleBlock(rng.normal(0, 1.0, 50000), 1000.0)
-    snrs = [received_snr_db(sig, SampleBlock(rng.normal(0, s, 50000), 1000.0))
+    snrs = [received_snr_db(sig, ac_power(SampleBlock(rng.normal(0, s, 50000),
+                                                     1000.0)))
             for s in (0.1, 0.2, 0.4, 0.8)]
     assert snrs == sorted(snrs, reverse=True)

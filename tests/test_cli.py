@@ -106,6 +106,8 @@ def _trace(name):
     pytest.param("protocol_clean",
                  lambda d: d["dwells"][0].update(start_bit=-25000),
                  id="start_bit-negative"),
+    pytest.param("protocol_clean", lambda d: d["dwells"][0].update(pixel=5),
+                 id="pixel-out-of-range"),
     pytest.param("protocol_clean", lambda d: d.update(context={}),
                  id="context-empty"),
     pytest.param("protocol_clean", lambda d: d.update(mode="weird"),

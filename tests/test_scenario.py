@@ -5,12 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from shuttervlc.channel import ChannelConfig, PixelMask
+from hypothesis import given, settings, strategies as st
+
+from shuttervlc import scenario
+from shuttervlc.channel import ChannelConfig, PixelMask, emitter_weights
 from shuttervlc.cli import main
-from shuttervlc.scenario import (Scenario, ScenarioError, TraceRecord,
-                                 bundled_scenario, bundled_scenario_names,
-                                 emitter_bits, load_scenario, replay_trace,
-                                 run_scenario, scenario_from_dict)
+from shuttervlc.framing import PACKET_BITS, PAYLOAD_BITS, make_id
+from shuttervlc.scenario import (LinkSimulation, Scenario, ScenarioError,
+                                 TraceRecord, bundled_scenario,
+                                 bundled_scenario_names, emitter_bits,
+                                 replay_trace, run_scenario,
+                                 scenario_from_dict)
 
 BASE = {
     "schema_version": 1,
@@ -192,34 +197,104 @@ def test_placement_maps_emitters_to_pixels():
                                     placement=[[1.0, 0.0]]))
 
 
+def _payload_rng(spec, run_seed):
+    """The generator a run draws an emitter's random payload from."""
+    return np.random.default_rng(spec.seed if spec.seed is not None
+                                 else [run_seed, spec.stream, 17])
+
+
 def test_emitter_bits_sources(tmp_path):
     spec = scenario_from_dict(_variant()).emitters[0]
 
     pattern = scenario_from_dict(_source(type="pattern", bits="101"))
-    bits = emitter_bits(pattern.emitters[0], 8, False, 5)
+    bits = emitter_bits(pattern.emitters[0], None, 0, 8, False)
     np.testing.assert_array_equal(bits, [1, 0, 1, 1, 0, 1, 1, 0])
+    # a pattern is indexed modulo its length from any first bit
+    bits = emitter_bits(pattern.emitters[0], None, 4, 4, False)
+    np.testing.assert_array_equal(bits, [0, 1, 1, 0])
 
     path = tmp_path / "bits.txt"
     path.write_text("0110\n")
     filed = scenario_from_dict(_source(type="file", path=str(path)))
-    bits = emitter_bits(filed.emitters[0], 6, False, 5)
+    bits = emitter_bits(filed.emitters[0], None, 0, 6, False)
     np.testing.assert_array_equal(bits, [0, 1, 1, 0, 0, 1])
 
     # random source is deterministic per (run seed, label)
-    a = emitter_bits(spec, 100, False, 5)
-    b = emitter_bits(spec, 100, False, 5)
+    a = emitter_bits(spec, _payload_rng(spec, 5), 0, 100, False)
+    b = emitter_bits(spec, _payload_rng(spec, 5), 0, 100, False)
     np.testing.assert_array_equal(a, b)
-    c = emitter_bits(spec, 100, False, 6)
+    c = emitter_bits(spec, _payload_rng(spec, 6), 0, 100, False)
     assert not np.array_equal(a, c)
 
 
 def test_emitter_bits_prefix_stable():
+    # a stream extended in two draws equals one draw of the whole
     spec = scenario_from_dict(_variant()).emitters[0]
-    for framed in (False, True):
-        short = emitter_bits(spec, 5000, framed, 5)
-        long = emitter_bits(spec, 12345, framed, 5)
-        assert short.dtype == np.uint8
-        np.testing.assert_array_equal(long[:5000], short)
+    for framed, cut, total in ((False, 5001, 12345),
+                               (True, 2 * PACKET_BITS, 6 * PACKET_BITS)):
+        whole = emitter_bits(spec, _payload_rng(spec, 5), 0, total, framed)
+        rng = _payload_rng(spec, 5)
+        parts = [emitter_bits(spec, rng, 0, cut, framed),
+                 emitter_bits(spec, rng, cut, total - cut, framed)]
+        assert whole.dtype == np.uint8 and len(whole) == total
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+
+def _one_shot_bits(spec, n_bits, framed, run_seed):
+    """Reference: the first n_bits of a stream, drawn in one go as the
+    simulator did before streams were extended in place."""
+    n_packets = -(-n_bits // PACKET_BITS)
+    n = n_packets * PAYLOAD_BITS if framed else n_bits
+    if spec.pattern is not None:
+        payload = np.resize(spec.pattern, n)
+    else:
+        payload = _payload_rng(spec, run_seed).integers(
+            0, 2, size=n).astype(np.uint8)
+    if not framed:
+        return payload
+    header = np.array(make_id(spec.id_kind, spec.label).id_bits, dtype=np.uint8)
+    packets = np.hstack([np.broadcast_to(header, (n_packets, len(header))),
+                         payload.reshape(n_packets, PAYLOAD_BITS)])
+    return packets.ravel()[:n_bits]
+
+
+@pytest.fixture(scope="module")
+def source_specs(tmp_path_factory):
+    """One emitter spec per kind of bit source."""
+    path = tmp_path_factory.mktemp("bits") / "bits.txt"
+    path.write_text("0110100\n")
+    sources = {"run-seeded": {"type": "random"},
+               "seeded": {"type": "random", "seed": 77},
+               "pattern": {"type": "pattern", "bits": "10110"},
+               "file": {"type": "file", "path": str(path)}}
+    specs = {kind: scenario_from_dict(_source(**src)).emitters[0]
+             for kind, src in sources.items()}
+    specs["same_as"] = scenario_from_dict(
+        _variant(emitters=_SAME_AS)).emitters[1]
+    return specs
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["run-seeded", "seeded", "pattern", "file",
+                             "same_as"]),
+       framed=st.booleans(),
+       chunks=st.lists(st.integers(1, 3000), min_size=1, max_size=6))
+def test_extended_stream_equals_one_shot_draw_property(source_specs, kind,
+                                                       framed, chunks):
+    # framed streams grow in whole packets: a chunk there counts packets
+    spec = source_specs[kind]
+    if framed:
+        chunks = [1 + c % 3 for c in chunks]
+        unit = PACKET_BITS
+    else:
+        unit = 1
+    rng = None if spec.pattern is not None else _payload_rng(spec, 5)
+    parts, first = [], 0
+    for c in chunks:
+        parts.append(emitter_bits(spec, rng, first, c * unit, framed))
+        first += c * unit
+    np.testing.assert_array_equal(np.concatenate(parts),
+                                  _one_shot_bits(spec, first, framed, 5))
 
 
 def test_pattern_source_rejects_non_binary():
@@ -242,19 +317,59 @@ _SAME_AS = [{"label": 1, "pixel": 0, "id_kind": "BARKER13"},
 
 
 def test_emitter_bits_framed_structure():
-    from shuttervlc.framing import BARKER_11, BARKER_13, PACKET_BITS
+    from shuttervlc.framing import BARKER_11, BARKER_13
     sc = scenario_from_dict(_variant())
-    bits = emitter_bits(sc.emitters[0], 2 * PACKET_BITS, True, 5)
+    spec = sc.emitters[0]
+    bits = emitter_bits(spec, _payload_rng(spec, 5), 0, 2 * PACKET_BITS, True)
     assert tuple(bits[:13]) == BARKER_13
     assert tuple(bits[PACKET_BITS:PACKET_BITS + 13]) == BARKER_13
     # a same_as emitter sends its own header over the other's payload
     sc = scenario_from_dict(_variant(emitters=_SAME_AS))
-    ref, copy = (emitter_bits(e, 2 * PACKET_BITS, True, 5)
+    ref, copy = (emitter_bits(e, _payload_rng(e, 5), 0, 2 * PACKET_BITS, True)
                  for e in sc.emitters)
     for start in (0, PACKET_BITS):
         assert tuple(copy[start:start + 13]) == BARKER_11 + (1, 1)
         np.testing.assert_array_equal(copy[start + 13:start + PACKET_BITS],
                                       ref[start + 13:start + PACKET_BITS])
+
+
+def test_bits_are_drawn_once_and_only_for_lit_windows(monkeypatch):
+    drawn = {}          # label -> [(first, n_bits), ...]
+    lit_end = {}        # label -> last bit a window that lit it read
+    draw, dwell = scenario.emitter_bits, LinkSimulation.dwell
+
+    def counting_bits(spec, rng, first, n_bits, framed):
+        drawn.setdefault(spec.label, []).append((first, n_bits))
+        return draw(spec, rng, first, n_bits, framed)
+
+    def recording_dwell(sim, mask, duration_s):
+        out = dwell(sim, mask, duration_s)
+        end = sim.clock // sim.sps + sim.modem.context_symbols
+        weights = emitter_weights(mask, sim.scenario.channel)
+        for spec, weight in zip(sim.scenario.emitters, weights):
+            if weight:
+                lit_end[spec.label] = end
+        return out
+
+    monkeypatch.setattr(scenario, "emitter_bits", counting_bits)
+    monkeypatch.setattr(LinkSimulation, "dwell", recording_dwell)
+    # every emitter of protocol_all_off is dark, so no bit is drawn
+    run_scenario(bundled_scenario("protocol_all_off"))
+    assert drawn == {} and lit_end == {}
+
+    doc = json.loads(json.dumps(bundled_scenario("protocol_clean").source_dict))
+    doc["duration_s"] = 3.0
+    doc["optics"].update(grid_rows=5, grid_cols=5)
+    doc["channel"]["ambient_dc"] = [0.0] * 25
+    doc["emitters"][1]["pixel"] = 24
+    record = run_scenario(scenario_from_dict(doc))
+    assert record.converged and record.dwells
+    assert sorted(drawn) == sorted(lit_end) == [1, 2]
+    for label, calls in drawn.items():
+        # each extension starts where the last one ended
+        ends = np.cumsum([0] + [n for _, n in calls])
+        assert [first for first, _ in calls] == list(ends[:-1])
+        assert ends[-1] <= lit_end[label] + PACKET_BITS
 
 
 def test_fixed_mask_run_produces_report():
