@@ -152,8 +152,8 @@ def run_controller(sim, params: ProtocolParams,
                       if s >= params.snr_threshold_db]
         phase = Phase.IDENTIFICATION if candidates else Phase.RESET
         mask = PixelMask(n, candidates)
-        log("discovery_done",
-            pixel_snr_db={p: round(s, 4) for p, s in snrs.items()})
+        log("discovery_done",    # string keys, as the trace's JSON has them
+            pixel_snr_db={str(p): round(s, 4) for p, s in snrs.items()})
         if not candidates:
             log("reset")
             continue

@@ -3,10 +3,11 @@
 A scenario JSON describes the optics, the emitters (modulation, gain,
 transmitter ID, bit source), the channel and either a fixed shutter mask
 (BER-style experiments) or the automated control protocol. Runs are fully
-deterministic given the seed; traces persist the decoded bits so metrics
-can be recomputed offline.
+deterministic given the seed; traces persist the decoded bits, packed, so
+metrics can be recomputed offline.
 """
 
+import base64
 import hashlib
 import json
 from contextlib import contextmanager
@@ -27,7 +28,8 @@ from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme,
                     demodulate, modulate)
 from .protocol import ProtocolParams, run_controller
 
-SCHEMA_VERSION = 1
+SCENARIO_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2     # bit fields packed, as {"n_bits", "b64"}
 
 
 class ScenarioError(ValueError):
@@ -178,8 +180,8 @@ def _emitters(specs: List[dict]) -> List[EmitterSpec]:
 
 def _parse(d: dict) -> Scenario:
     version = _object(d, "scenario", _SCENARIO_KEYS).get(
-        "schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+        "schema_version", SCENARIO_SCHEMA_VERSION)
+    if version != SCENARIO_SCHEMA_VERSION:
         raise ScenarioError(f"scenario schema version {version} unsupported")
     optics = OpticalSetup(**_object(d["optics"], "optics"))
     n = optics.n_pixels
@@ -222,6 +224,11 @@ def _parse(d: dict) -> Scenario:
         raise ScenarioError("threshold mode must be ADAPTIVE or FIXED")
     if mode == "FIXED" and thr.get("level") is None:
         raise ScenarioError("FIXED threshold needs a level")
+    name = d.get("name", "scenario")
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or any(c in name for c in "/\\\0")):
+        raise ScenarioError("name must be a nonempty file name, not '.' or "
+                            "'..', without '/', '\\' or NUL")
     rng_seed = d.get("rng_seed", 0)
     duration_s = float(d.get("duration_s", 0.0))
     code_rate = float(d.get("code_rate", 1.0))
@@ -232,7 +239,7 @@ def _parse(d: dict) -> Scenario:
     if not 0 < code_rate <= 1:
         raise ScenarioError("code_rate must be in (0, 1]")
     return Scenario(
-        name=d.get("name", "scenario"),
+        name=name,
         rng_seed=rng_seed,
         duration_s=duration_s,
         optics=optics,
@@ -430,8 +437,39 @@ def _bits_from_str(s: str) -> np.ndarray:
     return bits
 
 
+def _pack(bits: str) -> dict:
+    """A bit field as a trace stores it: the bit count and the base64 of
+    the bits packed eight to a byte, the last byte padded with zeros."""
+    packed = np.packbits(_bits_from_str(bits)).tobytes()
+    return {"n_bits": len(bits),
+            "b64": base64.b64encode(packed).decode("ascii")}
+
+
+def _unpack(value, what: str) -> str:
+    """The '0'/'1' string of a packed bit field; a field that is not the
+    one encoding `_pack` gives its bits is an error."""
+    packed_field = _object(value, what, ("n_bits", "b64"))
+    n, text = packed_field.get("n_bits"), packed_field.get("b64")
+    if type(n) is not int or n < 0 or not isinstance(text, str):
+        raise ScenarioError(
+            f"{what} needs a nonnegative integer n_bits and a b64 string")
+    try:
+        packed = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ScenarioError(f"{what} is not base64: {exc}") from exc
+    if len(packed) != -(-n // 8):
+        raise ScenarioError(f"{what} holds {len(packed)} bytes, not the "
+                            f"{-(-n // 8)} of {n} bits")
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
+    if bits[n:].any() or base64.b64encode(packed).decode("ascii") != text:
+        raise ScenarioError(f"{what} has nonzero pad bits")
+    return _bits_to_str(bits[:n])
+
+
 @dataclass
 class TraceRecord:
+    """A run's trace. Bit fields are '0'/'1' strings here; the JSON form
+    packs each one (see `_pack`) and has no indentation."""
     schema_version: int
     scenario_name: str
     scenario_hash: str
@@ -446,7 +484,12 @@ class TraceRecord:
     context: dict                   # what replay needs to recompute
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, indent=2)
+        doc = dict(vars(self),
+                   dwells=[dict(dw, bits=_pack(dw["bits"]))
+                           for dw in self.dwells],
+                   tx_bits={label: _pack(bits)
+                            for label, bits in self.tx_bits.items()})
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json())
@@ -457,13 +500,16 @@ class TraceRecord:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"trace parse error: {exc}") from exc
-        try:
-            if int(d["schema_version"]) != SCHEMA_VERSION:
+        with _malformed("trace"):
+            if d["schema_version"] != TRACE_SCHEMA_VERSION:
                 raise ScenarioError(
                     f"trace schema version {d['schema_version']} unsupported")
-            return cls(**{k: d[k] for k in cls.__dataclass_fields__})
-        except (KeyError, TypeError) as exc:
-            raise ScenarioError(f"trace missing fields: {exc}") from exc
+            fields = {k: d[k] for k in cls.__dataclass_fields__}
+            fields["dwells"] = [dict(dw, bits=_unpack(dw["bits"], "dwell bits"))
+                                for dw in d["dwells"]]
+            fields["tx_bits"] = {label: _unpack(bits, f"tx_bits {label!r}")
+                                 for label, bits in d["tx_bits"].items()}
+            return cls(**fields)
 
     @classmethod
     def load(cls, path) -> "TraceRecord":
@@ -547,10 +593,10 @@ def _score(record: TraceRecord) -> Tuple[Dict[str, dict], List[dict]]:
     detections: List[dict] = []
     for index, dw in enumerate(record.dwells):
         start, pixel = dw["start_bit"], dw["pixel"]
-        if not isinstance(start, int) or start < 0:
+        if type(start) is not int or start < 0:
             raise ScenarioError(
                 "a dwell's start_bit must be a nonnegative integer")
-        if not isinstance(pixel, int) or not 0 <= pixel < n_pixels:
+        if type(pixel) is not int or not 0 <= pixel < n_pixels:
             raise ScenarioError(f"a dwell's pixel must be an integer on the "
                                 f"{n_pixels}-pixel shutter")
         rx = _bits_from_str(dw["bits"])
@@ -609,7 +655,8 @@ def run_scenario(scenario: Scenario,
 
 def _record(scenario: Scenario, seed: int, **fields) -> TraceRecord:
     """An unscored trace: its `reports` and `detections` are empty."""
-    return TraceRecord(schema_version=SCHEMA_VERSION, scenario_name=scenario.name,
+    return TraceRecord(schema_version=TRACE_SCHEMA_VERSION,
+                       scenario_name=scenario.name,
                        scenario_hash=scenario.canonical_hash(), seed=seed,
                        detections=[], reports={}, **fields)
 

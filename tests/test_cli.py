@@ -1,6 +1,7 @@
 """Command-line interface behavior."""
 
 import json
+import string
 
 import pytest
 
@@ -73,22 +74,100 @@ def test_replay_flags_tampered_trace(tmp_path, capsys):
     assert main(["replay", str(trace)]) == 1
 
 
-def test_replay_reports_non_binary_bits_as_error(tmp_path, capsys):
-    assert main(["run", "table1_type1_case2", "--bundled",
-                 "--out", str(tmp_path)]) == 0
-    trace = tmp_path / "table1_type1_case2_trace.json"
-    d = json.loads(trace.read_text())
-    d["dwells"][0]["bits"] = "x" + d["dwells"][0]["bits"][1:]
-    trace.write_text(json.dumps(d))
-    capsys.readouterr()
-    assert main(["replay", str(trace)]) == 2
-    err = capsys.readouterr().err
-    assert err == ("shuttervlc: error: bit strings may hold only '0' and "
-                   "'1'\n")
-
-
 def _trace(name):
     return json.loads(run_scenario(bundled_scenario(name)).to_json())
+
+
+def test_trace_is_compact_json_with_packed_bits(tmp_path):
+    assert main(["run", "protocol_clean", "--bundled",
+                 "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "protocol_clean_trace.json").read_text()
+    assert "\n" not in text and ", " not in text
+    record = run_scenario(bundled_scenario("protocol_clean"))
+    d = json.loads(text)
+    assert d["schema_version"] == 2
+    for packed, bits in zip([dw["bits"] for dw in d["dwells"]]
+                            + [d["tx_bits"]["1"]],
+                            [dw["bits"] for dw in record.dwells]
+                            + [record.tx_bits["1"]]):
+        assert sorted(packed) == ["b64", "n_bits"]
+        assert packed["n_bits"] == len(bits) > 0
+        assert len(packed["b64"]) == 4 * -(-len(bits) // 24)
+
+
+def test_replay_rejects_version_1_trace(tmp_path, capsys):
+    # the version-1 layout: bits as '0'/'1' text, indented JSON
+    record = run_scenario(bundled_scenario("protocol_clean"))
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(dict(vars(record), schema_version=1),
+                                sort_keys=True, indent=2))
+    assert main(["replay", str(trace)]) == 2
+    assert capsys.readouterr().err == (
+        "shuttervlc: error: trace schema version 1 unsupported\n")
+
+
+def _set_packed(where, **values):
+    """An edit of one packed bit field of a trace: `where` picks it."""
+    def edit(d):
+        where(d).update(values)
+    return edit
+
+
+def _dwell_bits(d):
+    return d["dwells"][0]["bits"]
+
+
+def _tx_bits(d):
+    return d["tx_bits"]["1"]
+
+
+def _noncanonical_tail(d):
+    # the dwell's last base64 quantum is "xy==": y carries 4 unused bits,
+    # and setting one gives the same bytes under a second encoding
+    b64 = _dwell_bits(d)["b64"]
+    assert b64.endswith("==")
+    alphabet = (string.ascii_uppercase + string.ascii_lowercase
+                + string.digits + "+/")
+    tail = alphabet[alphabet.index(b64[-3]) | 1]
+    _dwell_bits(d)["b64"] = b64[:-3] + tail + "=="
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: d["dwells"][0].update(bits="0101"),
+                 id="dwell-bits-as-text"),
+    pytest.param(lambda d: d["tx_bits"].update({"1": [0, 1]}),
+                 id="tx_bits-as-list"),
+    pytest.param(lambda d: _dwell_bits(d).update(b64=_dwell_bits(d)["b64"][1:]),
+                 id="dwell-b64-char-removed"),
+    pytest.param(lambda d: _tx_bits(d).update(b64=_tx_bits(d)["b64"][:-1]),
+                 id="tx_bits-b64-char-removed"),
+    pytest.param(lambda d: _dwell_bits(d).update(
+        b64="*" + _dwell_bits(d)["b64"][1:]), id="b64-not-base64"),
+    pytest.param(lambda d: _dwell_bits(d).update(
+        b64=_dwell_bits(d)["b64"] + "\n"), id="b64-newline"),
+    pytest.param(lambda d: _dwell_bits(d).update(
+        n_bits=_dwell_bits(d)["n_bits"] - 8), id="n_bits-one-byte-fewer"),
+    pytest.param(lambda d: _tx_bits(d).update(n_bits=_tx_bits(d)["n_bits"] + 8),
+                 id="n_bits-one-byte-more"),
+    pytest.param(_set_packed(_dwell_bits, b64=5), id="b64-number"),
+    pytest.param(_set_packed(_dwell_bits, n_bits=True), id="n_bits-true"),
+    pytest.param(_set_packed(_dwell_bits, n_bits=-1), id="n_bits-negative"),
+    pytest.param(_set_packed(_dwell_bits, n_bits=8.0), id="n_bits-float"),
+    pytest.param(lambda d: _dwell_bits(d).pop("n_bits"), id="n_bits-missing"),
+    pytest.param(_set_packed(_dwell_bits, extra=1), id="unknown-key"),
+    # "oQ==" is the byte 1010 0001: the bits 101, then a 1 in the pad bits
+    pytest.param(_set_packed(_dwell_bits, n_bits=3, b64="oQ=="),
+                 id="nonzero-pad-bit"),
+    pytest.param(_noncanonical_tail, id="nonzero-base64-pad-bit"),
+])
+def test_replay_reports_malformed_packed_bits_as_error(tmp_path, capsys, edit):
+    d = _trace("protocol_clean")
+    edit(d)
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(d))
+    assert main(["replay", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shuttervlc: error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name,edit", [
@@ -108,6 +187,12 @@ def _trace(name):
                  id="start_bit-negative"),
     pytest.param("protocol_clean", lambda d: d["dwells"][0].update(pixel=5),
                  id="pixel-out-of-range"),
+    # booleans are not integers in a trace
+    pytest.param("protocol_clean",
+                 lambda d: d["dwells"][0].update(start_bit=True),
+                 id="start_bit-true"),
+    pytest.param("protocol_clean", lambda d: d["dwells"][0].update(pixel=True),
+                 id="pixel-true"),
     pytest.param("protocol_clean", lambda d: d.update(context={}),
                  id="context-empty"),
     pytest.param("protocol_clean", lambda d: d.update(mode="weird"),
@@ -127,10 +212,10 @@ def test_replay_reports_malformed_trace_as_error(tmp_path, capsys, name, edit):
     assert err.startswith("shuttervlc: error: ") and err.count("\n") == 1
 
 
-def _edited(name, section, **values):
+def _edited(bundled, section, **values):
     """A bundled scenario's JSON text with entries of one section (None:
     the top level) replaced."""
-    d = json.loads(json.dumps(bundled_scenario(name).source_dict))
+    d = json.loads(json.dumps(bundled_scenario(bundled).source_dict))
     (d if section is None else d[section]).update(values)
     return json.dumps(d)
 
@@ -166,6 +251,15 @@ def _edited(name, section, **values):
                  id="channel-misspelled-key"),
     pytest.param(_edited("protocol_clean", None, emitters=[]),
                  id="emitters-empty"),
+    # a name is the stem of the trace's file name in --out
+    pytest.param(_edited("protocol_clean", None, name="../escaped"),
+                 id="name-../escaped"),
+    pytest.param(_edited("protocol_clean", None, name="a\\b"),
+                 id="name-backslash"),
+    pytest.param(_edited("protocol_clean", None, name=".."), id="name-.."),
+    pytest.param(_edited("protocol_clean", None, name="."), id="name-."),
+    pytest.param(_edited("protocol_clean", None, name=""), id="name-empty"),
+    pytest.param(_edited("protocol_clean", None, name=7), id="name-7"),
 ])
 def test_run_reports_malformed_scenario_as_error(tmp_path, capsys, text):
     src = tmp_path / "scenario.json"

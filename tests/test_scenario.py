@@ -171,6 +171,15 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(emitters=[_SAME_AS[0], dict(_SAME_AS[1], bit_source={
             "type": "same_as", "label": 1, "seed": 3})]),
         _variant(threshold={"mode": "ADAPTIVE", "levle": 1.0}),
+        # a name must be a file name of its own in the output directory
+        _variant(name="../escaped"),
+        _variant(name="a/b"),
+        _variant(name="a\\b"),
+        _variant(name="a\0b"),
+        _variant(name="."),
+        _variant(name=".."),
+        _variant(name=""),
+        _variant(name=None),
     ]
     for d in malformed:
         with pytest.raises(ScenarioError):
@@ -410,6 +419,34 @@ def test_trace_save_load_roundtrip(tmp_path):
     record.save(path)
     back = TraceRecord.load(path)
     assert back == record
+
+
+@settings(max_examples=60, deadline=None)
+@given(rx_bits=st.integers(0, 5000), tx_bits=st.integers(0, 5000),
+       seed=st.integers(0, 2**32 - 1))
+def test_trace_json_roundtrip_property(rx_bits, tx_bits, seed):
+    # bit strings of any length, a multiple of 8 or not, pack and unpack
+    # to themselves
+    rng = np.random.default_rng(seed)
+
+    def bits(n):
+        return "".join(map(str, rng.integers(0, 2, n)))
+
+    record = TraceRecord(
+        schema_version=scenario.TRACE_SCHEMA_VERSION, scenario_name="unit",
+        scenario_hash="0" * 64, seed=seed, mode="protocol", converged=True,
+        events=[], dwells=[{"t0_s": 0.0, "pixel": 0, "start_bit": 0,
+                            "bits": bits(rx_bits)}],
+        detections=[], tx_bits={"1": bits(tx_bits), "2": bits(tx_bits // 3)},
+        reports={}, context={})
+    assert TraceRecord.from_json(record.to_json()) == record
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_traces_decode_to_the_records_that_wrote_them(name):
+    for seed in (None, 3):
+        record = run_scenario(bundled_scenario(name), seed_override=seed)
+        assert TraceRecord.from_json(record.to_json()) == record
 
 
 def test_trace_rejects_garbage(tmp_path):
