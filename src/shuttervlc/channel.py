@@ -128,12 +128,13 @@ def received_snr_db(signal_only: SampleBlock, noise_power: float) -> float:
     `noise_power` the `ac_power` of a noise-only block, taken once for any
     number of probes.
 
-    Returns +inf when the noise has zero AC power, and -inf when the signal
-    has none.
+    A signal with no AC power gives -inf, whatever the noise; otherwise a
+    noise power of 0 gives +inf. So a dark probe never clears a threshold,
+    not even in a noiseless channel.
     """
     p_sig = ac_power(signal_only)
-    if noise_power == 0.0:
-        return float("inf")
     if p_sig == 0.0:
         return float("-inf")
+    if noise_power == 0.0:
+        return float("inf")
     return float(10.0 * np.log10(p_sig / noise_power))

@@ -33,8 +33,14 @@ class OpticalSetup:
     grid_cols: int = 2
 
     def __post_init__(self):
-        if not (self.d > 0 and self.S1 > 0 and self.BFL > 0):
-            raise InvalidSetupError("d, S1 and BFL must be positive")
+        for name in ("grid_rows", "grid_cols"):
+            if int(getattr(self, name)) != getattr(self, name):
+                raise InvalidSetupError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if not all(0 < x < math.inf for x in (self.d, self.S1, self.BFL)):
+            raise InvalidSetupError("d, S1 and BFL must be finite and positive")
+        if not math.isfinite(self.S2):
+            raise InvalidSetupError("S2 must be finite")
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise InvalidSetupError("grid must have at least one pixel")
         if not self.S1 > self.BFL:

@@ -102,10 +102,20 @@ def _per_pixel(values, n: int, what: str) -> list:
     return values
 
 
-def _integer(value, what: str) -> int:
-    if int(value) != value:
+def _number(value, what: str, whole: bool = False):
+    """A JSON number: an int or a float, never a bool or a string. With
+    `whole`, an integral one, as an int (4.0 is taken as 4)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{what} must be a number")
+    if whole and int(value) != value:
         raise ScenarioError(f"{what} must be an integer")
-    return int(value)
+    return int(value) if whole else value
+
+
+def _numbers(obj: dict, what: str, *text: str) -> dict:
+    """`obj` with each value a JSON number, but those of the `text` keys."""
+    return {k: v if k in text else _number(v, f"{what} {k}")
+            for k, v in obj.items()}
 
 
 def _emitter_pixels(specs: List[dict], placement,
@@ -114,11 +124,12 @@ def _emitter_pixels(specs: List[dict], placement,
     through the lens from the placement."""
     explicit = [e.get("pixel") for e in specs]
     if all(p is not None for p in explicit):
-        return tuple(_integer(p, "pixel") for p in explicit)
+        return tuple(_number(p, "pixel", whole=True) for p in explicit)
     if not placement:
         raise ScenarioError("need either per-emitter pixels or a placement")
-    result = map_emitters_to_pixels(
-        optics, EmitterPlacement(tuple(tuple(p) for p in placement)))
+    result = map_emitters_to_pixels(optics, EmitterPlacement(tuple(
+        tuple(_number(c, "placement coordinate") for c in p)
+        for p in placement)))
     if not result.feasible:
         raise ScenarioError(f"placement infeasible: {result.reason}")
     return result.mapping
@@ -138,7 +149,10 @@ def _own_bits(src: dict) -> Tuple[Optional[np.ndarray], Optional[int]]:
     kind = src.get("type", "random")
     if kind == "random":
         seed = src.get("seed")
-        if seed is not None and not (isinstance(seed, int) and seed >= 0):
+        if seed is None:
+            return None, None
+        seed = _number(seed, "a bit source seed", whole=True)
+        if seed < 0:
             raise ScenarioError("a bit source seed must be a nonnegative integer")
         return None, seed
     key = _SOURCE_KEY[kind]
@@ -159,7 +173,7 @@ def _own_bits(src: dict) -> Tuple[Optional[np.ndarray], Optional[int]]:
 def _emitters(specs: List[dict]) -> List[EmitterSpec]:
     """Resolve each emitter's header, phase and bit source; a `same_as`
     source takes the pattern, seed and stream of the emitter it names."""
-    sources = {_integer(e["label"], "label"):
+    sources = {_number(e["label"], "label", whole=True):
                _bit_source(e.get("bit_source", {"type": "random"}))
                for e in specs}
     if len(sources) < len(specs) or min(sources, default=0) < 0:
@@ -168,36 +182,38 @@ def _emitters(specs: List[dict]) -> List[EmitterSpec]:
            if src.get("type") != "same_as"}
     emitters = []
     for e, (label, src) in zip(specs, sources.items()):
-        stream = src.get("label") if src.get("type") == "same_as" else label
+        stream = (_number(src.get("label"), "same_as label", whole=True)
+                  if src.get("type") == "same_as" else label)
         if stream not in own:
             raise ScenarioError("same_as must name an emitter with bits of its own")
         emitters.append(EmitterSpec(
             label, IdKind(e.get("id_kind", "BARKER13")),
             PhaseOffset(e.get("phase_offset", "IN_PHASE")), *own[stream],
-            int(stream)))
+            stream))
     return emitters
 
 
 def _parse(d: dict) -> Scenario:
-    version = _object(d, "scenario", _SCENARIO_KEYS).get(
-        "schema_version", SCENARIO_SCHEMA_VERSION)
+    version = _number(_object(d, "scenario", _SCENARIO_KEYS).get(
+        "schema_version", SCENARIO_SCHEMA_VERSION), "schema_version")
     if version != SCENARIO_SCHEMA_VERSION:
         raise ScenarioError(f"scenario schema version {version} unsupported")
-    optics = OpticalSetup(**_object(d["optics"], "optics"))
+    optics = OpticalSetup(**_numbers(_object(d["optics"], "optics"), "optics"))
     n = optics.n_pixels
     m = _object(d["modem"], "modem")
-    modem = ModemConfig(scheme=Scheme(m["scheme"]),
-                        **{k: v for k, v in m.items() if k != "scheme"})
+    modem = ModemConfig(**dict(_numbers(m, "modem", "scheme"),
+                               scheme=Scheme(m["scheme"])))
     specs = [_object(e, "emitter", _EMITTER_KEYS) for e in d["emitters"]]
     if not 0 < len(specs) <= n:
         raise ScenarioError(f"need 1 to {n} emitters for {n} shutter pixels")
     emitters = _emitters(specs)
     ch = _object(d.get("channel", {}), "channel")
+    ambient_dc = _per_pixel(ch.get("ambient_dc", [0.0] * n), n, "ambient_dc")
     channel = ChannelConfig(
-        emitter_gain=tuple(e.get("gain", 1.0) for e in specs),
+        emitter_gain=tuple(_number(e.get("gain", 1.0), "gain") for e in specs),
         emitter_pixel=_emitter_pixels(specs, d.get("placement"), optics),
-        **dict(ch, ambient_dc=_per_pixel(ch.get("ambient_dc", [0.0] * n), n,
-                                         "ambient_dc")))
+        **dict(_numbers(ch, "channel", "ambient_dc"), ambient_dc=[
+            _number(a, "ambient_dc entry") for a in ambient_dc]))
     mask = None
     if d.get("mask") is not None:
         states = _per_pixel(d["mask"], n, "mask")
@@ -206,7 +222,8 @@ def _parse(d: dict) -> Scenario:
         mask = PixelMask(n, (p for p, b in enumerate(states) if b))
     protocol = id_table = None
     if d.get("protocol") is not None:
-        p = dict(_object(d["protocol"], "protocol"))
+        p = _numbers(_object(d["protocol"], "protocol"), "protocol",
+                     "select_target")
         target = p.get("select_target")
         if target is not None:
             carriers = [e.label for e in emitters if e.id_kind.value == target]
@@ -229,10 +246,10 @@ def _parse(d: dict) -> Scenario:
             or any(c in name for c in "/\\\0")):
         raise ScenarioError("name must be a nonempty file name, not '.' or "
                             "'..', without '/', '\\' or NUL")
-    rng_seed = d.get("rng_seed", 0)
-    duration_s = float(d.get("duration_s", 0.0))
-    code_rate = float(d.get("code_rate", 1.0))
-    if not isinstance(rng_seed, int) or rng_seed < 0:
+    rng_seed = _number(d.get("rng_seed", 0), "rng_seed", whole=True)
+    duration_s = float(_number(d.get("duration_s", 0.0), "duration_s"))
+    code_rate = float(_number(d.get("code_rate", 1.0), "code_rate"))
+    if rng_seed < 0:
         raise ScenarioError("rng_seed must be a nonnegative integer")
     if not 0 <= duration_s < float("inf"):
         raise ScenarioError("duration_s must be finite and nonnegative")
@@ -248,7 +265,8 @@ def _parse(d: dict) -> Scenario:
         channel=channel,
         mask=mask,
         protocol=protocol,
-        threshold=float(thr["level"]) if mode == "FIXED" else None,
+        threshold=(float(_number(thr["level"], "threshold level"))
+                   if mode == "FIXED" else None),
         code_rate=code_rate,
         id_table=id_table,
         source_dict=d,
@@ -329,32 +347,6 @@ def emitter_bits(spec: EmitterSpec, rng: Optional[np.random.Generator],
 # ---------------------------------------------------------------------------
 # simulation core
 
-class _TxStream:
-    """One emitter's transmit stream, each bit drawn once and only as far
-    as the run has read it, into a buffer whose capacity doubles."""
-
-    def __init__(self, spec: EmitterSpec, framed: bool, run_seed: int):
-        self.spec, self.framed = spec, framed
-        self.rng = None if spec.pattern is not None else np.random.default_rng(
-            spec.seed if spec.seed is not None else [run_seed, spec.stream, 17])
-        self.buf = np.empty(0, dtype=np.uint8)
-        self.n = 0          # bits drawn
-
-    def upto(self, n_bits: int) -> np.ndarray:
-        """The drawn bits, extended to at least the first n_bits."""
-        if n_bits > self.n:
-            if self.framed:
-                n_bits = -(-n_bits // framing.PACKET_BITS) * framing.PACKET_BITS
-            if n_bits > len(self.buf):
-                buf = np.empty(max(n_bits, 2 * len(self.buf)), dtype=np.uint8)
-                buf[:self.n] = self.buf[:self.n]
-                self.buf = buf
-            self.buf[self.n:n_bits] = emitter_bits(
-                self.spec, self.rng, self.n, n_bits - self.n, self.framed)
-            self.n = n_bits
-        return self.buf[:self.n]
-
-
 class LinkSimulation:
     """Emitter bit streams plus a channel and a sample clock.
 
@@ -367,10 +359,10 @@ class LinkSimulation:
 
     Each emitter's bits come from one generator per run, seeded by its
     source's `seed`, else by the run seed and its `stream`, and are drawn
-    once, when first read: a dwell extends each stream it lets through to
-    the window's end plus `context_symbols`, and `tx_bits` to the prefix a
-    trace stores, so a dark emitter draws nothing. A GMSK window still
-    reads every bit before it."""
+    once, when `tx_bits` first reads them: a dwell reads each emitter it
+    lets through to the window's end plus `context_symbols`, and a trace
+    the prefix it stores, so a dark emitter draws nothing. A GMSK window
+    still reads every bit before it."""
 
     def __init__(self, scenario: Scenario, seed: int):
         self.scenario = scenario
@@ -381,21 +373,33 @@ class LinkSimulation:
         self.seed = seed
         self.rng = np.random.default_rng([seed, 31])
         self.clock = 0      # sample index
-        framed = scenario.protocol is not None
+        self.framed = scenario.protocol is not None
         self.identification_window_s = (
             scenario.protocol.ident_window_packets * framing.PACKET_BITS
-            / self.modem.symbol_rate if framed else None)
-        self._streams = {spec.label: _TxStream(spec, framed, seed)
-                         for spec in scenario.emitters}
+            / self.modem.symbol_rate if self.framed else None)
+        self._rngs = {spec.label: None if spec.pattern is not None else
+                      np.random.default_rng(spec.seed if spec.seed is not None
+                                            else [seed, spec.stream, 17])
+                      for spec in scenario.emitters}
+        self._bits = {spec.label: np.empty(0, dtype=np.uint8)
+                      for spec in scenario.emitters}
         self.window: List[SampleBlock] = []     # emitter blocks of the last dwell
 
     @property
     def sim_time_s(self) -> float:
         return self.clock / self.fs
 
-    def tx_bits(self, label: int, n_bits: int) -> np.ndarray:
-        """The first n_bits of an emitter's transmit stream."""
-        return self._streams[label].upto(n_bits)[:n_bits]
+    def tx_bits(self, spec: EmitterSpec, n_bits: int) -> np.ndarray:
+        """The first n_bits of an emitter's transmit stream; the stream
+        grows by the bits not yet drawn, in whole packets when framed."""
+        bits = self._bits[spec.label]
+        if n_bits > len(bits):
+            end = (-(-n_bits // framing.PACKET_BITS) * framing.PACKET_BITS
+                   if self.framed else n_bits)
+            bits = self._bits[spec.label] = np.concatenate((bits, emitter_bits(
+                spec, self._rngs[spec.label], len(bits), end - len(bits),
+                self.framed)))
+        return bits[:n_bits]
 
     def _snap(self, duration_s: float) -> int:
         n = int(round(duration_s * self.fs))
@@ -408,8 +412,8 @@ class LinkSimulation:
         weights = emitter_weights(mask, self.scenario.channel)
         dark = SampleBlock(np.zeros(n_symbols * self.sps), self.fs)
         self.window = [
-            modulate(self._streams[spec.label].upto(end), self.modem,
-                     spec.phase_offset, first, n_symbols) if weight else dark
+            modulate(self.tx_bits(spec, end), self.modem, spec.phase_offset,
+                     first, n_symbols) if weight else dark
             for spec, weight in zip(self.scenario.emitters, weights)]
         out = receive(self.window, mask, self.scenario.channel, rng=self.rng)
         self.clock += n_symbols * self.sps
@@ -531,8 +535,8 @@ def _snr_estimates(sim: LinkSimulation, mask: PixelMask) -> Dict[str, float]:
     """Estimator-style SNR of each emitter in the last dwell: its noiseless
     gated window vs one pure-noise block drawn for the run."""
     cfg = sim.scenario.channel
-    noise_power = None
-    if cfg.noise_sigma > 0 and sim.window:
+    noise_power = 0.0
+    if cfg.noise_sigma > 0:
         noise_power = ac_power(SampleBlock(np.random.default_rng(
             [sim.seed, 47]).normal(0.0, cfg.noise_sigma,
                                    size=len(sim.window[0])), sim.fs))
@@ -540,12 +544,8 @@ def _snr_estimates(sim: LinkSimulation, mask: PixelMask) -> Dict[str, float]:
     for i, spec in enumerate(sim.scenario.emitters):
         quiet = replace(cfg, noise_sigma=0.0, emitter_gain=tuple(
             g if j == i else 0.0 for j, g in enumerate(cfg.emitter_gain)))
-        sig = receive(sim.window, mask, quiet)
-        if noise_power is not None:
-            snrs[str(spec.label)] = received_snr_db(sig, noise_power)
-        else:
-            snrs[str(spec.label)] = (float("inf") if ac_power(sig) > 0
-                                     else float("-inf"))
+        snrs[str(spec.label)] = received_snr_db(receive(sim.window, mask, quiet),
+                                                noise_power)
     return snrs
 
 
@@ -643,7 +643,7 @@ def run_scenario(scenario: Scenario,
     bits of the emitters with a report.
     """
     seed = scenario.rng_seed if seed_override is None else seed_override
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         raise ScenarioError("seed must be a nonnegative integer")
     run = _run_fixed_mask if scenario.mask is not None else _run_protocol
     record = run(scenario, seed)
@@ -674,7 +674,7 @@ def _run_fixed_mask(scenario: Scenario, seed: int) -> TraceRecord:
                        "mask": mask.states(),
                        "start_bit": 0, "bits": _bits_to_str(rx)})
         tx_store = {str(spec.label):
-                    _bits_to_str(sim.tx_bits(spec.label, len(rx)))
+                    _bits_to_str(sim.tx_bits(spec, len(rx)))
                     for spec in scenario.emitters}
         ctx["snr_db"] = _snr_estimates(sim, mask)
     return _record(scenario, seed, mode="fixed_mask", converged=None,
@@ -713,7 +713,7 @@ def _run_protocol(scenario: Scenario, seed: int) -> TraceRecord:
             remaining -= block.duration_s
 
     tx_store = {str(spec.label): _bits_to_str(
-                    sim.tx_bits(spec.label, end_bit[pixel]))
+                    sim.tx_bits(spec, end_bit[pixel]))
                 for spec, pixel in zip(scenario.emitters, pixels)
                 if pixel in end_bit}
     return _record(scenario, seed, mode="protocol", converged=result.converged,

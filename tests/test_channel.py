@@ -122,6 +122,8 @@ def test_snr_sentinels():
     wiggly = SampleBlock(np.array([0.0, 1.0] * 50), 1000.0)
     assert received_snr_db(wiggly, ac_power(flat)) == float("inf")
     assert received_snr_db(flat, ac_power(wiggly)) == float("-inf")
+    # no signal power is -inf whatever the noise, even none at all
+    assert received_snr_db(flat, 0.0) == float("-inf")
     empty = SampleBlock(np.zeros(0), 1.0)
     with pytest.raises(ChannelError):
         received_snr_db(empty, ac_power(wiggly))

@@ -260,14 +260,26 @@ def _edited(bundled, section, **values):
     pytest.param(_edited("protocol_clean", None, name="."), id="name-."),
     pytest.param(_edited("protocol_clean", None, name=""), id="name-empty"),
     pytest.param(_edited("protocol_clean", None, name=7), id="name-7"),
+    # numbers are JSON numbers, not booleans or numeric strings
+    pytest.param(_edited("protocol_clean", None, emitters=[
+        {"label": True, "pixel": 0}]), id="label-true"),
+    pytest.param(_edited("protocol_clean", "protocol", T_s=True),
+                 id="T_s-true"),
+    pytest.param(_edited("protocol_clean", "channel", noise_sigma="0.05"),
+                 id="noise_sigma-numeric-string"),
+    pytest.param(_edited("protocol_clean", None, duration_s="4"),
+                 id="duration_s-numeric-string"),
 ])
 def test_run_reports_malformed_scenario_as_error(tmp_path, capsys, text):
     src = tmp_path / "scenario.json"
     src.write_text(text)
-    assert main(["run", str(src), "--out", str(tmp_path)]) == 2
+    assert main(["run", str(src), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("shuttervlc: error: ")
     assert err.count("\n") == 1
+    # nothing is written: no --out directory, and no trace beside it
+    # (a scenario named ../escaped would have written escaped_trace.json)
+    assert list(tmp_path.iterdir()) == [src]
 
 
 def test_negative_seed_option_rejected(capsys):

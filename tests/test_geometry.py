@@ -80,8 +80,20 @@ def test_invalid_setups_rejected():
         OpticalSetup(d=0.01, S1=0.04, S2=0.05, BFL=0.05)   # S1 <= BFL
     with pytest.raises(InvalidSetupError):
         OpticalSetup(d=0.01, S1=0.1, S2=0.05, BFL=0.05, grid_cols=0)
+    # every length finite, d, S1 and BFL positive, the grid whole numbers
+    for bad in (dict(d=math.inf), dict(S1=math.inf), dict(BFL=math.inf),
+                dict(d=math.nan), dict(S2=math.nan), dict(S2=math.inf),
+                dict(S2=-math.inf), dict(grid_cols=2.5),
+                dict(grid_rows=0.5)):
+        with pytest.raises(InvalidSetupError):
+            OpticalSetup(**dict(PROTO, **bad))
     with pytest.raises(InvalidSetupError):
         EmitterPlacement(((0.0, 0.0), (0.0, 0.0)))
+
+
+def test_whole_float_grid_taken_as_integer():
+    setup = OpticalSetup(**dict(PROTO, grid_rows=2.0, grid_cols=3.0))
+    assert setup.n_pixels == 6 and type(setup.grid_cols) is int
 
 
 def test_grid_pixel_count():

@@ -180,6 +180,38 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(name=".."),
         _variant(name=""),
         _variant(name=None),
+        # numbers are JSON numbers: never a bool, never a numeric string
+        _variant(schema_version=True),
+        _variant(emitters=[{"label": True, "pixel": 0}]),
+        _variant(emitters=[{"label": 1, "pixel": True}]),
+        _variant(emitters=[_SAME_AS[0], dict(_SAME_AS[1], bit_source={
+            "type": "same_as", "label": True})]),
+        _variant(rng_seed=True),
+        _source(type="random", seed=True),
+        _with("optics", grid_rows=2, grid_cols=True),
+        _with("optics", S2="x"),
+        _with("optics", S2=float("nan")),
+        _with("optics", S1=float("inf")),
+        _with("optics", grid_cols=2.5),
+        _with("modem", gmsk_span=True),
+        _variant(mask=None, protocol={"corr_threshold": True}),
+        _variant(mask=None, protocol={"retry_budget": True}),
+        _variant(mask=None, protocol={"T_s": True}),
+        _variant(duration_s=True),
+        _variant(threshold={"mode": "FIXED", "level": True}),
+        _with("channel", ambient_dc=[True, 0.0]),
+        _variant(emitters=[{"label": 1, "pixel": 0, "gain": "0.05"}]),
+        _with("channel", noise_sigma="0.05"),
+        _with("channel", closed_leakage="0.05"),
+        _with("channel", saturation_level="100"),
+        _with("channel", ambient_dc=["0.05", 0.0]),
+        _variant(mask=None, protocol={"T_s": "0.05"}),
+        _variant(mask=None, protocol={"snr_threshold_db": "10"}),
+        _variant(mask=None, protocol={"ident_window_packets": "4.2"}),
+        _variant(duration_s="0.05"),
+        _variant(code_rate="0.5"),
+        _variant(threshold={"mode": "FIXED", "level": "0.05"}),
+        _variant(emitters=[{"label": 1}], placement=[["0.0744", 0.0]]),
     ]
     for d in malformed:
         with pytest.raises(ScenarioError):
@@ -194,6 +226,13 @@ def test_scenario_is_typed_at_load():
         noise_sigma=0.1, saturation_level=100.0)
     assert sc.threshold == 1.0 and isinstance(sc.threshold, float)
     assert scenario_from_dict(_variant(mask=[True, False])).mask == sc.mask
+    # a whole float is taken as the integer it names
+    sc = scenario_from_dict(_variant(rng_seed=5.0, emitters=[
+        {"label": 1.0, "pixel": 0.0, "bit_source": {"seed": 3.0}}]))
+    assert (sc.rng_seed, sc.emitters[0].label, sc.emitters[0].seed,
+            sc.channel.emitter_pixel) == (5, 1, 3, (0,))
+    assert all(type(x) is int for x in (sc.rng_seed, sc.emitters[0].label,
+                                        sc.emitters[0].seed))
 
 
 def test_placement_maps_emitters_to_pixels():
@@ -381,6 +420,24 @@ def test_bits_are_drawn_once_and_only_for_lit_windows(monkeypatch):
         assert ends[-1] <= lit_end[label] + PACKET_BITS
 
 
+def test_noiseless_dark_shutter_never_identifies():
+    # a pixel with no AC power scores -inf even where the noise has none,
+    # so every scan of a dark shutter resets and the controller gives up
+    # after retry_budget scans of n + 1 dwells
+    doc = json.loads(json.dumps(bundled_scenario("protocol_all_off").source_dict))
+    doc["duration_s"] = 0.0
+    doc["channel"]["noise_sigma"] = 0.0
+    sc = scenario_from_dict(doc)
+    record = run_scenario(sc)
+    events = [e["event"] for e in record.events]
+    assert "identification_dwell" not in events
+    assert events.count("reset") == sc.protocol.retry_budget == 3
+    assert events[-1] == "gave_up" and record.converged is False
+    assert record.events[-1]["sim_time_s"] == pytest.approx(
+        3 * (sc.optics.n_pixels + 1) * sc.protocol.T_s)
+    assert set(record.context["pixel_snr_db"].values()) == {float("-inf")}
+
+
 def test_fixed_mask_run_produces_report():
     record = run_scenario(scenario_from_dict(_variant()))
     assert record.mode == "fixed_mask"
@@ -404,7 +461,7 @@ def test_run_is_deterministic_and_seed_sensitive():
     assert a == b
     c = run_scenario(scenario_from_dict(d), seed_override=123).to_json()
     assert a != c
-    for bad in (-1, 1.5, "7"):
+    for bad in (-1, 1.5, "7", True):
         with pytest.raises(ScenarioError):
             run_scenario(scenario_from_dict(d), seed_override=bad)
     # non-integral protocol parameters are not truncated

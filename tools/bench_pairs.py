@@ -16,8 +16,9 @@ metrics.
 The output holds, per workload and end-to-end metric, the median and
 quartiles of each side, the pairs the change won (by the metric's
 "better" direction), whether every run was correct with no failed
-operation, the per-layer metrics of each side's traced run, and the
-machine: core count and the Python and numpy versions. Runs go one at a
+operation, the per-layer metrics of each side's traced run, the
+machine (core count and the Python and numpy versions) and, per side,
+`src_lines`: the line count of `src/shuttervlc/*.py`. Runs go one at a
 time.
 """
 
@@ -64,6 +65,12 @@ def commit_of(checkout: Path) -> str | None:
         return None
     dirty = git("status", "--porcelain", "--untracked-files=no").stdout
     return head.stdout.strip() + ("+dirty" if dirty.strip() else "")
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the package's Python source in a checkout."""
+    return sum(len(path.read_text().splitlines())
+               for path in (checkout / "src" / "shuttervlc").glob("*.py"))
 
 
 def bench_workload(sides: dict, workload: str, end_to_end: list,
@@ -117,6 +124,7 @@ def main(argv=None) -> int:
                     "python": platform.python_version(),
                     "numpy": np.__version__},
         "commits": {side: commit_of(path) for side, path in sides.items()},
+        "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "settings": {"pairs": args.pairs, "seconds": args.seconds,
                      "seeds": [args.seed, args.seed + args.pairs - 1]},
         "workloads": {w: bench_workload(sides, w, bench["end_to_end"], args)
