@@ -10,9 +10,8 @@ from .geometry import (EmitterPlacement, MappingResult, OpticalSetup,
 from .metrics import bit_error_rate, goodput, packet_error_rate
 from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme, demodulate,
                     modulate)
-from .protocol import (ControllerResult, LatencyEstimate, LatencyModel, Phase,
-                       ProtocolParams, estimate_latency, packets_per_slot,
-                       run_controller)
+from .protocol import (ControllerResult, ProtocolParams, estimate_latency,
+                       packets_per_slot, run_controller)
 from .scenario import (Scenario, TraceRecord, bundled_scenario,
                        bundled_scenario_names, load_scenario, replay_trace,
                        run_scenario, scenario_from_dict)

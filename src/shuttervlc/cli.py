@@ -7,17 +7,17 @@ import sys
 from pathlib import Path
 
 from .channel import ChannelError
-from .framing import FramingError
+from .framing import PACKET_BITS, FramingError
 from .geometry import (EmitterPlacement, InvalidSetupError, OpticalSetup,
                        min_angle, min_separation, map_emitters_to_pixels)
 from .metrics import MetricsError
 from .modem import ModemError
-from .protocol import (LatencyModel, ProtocolError, estimate_latency,
-                       packets_per_slot)
+from .protocol import ProtocolError, estimate_latency, packets_per_slot
 from .scenario import (ScenarioError, TraceRecord, bundled_scenario,
                        bundled_scenario_names, load_scenario, replay_trace,
                        run_scenario)
-from .tables import TABLE_NAMES, format_table, reproduce_table
+from .tables import (PROTOTYPE_SETUP, TABLE_NAMES, format_table,
+                     reproduce_table)
 
 
 def _seed(text: str) -> int:
@@ -25,6 +25,22 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"seed must be a nonnegative integer, not {text!r}")
     return int(text)
+
+
+def _count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, not {text!r}")
+    return int(text)
+
+
+def _point(text: str) -> tuple:
+    try:
+        x, y = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"a placement is X,Y in meters, not {text!r}") from None
+    return x, y
 
 
 def _cmd_geometry(args) -> int:
@@ -35,8 +51,8 @@ def _cmd_geometry(args) -> int:
         "alpha_deg": round(min_angle(setup), 1),
     }
     if args.placement:
-        coords = [tuple(float(v) for v in p.split(",")) for p in args.placement]
-        result = map_emitters_to_pixels(setup, EmitterPlacement(tuple(coords)))
+        result = map_emitters_to_pixels(
+            setup, EmitterPlacement(tuple(args.placement)))
         out["feasible"] = result.feasible
         out["mapping"] = list(result.mapping)
         out["reason"] = result.reason
@@ -90,11 +106,11 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_latency(args) -> int:
-    est = estimate_latency(LatencyModel(
-        grid_pixels=args.rows * args.cols, n_transmitters=args.transmitters,
-        packet_bits=args.packet_bits, bit_time=args.bit_time, T_s=args.ts))
-    out = {"step1_ms": est.step1_s * 1e3, "step2_ms": est.step2_s * 1e3,
-           "total_ms": est.total_s * 1e3}
+    step1, step2, total = estimate_latency(
+        args.rows * args.cols, args.transmitters, args.packet_bits,
+        args.bit_time, args.ts)
+    out = {"step1_ms": step1 * 1e3, "step2_ms": step2 * 1e3,
+           "total_ms": total * 1e3}
     if args.json:
         print(json.dumps(out, sort_keys=True))
     else:
@@ -138,13 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("geometry", help="separation/angle limits and pixel mapping")
-    p.add_argument("--d", type=float, default=0.036, help="pixel pitch (m)")
-    p.add_argument("--s1", type=float, default=0.155, help="emitter-to-lens distance (m)")
-    p.add_argument("--s2", type=float, default=0.082, help="lens-to-shutter distance (m)")
-    p.add_argument("--bfl", type=float, default=0.0375, help="back focal length (m)")
-    p.add_argument("--rows", type=int, default=1)
-    p.add_argument("--cols", type=int, default=2)
-    p.add_argument("--placement", nargs="*", metavar="X,Y",
+    proto = PROTOTYPE_SETUP
+    p.add_argument("--d", type=float, default=proto["d"], help="pixel pitch (m)")
+    p.add_argument("--s1", type=float, default=proto["S1"], help="emitter-to-lens distance (m)")
+    p.add_argument("--s2", type=float, default=proto["S2"], help="lens-to-shutter distance (m)")
+    p.add_argument("--bfl", type=float, default=proto["BFL"], help="back focal length (m)")
+    p.add_argument("--rows", type=int, default=proto["grid_rows"])
+    p.add_argument("--cols", type=int, default=proto["grid_cols"])
+    p.add_argument("--placement", nargs="*", metavar="X,Y", type=_point,
                    help="emitter coordinates in meters, e.g. -0.0744,0 0.0744,0")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_geometry)
@@ -163,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("latency", help="protocol latency estimate")
-    p.add_argument("--rows", type=int, default=100)
-    p.add_argument("--cols", type=int, default=100)
+    p.add_argument("--rows", type=_count, default=100)
+    p.add_argument("--cols", type=_count, default=100)
     p.add_argument("--transmitters", type=int, default=100)
-    p.add_argument("--packet-bits", type=int, default=2096)
+    p.add_argument("--packet-bits", type=int, default=PACKET_BITS)
     p.add_argument("--bit-time", type=float, default=1e-6, help="seconds per bit")
     p.add_argument("--ts", type=float, default=1e-6, help="switching slot (s)")
     p.add_argument("--json", action="store_true")
@@ -176,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbol-rate", type=float, required=True)
     p.add_argument("--bits-per-symbol", type=int, default=1)
     p.add_argument("--ts", type=float, default=2.0)
-    p.add_argument("--packet-bits", type=int, default=2096)
+    p.add_argument("--packet-bits", type=int, default=PACKET_BITS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_packets)
 

@@ -50,25 +50,33 @@ def make_id(kind: IdKind, label: int = 1) -> TransmitterId:
     return TransmitterId(BARKER_11 + (1, 1), label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Packet:
+    """Back-to-back packets of one transmitter: its header before each
+    2083-bit payload."""
     header: TransmitterId
-    payload: Tuple[int, ...]
+    payload: np.ndarray     # uint8, a whole number of payloads
 
     def __post_init__(self):
-        payload = tuple(int(b) for b in self.payload)
+        payload = np.asarray(self.payload, dtype=np.uint8)
         object.__setattr__(self, "payload", payload)
-        if len(payload) != PAYLOAD_BITS:
-            raise FramingError(f"payload must be exactly {PAYLOAD_BITS} bits")
+        if payload.ndim != 1 or payload.size == 0 \
+                or payload.size % PAYLOAD_BITS:
+            raise FramingError(f"payload must be a whole number of "
+                               f"{PAYLOAD_BITS}-bit payloads")
 
     @property
     def bits(self) -> np.ndarray:
-        return np.asarray(self.header.id_bits + self.payload, dtype=int)
+        payloads = self.payload.reshape(-1, PAYLOAD_BITS)
+        header = np.array(self.header.id_bits, dtype=np.uint8)
+        return np.hstack([np.broadcast_to(header, (len(payloads), HEADER_BITS)),
+                          payloads]).ravel()
 
 
 def frame(payload: Sequence[int], tid: TransmitterId) -> Packet:
-    """Prepend the transmitter header to a 2083-bit payload."""
-    return Packet(tid, tuple(int(b) for b in payload))
+    """Prepend the transmitter header to each 2083-bit payload in
+    `payload`."""
+    return Packet(tid, payload)
 
 
 class IdLookupTable:

@@ -60,6 +60,8 @@ class EmitterPlacement:
     def __post_init__(self):
         pos = tuple((float(x), float(y)) for x, y in self.positions)
         object.__setattr__(self, "positions", pos)
+        if not all(math.isfinite(c) for p in pos for c in p):
+            raise InvalidSetupError("emitter coordinates must be finite")
         if len(set(pos)) != len(pos):
             raise InvalidSetupError("emitter positions must be distinct")
 

@@ -11,10 +11,9 @@ lock closes the shutter and scans again, and the controller gives up after
 its retry budget.
 """
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .channel import PixelMask, ac_power, received_snr_db
 from .framing import HEADER_BITS, IdLookupTable, detect_packets
@@ -22,14 +21,6 @@ from .framing import HEADER_BITS, IdLookupTable, detect_packets
 
 class ProtocolError(ValueError):
     """Raised for protocol, latency or slot parameters out of range."""
-
-
-class Phase(enum.Enum):
-    INIT = "INIT"
-    DISCOVERY = "DISCOVERY"
-    IDENTIFICATION = "IDENTIFICATION"
-    LOCKED = "LOCKED"
-    RESET = "RESET"
 
 
 @dataclass(frozen=True)
@@ -49,10 +40,8 @@ class ProtocolParams:
                            ("corr_threshold", int), ("retry_budget", int),
                            ("ident_window_packets", float)):
             object.__setattr__(self, name, kind(getattr(self, name)))
-        if not all(0 < x < math.inf
-                   for x in (self.T_s, self.ident_window_packets)):
-            raise ProtocolError(
-                "T_s and ident_window_packets must be finite and positive")
+        _check_positive("T_s and ident_window_packets", self.T_s,
+                        self.ident_window_packets)
         if not math.isfinite(self.snr_threshold_db):
             raise ProtocolError("snr_threshold_db must be finite")
         if not 1 <= self.corr_threshold <= HEADER_BITS:
@@ -61,40 +50,28 @@ class ProtocolParams:
             raise ProtocolError("retry_budget must be nonnegative")
 
 
-@dataclass(frozen=True)
-class LatencyModel:
-    grid_pixels: int
-    n_transmitters: int
-    packet_bits: int
-    bit_time: float     # seconds per bit
-    T_s: float
-
-    def __post_init__(self):
-        if min(self.grid_pixels, self.n_transmitters, self.packet_bits) < 1 \
-                or self.bit_time <= 0 or self.T_s <= 0:
-            raise ProtocolError("latency model fields must be positive")
+def _check_positive(what: str, *values) -> None:
+    if not all(0 < x < math.inf for x in values):
+        raise ProtocolError(f"{what} must be finite and positive")
 
 
-@dataclass(frozen=True)
-class LatencyEstimate:
-    step1_s: float
-    step2_s: float
-    total_s: float
-
-
-def estimate_latency(model: LatencyModel) -> LatencyEstimate:
-    """Step 1 scans every pixel for T_s; Step 2 decodes one packet per
-    transmitter at the bit time."""
-    step1 = model.grid_pixels * model.T_s
-    step2 = model.n_transmitters * model.packet_bits * model.bit_time
-    return LatencyEstimate(step1, step2, step1 + step2)
+def estimate_latency(grid_pixels: int, n_transmitters: int, packet_bits: int,
+                     bit_time: float,
+                     T_s: float) -> Tuple[float, float, float]:
+    """(step1_s, step2_s, total_s): Step 1 scans every pixel for T_s; Step 2
+    decodes one packet per transmitter at the bit time (s per bit)."""
+    _check_positive("latency arguments", grid_pixels, n_transmitters,
+                    packet_bits, bit_time, T_s)
+    step1 = grid_pixels * T_s
+    step2 = n_transmitters * packet_bits * bit_time
+    return step1, step2, step1 + step2
 
 
 def packets_per_slot(symbol_rate: float, bits_per_symbol: int,
                      T_s: float, packet_bits: int) -> int:
     """Whole packets that fit in one dwell slot."""
-    if min(symbol_rate, bits_per_symbol, T_s, packet_bits) <= 0:
-        raise ProtocolError("packets_per_slot arguments must be positive")
+    _check_positive("packets_per_slot arguments", symbol_rate,
+                    bits_per_symbol, T_s, packet_bits)
     return int(symbol_rate * bits_per_symbol * T_s // packet_bits)
 
 
@@ -126,21 +103,21 @@ def run_controller(sim, params: ProtocolParams,
     reported in the result, not raised.
     """
     n = sim.n_pixels
-    phase, mask = Phase.INIT, PixelMask(n, range(n))
+    phase, mask = "INIT", PixelMask(n, range(n))
     snrs: Dict[int, float] = {}
     events: List[dict] = []
 
     def log(event: str, **extra):
         rec = {"sim_time_s": round(sim.sim_time_s, 9),
                "event": event,
-               "phase": phase.value,
+               "phase": phase,
                "mask": mask.states()}
         rec.update(extra)
         events.append(rec)
 
     log("init")
     for _ in range(params.retry_budget):
-        phase = Phase.DISCOVERY
+        phase = "DISCOVERY"
         noise_power = ac_power(sim.dwell(PixelMask(n), params.T_s))
         log("noise_reference_dwell")
         snrs = {}
@@ -150,7 +127,7 @@ def run_controller(sim, params: ProtocolParams,
             log("discovery_dwell", pixel=p, pixel_snr_db=round(snrs[p], 4))
         candidates = [p for p, s in snrs.items()
                       if s >= params.snr_threshold_db]
-        phase = Phase.IDENTIFICATION if candidates else Phase.RESET
+        phase = "IDENTIFICATION" if candidates else "RESET"
         mask = PixelMask(n, candidates)
         log("discovery_done",    # string keys, as the trace's JSON has them
             pixel_snr_db={str(p): round(s, 4) for p, s in snrs.items()})
@@ -169,12 +146,12 @@ def run_controller(sim, params: ProtocolParams,
             log("identification_dwell", pixel=p,
                 detected_ids=sorted({d.label for d in dets}))
         if locked:
-            phase, mask = Phase.LOCKED, PixelMask(n, locked)
+            phase, mask = "LOCKED", PixelMask(n, locked)
             log("locked", locked_pixels=locked)
             return ControllerResult(True, frozenset(locked), snrs, events)
-        phase, mask = Phase.DISCOVERY, PixelMask(n)
+        phase, mask = "DISCOVERY", PixelMask(n)
         log("identification_failed")
 
-    phase, mask = Phase.RESET, PixelMask(n)
+    phase, mask = "RESET", PixelMask(n)
     log("gave_up")
     return ControllerResult(False, frozenset(), snrs, events)

@@ -55,7 +55,8 @@ class Scenario:
 
     `channel` holds each emitter's resolved pixel; `threshold` is the
     fixed OOK decision level, or None for the adaptive one; `id_table` holds
-    the emitters' headers when there is a protocol to identify them."""
+    the emitters' headers when there is a protocol to identify them.
+    `scenario_hash` is the sha256 of `source_dict` as it was parsed."""
 
     name: str
     rng_seed: int
@@ -64,16 +65,13 @@ class Scenario:
     modem: ModemConfig
     emitters: List[EmitterSpec]
     channel: ChannelConfig
+    scenario_hash: str
     mask: Optional[PixelMask] = None
     protocol: Optional[ProtocolParams] = None
     threshold: Optional[float] = None
     code_rate: float = 1.0
     id_table: Optional[IdLookupTable] = None
     source_dict: dict = field(default_factory=dict, repr=False)
-
-    def canonical_hash(self) -> str:
-        blob = json.dumps(self.source_dict, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
 
 
 # keys of the objects no dataclass checks; a bit source's one key by type
@@ -241,6 +239,8 @@ def _parse(d: dict) -> Scenario:
         raise ScenarioError("threshold mode must be ADAPTIVE or FIXED")
     if mode == "FIXED" and thr.get("level") is None:
         raise ScenarioError("FIXED threshold needs a level")
+    if mode != "FIXED" and "level" in thr:
+        raise ScenarioError("only a FIXED threshold takes a level")
     name = d.get("name", "scenario")
     if (not isinstance(name, str) or name in ("", ".", "..")
             or any(c in name for c in "/\\\0")):
@@ -263,6 +263,8 @@ def _parse(d: dict) -> Scenario:
         modem=modem,
         emitters=emitters,
         channel=channel,
+        scenario_hash=hashlib.sha256(
+            json.dumps(d, sort_keys=True).encode()).hexdigest(),
         mask=mask,
         protocol=protocol,
         threshold=(float(_number(thr["level"], "threshold level"))
@@ -329,19 +331,15 @@ def emitter_bits(spec: EmitterSpec, rng: Optional[np.random.Generator],
     before `first`, so a stream is the same however it is cut."""
     start, n = first, n_bits
     if framed:
-        n_packets = n_bits // framing.PACKET_BITS
         start = first // framing.PACKET_BITS * framing.PAYLOAD_BITS
-        n = n_packets * framing.PAYLOAD_BITS
+        n = n_bits // framing.PACKET_BITS * framing.PAYLOAD_BITS
     if spec.pattern is not None:
         payload = spec.pattern.take(np.arange(start, start + n), mode="wrap")
     else:
         payload = rng.integers(0, 2, size=n).astype(np.uint8)
     if not framed:
         return payload
-    header = np.array(make_id(spec.id_kind, spec.label).id_bits, dtype=np.uint8)
-    packets = np.hstack([np.broadcast_to(header, (n_packets, len(header))),
-                         payload.reshape(n_packets, framing.PAYLOAD_BITS)])
-    return packets.ravel()
+    return framing.frame(payload, make_id(spec.id_kind, spec.label)).bits
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +655,7 @@ def _record(scenario: Scenario, seed: int, **fields) -> TraceRecord:
     """An unscored trace: its `reports` and `detections` are empty."""
     return TraceRecord(schema_version=TRACE_SCHEMA_VERSION,
                        scenario_name=scenario.name,
-                       scenario_hash=scenario.canonical_hash(), seed=seed,
+                       scenario_hash=scenario.scenario_hash, seed=seed,
                        detections=[], reports={}, **fields)
 
 

@@ -6,7 +6,7 @@ from typing import List
 
 from .geometry import OpticalSetup, min_angle, min_separation
 from .metrics import goodput
-from .protocol import LatencyModel, estimate_latency, packets_per_slot
+from .protocol import estimate_latency, packets_per_slot
 
 TABLE_NAMES = ("GEOMETRY", "T3_PACKETS", "T5_LATENCY", "GOODPUT")
 
@@ -53,15 +53,14 @@ def reproduce_table(name: str) -> List[TableCell]:
         cells = []
         for side, step1_ms, total_ms in ((100, 10.0, 219.6),
                                          (1000, 1000.0, 1209.6)):
-            est = estimate_latency(LatencyModel(
-                grid_pixels=side * side, n_transmitters=100,
-                packet_bits=2096, bit_time=1e-6, T_s=1e-6))
+            step1, step2, total = estimate_latency(
+                side * side, 100, 2096, 1e-6, 1e-6)
             cells += [
-                TableCell(f"{side}x{side}_step1", est.step1_s * 1e3,
+                TableCell(f"{side}x{side}_step1", step1 * 1e3,
                           step1_ms, 1e-9, "ms"),
-                TableCell(f"{side}x{side}_step2", est.step2_s * 1e3,
+                TableCell(f"{side}x{side}_step2", step2 * 1e3,
                           209.6, 1e-9, "ms"),
-                TableCell(f"{side}x{side}_total", est.total_s * 1e3,
+                TableCell(f"{side}x{side}_total", total * 1e3,
                           total_ms, 1e-9, "ms"),
             ]
         return cells

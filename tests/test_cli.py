@@ -46,6 +46,29 @@ def test_packets_per_slot_cmd(capsys, rate, expected):
     assert json.loads(capsys.readouterr().out)["packets_per_slot"] == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ["latency", "--ts", "nan", "--json"],
+    ["latency", "--bit-time", "inf", "--json"],
+    ["latency", "--rows", "-10", "--cols", "-10"],
+    ["packets-per-slot", "--symbol-rate", "nan"],
+    ["packets-per-slot", "--symbol-rate", "inf"],
+    ["geometry", "--placement", "a,b"],
+    ["geometry", "--placement", "1,2,3"],
+    ["geometry", "--placement", "1"],
+    ["geometry", "--placement", "nan,0"],
+], ids=" ".join)
+def test_bad_numbers_exit_2_with_one_error_line(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:       # argparse rejected an option's value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("shuttervlc") and ": error: " in last
+    assert "Traceback" not in captured.err
+
+
 def test_list_scenarios(capsys):
     assert main(["list-scenarios"]) == 0
     names = capsys.readouterr().out.split()

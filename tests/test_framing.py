@@ -58,6 +58,17 @@ def test_frame_deframe_roundtrip():
     assert tuple(pkt.bits[HEADER_BITS:]) == payload
 
 
+def test_framing_k_payloads_is_k_frames_concatenated():
+    rng = np.random.default_rng(4)
+    tid = make_id(IdKind.BARKER11_PADDED, 2)
+    for k in (1, 2, 5):
+        payloads = rng.integers(0, 2, (k, PAYLOAD_BITS)).astype(np.uint8)
+        bits = frame(payloads.ravel(), tid).bits
+        assert bits.dtype == np.uint8
+        np.testing.assert_array_equal(
+            bits, np.concatenate([frame(p, tid).bits for p in payloads]))
+
+
 def test_frame_validation():
     with pytest.raises(FramingError):
         frame((0, 1), make_id(IdKind.BARKER13))

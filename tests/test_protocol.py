@@ -1,4 +1,4 @@
-"""Shutter controller, latency model and slot arithmetic."""
+"""Shutter controller, latency and slot arithmetic."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from shuttervlc.channel import PixelMask
 from shuttervlc.framing import (IdKind, IdLookupTable, PACKET_BITS, frame,
                                 make_id)
 from shuttervlc.modem import ModemConfig, Scheme, demodulate, modulate
-from shuttervlc.protocol import (LatencyModel, ProtocolError, ProtocolParams,
+from shuttervlc.protocol import (ProtocolError, ProtocolParams,
                                  estimate_latency, packets_per_slot,
                                  run_controller)
 
@@ -17,29 +17,23 @@ TABLE = IdLookupTable([make_id(IdKind.BARKER13, 1),
 
 def test_latency_reference_values():
     # 100x100 pixels, 100 transmitters, 1 us bit time and switching slot
-    est = estimate_latency(LatencyModel(grid_pixels=10_000, n_transmitters=100,
-                                        packet_bits=2096, bit_time=1e-6,
-                                        T_s=1e-6))
-    assert est.step1_s * 1e3 == pytest.approx(10.0)
-    assert est.step2_s * 1e3 == pytest.approx(209.6)
-    assert est.total_s * 1e3 == pytest.approx(219.6)
-    est = estimate_latency(LatencyModel(grid_pixels=1_000_000,
-                                        n_transmitters=100, packet_bits=2096,
-                                        bit_time=1e-6, T_s=1e-6))
-    assert est.total_s * 1e3 == pytest.approx(1209.6)
+    step1, step2, total = estimate_latency(10_000, 100, 2096, 1e-6, 1e-6)
+    assert step1 * 1e3 == pytest.approx(10.0)
+    assert step2 * 1e3 == pytest.approx(209.6)
+    assert total * 1e3 == pytest.approx(219.6)
+    _, _, total = estimate_latency(1_000_000, 100, 2096, 1e-6, 1e-6)
+    assert total * 1e3 == pytest.approx(1209.6)
 
 
 def test_latency_linearity():
-    base = LatencyModel(grid_pixels=100, n_transmitters=10, packet_bits=2096,
-                        bit_time=1e-6, T_s=1e-3)
-    doubled = LatencyModel(grid_pixels=200, n_transmitters=20,
-                           packet_bits=2096, bit_time=1e-6, T_s=1e-3)
-    a, b = estimate_latency(base), estimate_latency(doubled)
-    assert b.step1_s == pytest.approx(2 * a.step1_s)
-    assert b.step2_s == pytest.approx(2 * a.step2_s)
-    with pytest.raises(ProtocolError):
-        LatencyModel(grid_pixels=0, n_transmitters=1, packet_bits=1,
-                     bit_time=1e-6, T_s=1e-3)
+    a = estimate_latency(100, 10, 2096, 1e-6, 1e-3)
+    b = estimate_latency(200, 20, 2096, 1e-6, 1e-3)
+    assert b[0] == pytest.approx(2 * a[0])
+    assert b[1] == pytest.approx(2 * a[1])
+    for bad in ((0, 1, 1, 1e-6, 1e-3), (1, 1, 1, 1e-6, float("nan")),
+                (1, 1, 1, float("inf"), 1e-3)):
+        with pytest.raises(ProtocolError):
+            estimate_latency(*bad)
 
 
 @pytest.mark.parametrize("rate,expected", [(500e3, 477), (1e6, 954),
@@ -53,6 +47,13 @@ def test_packets_per_slot_floors():
     assert packets_per_slot(2095.0, 1, 1.0, 2096) == 0
     with pytest.raises(ProtocolError):
         packets_per_slot(0.0, 1, 1.0, 2096)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_packets_per_slot_rejects_non_finite(bad):
+    for args in ((bad, 1, 1.0, 2096), (2e6, 1, bad, 2096)):
+        with pytest.raises(ProtocolError):
+            packets_per_slot(*args)
 
 
 class _StubSim:

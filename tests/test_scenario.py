@@ -1,5 +1,6 @@
 """Scenario loading, end-to-end runs, traces and replay."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from shuttervlc import scenario
+from shuttervlc import framing, scenario
 from shuttervlc.channel import ChannelConfig, PixelMask, emitter_weights
 from shuttervlc.cli import main
-from shuttervlc.framing import PACKET_BITS, PAYLOAD_BITS, make_id
+from shuttervlc.framing import PACKET_BITS, PAYLOAD_BITS, frame, make_id
 from shuttervlc.scenario import (LinkSimulation, Scenario, ScenarioError,
                                  TraceRecord, bundled_scenario,
                                  bundled_scenario_names, emitter_bits,
@@ -171,6 +172,8 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(emitters=[_SAME_AS[0], dict(_SAME_AS[1], bit_source={
             "type": "same_as", "label": 1, "seed": 3})]),
         _variant(threshold={"mode": "ADAPTIVE", "levle": 1.0}),
+        # a level is read only by a FIXED threshold
+        _variant(threshold={"mode": "ADAPTIVE", "level": "x"}),
         # a name must be a file name of its own in the output directory
         _variant(name="../escaped"),
         _variant(name="a/b"),
@@ -243,6 +246,9 @@ def test_placement_maps_emitters_to_pixels():
     with pytest.raises(ScenarioError):
         scenario_from_dict(_variant(emitters=[{"label": 1}],
                                     placement=[[1.0, 0.0]]))
+    with pytest.raises(ScenarioError, match="coordinates must be finite"):
+        scenario_from_dict(_variant(emitters=[{"label": 1}],
+                                    placement=[[float("nan"), 0.0]]))
 
 
 def _payload_rng(spec, run_seed):
@@ -381,6 +387,21 @@ def test_emitter_bits_framed_structure():
                                       ref[start + 13:start + PACKET_BITS])
 
 
+def test_framed_streams_are_built_by_frame(monkeypatch):
+    calls = []
+
+    def counting_frame(payload, tid):
+        calls.append(len(payload))
+        return frame(payload, tid)
+
+    monkeypatch.setattr(framing, "frame", counting_frame)
+    sc = scenario_from_dict(_variant())
+    spec = sc.emitters[0]
+    bits = emitter_bits(spec, _payload_rng(spec, 5), 0, 3 * PACKET_BITS, True)
+    assert calls == [3 * PAYLOAD_BITS]
+    assert bits.dtype == np.uint8 and len(bits) == 3 * PACKET_BITS
+
+
 def test_bits_are_drawn_once_and_only_for_lit_windows(monkeypatch):
     drawn = {}          # label -> [(first, n_bits), ...]
     lit_end = {}        # label -> last bit a window that lit it read
@@ -452,6 +473,17 @@ def test_fixed_mask_run_produces_report():
 def test_zero_duration_fixed_mask():
     record = run_scenario(scenario_from_dict(_variant(duration_s=0.0)))
     assert record.reports == {} and record.dwells == []
+
+
+def test_scenario_hash_is_that_of_the_parsed_scenario():
+    d = _variant()
+    sc = scenario_from_dict(d)
+    expected = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+    # editing the dict after loading changes neither the run nor its hash
+    d["duration_s"] = 999.0
+    record = run_scenario(sc)
+    assert record.scenario_hash == sc.scenario_hash == expected
+    assert len(record.dwells[0]["bits"]) == 1000
 
 
 def test_run_is_deterministic_and_seed_sensitive():

@@ -18,11 +18,12 @@ quartiles of each side, the pairs the change won (by the metric's
 "better" direction), whether every run was correct with no failed
 operation, the per-layer metrics of each side's traced run, the
 machine (core count and the Python and numpy versions) and, per side,
-`src_lines`: the line count of `src/shuttervlc/*.py`. Runs go one at a
-time.
+`commits` (see `commit_of`) and `src_lines`: the line count of
+`src/shuttervlc/*.py`. Runs go one at a time.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -55,16 +56,23 @@ def spread(values: list) -> dict:
             "values": values}
 
 
-def commit_of(checkout: Path) -> str | None:
-    """HEAD of a git checkout, with "+dirty" if tracked files differ."""
+def commit_of(checkout: Path) -> str:
+    """HEAD of a checkout that is a git repository of its own, with "+dirty"
+    if tracked files differ. Any other checkout (a `git archive` extracted
+    anywhere, even inside another repository) is named by "src-sha256:" and
+    the sha256 of `src/shuttervlc/*.py` concatenated in sorted order."""
     def git(*cmd):
         return subprocess.run(["git", *cmd], cwd=checkout,
                               capture_output=True, text=True)
-    head = git("rev-parse", "HEAD")
-    if head.returncode != 0:
-        return None
-    dirty = git("status", "--porcelain", "--untracked-files=no").stdout
-    return head.stdout.strip() + ("+dirty" if dirty.strip() else "")
+    top, head = git("rev-parse", "--show-toplevel"), git("rev-parse", "HEAD")
+    if (top.returncode == head.returncode == 0
+            and Path(top.stdout.strip()).resolve() == checkout.resolve()):
+        dirty = git("status", "--porcelain", "--untracked-files=no").stdout
+        return head.stdout.strip() + ("+dirty" if dirty.strip() else "")
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src" / "shuttervlc").glob("*.py")):
+        digest.update(path.read_bytes())
+    return "src-sha256:" + digest.hexdigest()
 
 
 def src_lines(checkout: Path) -> int:
