@@ -54,8 +54,10 @@ class ChannelConfig:
             object.__setattr__(self, name, float(getattr(self, name)))
         if any(not 0 <= g < math.inf for g in self.emitter_gain):
             raise ChannelError("gains must be finite and nonnegative")
-        if not all(map(math.isfinite, self.ambient_dc)):
-            raise ChannelError("ambient_dc must be finite")
+        object.__setattr__(self, "ambient_lit", any(self.ambient_dc))
+        object.__setattr__(self, "ambient_total", sum(self.ambient_dc))
+        if not math.isfinite(self.ambient_total):
+            raise ChannelError("ambient_dc and its sum must be finite")
         if not (0 <= self.closed_leakage < 1):
             raise ChannelError("closed_leakage must be in [0, 1)")
         if not 0 <= self.noise_sigma < math.inf:
@@ -107,7 +109,9 @@ def receive(emitter_blocks: Sequence[SampleBlock], mask: PixelMask,
     for block, weight in zip(emitter_blocks, weights):
         if weight:
             out += weight * block.samples
-    out += sum(a * _gate(mask, cfg, p) for p, a in enumerate(cfg.ambient_dc))
+    if cfg.ambient_lit:
+        out += (cfg.closed_leakage * cfg.ambient_total + (1 - cfg.closed_leakage)
+                * sum(cfg.ambient_dc[p] for p in sorted(mask.open)))
     if cfg.noise_sigma > 0:
         if rng is None:
             raise ChannelError("a noisy channel needs a generator")

@@ -48,6 +48,9 @@ class ModemConfig:
             raise ModemError("symbol_rate must be finite and positive")
         if self.samples_per_symbol < 2:
             raise ModemError("samples_per_symbol must be >= 2")
+        if not self.sample_rate < math.inf:
+            raise ModemError("sample rate (symbol_rate * samples_per_symbol) "
+                             "must be finite")
         if not (0 < self.modulation_depth <= 1):
             raise ModemError("modulation_depth must be in (0, 1]")
         if not self.modulation_depth <= self.dc_bias < math.inf:

@@ -94,8 +94,8 @@ def run_controller(sim, params: ProtocolParams,
     contain a whole packet at any alignment). Each Discovery scan takes one
     extra all-closed dwell as the noise reference for the SNR probes.
 
-    Every event records the controller's phase and mask; a dwell event's
-    mask is the controller's, not the one the dwell opened. Each
+    Every event records the controller's phase; a phase-transition event
+    adds its 0/1 mask per pixel, a dwell event only the pixel it opened. Each
     identification dwell logs `detected_ids`: the labels of every detection
     at or above `corr_threshold`, whether or not it locks. A candidate locks
     only if a detection on it scores HEADER_BITS and carries
@@ -110,8 +110,9 @@ def run_controller(sim, params: ProtocolParams,
     def log(event: str, **extra):
         rec = {"sim_time_s": round(sim.sim_time_s, 9),
                "event": event,
-               "phase": phase,
-               "mask": mask.states()}
+               "phase": phase}
+        if not event.endswith("_dwell"):
+            rec["mask"] = mask.states()
         rec.update(extra)
         events.append(rec)
 

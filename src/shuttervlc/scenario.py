@@ -29,7 +29,7 @@ from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme,
 from .protocol import ProtocolParams, run_controller
 
 SCENARIO_SCHEMA_VERSION = 1
-TRACE_SCHEMA_VERSION = 2     # bit fields packed, as {"n_bits", "b64"}
+TRACE_SCHEMA_VERSION = 3     # packed bits; masks on phase-transition events
 
 
 class ScenarioError(ValueError):
@@ -56,7 +56,9 @@ class Scenario:
     `channel` holds each emitter's resolved pixel; `threshold` is the
     fixed OOK decision level, or None for the adaptive one; `id_table` holds
     the emitters' headers when there is a protocol to identify them.
-    `scenario_hash` is the sha256 of `source_dict` as it was parsed."""
+    `source_dict` is a copy of the parsed document, which later edits of
+    the caller's dict do not reach; `scenario_hash` is the sha256 of its
+    JSON with sorted keys."""
 
     name: str
     rng_seed: int
@@ -255,6 +257,18 @@ def _parse(d: dict) -> Scenario:
         raise ScenarioError("duration_s must be finite and nonnegative")
     if not 0 < code_rate <= 1:
         raise ScenarioError("code_rate must be in (0, 1]")
+    # a dwell's samples: its window's, or one symbol's if that is more
+    samples = {"samples_per_symbol": modem.samples_per_symbol,
+               "duration_s": duration_s * modem.sample_rate}
+    if protocol is not None:
+        samples.update(T_s=protocol.T_s * modem.sample_rate,
+                       ident_window_packets=protocol.ident_window_packets
+                       * framing.PACKET_BITS * modem.samples_per_symbol)
+    for what, count in samples.items():
+        if count >= 2**63:
+            raise ScenarioError(f"{what} asks for more samples than the "
+                                f"int64 sample clock can count")
+    source = json.dumps(d, sort_keys=True)
     return Scenario(
         name=name,
         rng_seed=rng_seed,
@@ -263,15 +277,14 @@ def _parse(d: dict) -> Scenario:
         modem=modem,
         emitters=emitters,
         channel=channel,
-        scenario_hash=hashlib.sha256(
-            json.dumps(d, sort_keys=True).encode()).hexdigest(),
+        scenario_hash=hashlib.sha256(source.encode()).hexdigest(),
         mask=mask,
         protocol=protocol,
         threshold=(float(_number(thr["level"], "threshold level"))
                    if mode == "FIXED" else None),
         code_rate=code_rate,
         id_table=id_table,
-        source_dict=d,
+        source_dict=json.loads(source),
     )
 
 

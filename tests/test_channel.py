@@ -57,6 +57,27 @@ def test_ambient_dc_follows_its_pixel_gate():
     np.testing.assert_allclose(out.samples, [5.0, 5.0])
 
 
+@pytest.mark.parametrize("leak", [0.0, 0.1])
+def test_ambient_term_matches_per_pixel_gating(leak):
+    # the reference gates every pixel's ambient light in turn; ambient that
+    # sums to 0 still lights an open pixel
+    for ambient in ((3.0, 5.0, 0.0), (1.0, -1.0, 0.0), (0.25, 0.5, -0.75)):
+        cfg = ChannelConfig(emitter_gain=(1.0,), emitter_pixel=(0,),
+                            ambient_dc=ambient, closed_leakage=leak)
+        for open_pixels in ((), (0,), (1,), (0, 2), (0, 1, 2)):
+            out = receive(_blocks([0.0]), PixelMask(3, open_pixels), cfg)
+            expected = sum(a * (1.0 if p in open_pixels else leak)
+                           for p, a in enumerate(ambient))
+            if leak == 0.0:     # the same sum, in the same order
+                assert out.samples[0] == max(expected, 0.0)
+            else:
+                np.testing.assert_allclose(out.samples, [max(expected, 0.0)],
+                                           rtol=1e-12, atol=1e-15)
+    with pytest.raises(ChannelError):      # a sum that overflows
+        ChannelConfig(emitter_gain=(), emitter_pixel=(),
+                      ambient_dc=(1e308, 1e308))
+
+
 def test_saturation_clips_and_floor_at_zero():
     cfg = ChannelConfig(emitter_gain=(1.0,), emitter_pixel=(0,),
                         ambient_dc=(0.0,), saturation_level=2.0)

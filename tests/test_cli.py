@@ -108,7 +108,7 @@ def test_trace_is_compact_json_with_packed_bits(tmp_path):
     assert "\n" not in text and ", " not in text
     record = run_scenario(bundled_scenario("protocol_clean"))
     d = json.loads(text)
-    assert d["schema_version"] == 2
+    assert d["schema_version"] == 3
     for packed, bits in zip([dw["bits"] for dw in d["dwells"]]
                             + [d["tx_bits"]["1"]],
                             [dw["bits"] for dw in record.dwells]
@@ -292,6 +292,18 @@ def _edited(bundled, section, **values):
                  id="noise_sigma-numeric-string"),
     pytest.param(_edited("protocol_clean", None, duration_s="4"),
                  id="duration_s-numeric-string"),
+    # sample counts that the int64 sample clock cannot hold
+    pytest.param(_edited("protocol_clean", "modem", symbol_rate=1e308),
+                 id="symbol_rate-1e308"),
+    pytest.param(_edited("protocol_clean", "modem", samples_per_symbol=10**20),
+                 id="samples_per_symbol-1e20"),
+    pytest.param(_edited("protocol_clean", "protocol", T_s=1e300),
+                 id="T_s-1e300"),
+    pytest.param(_edited("protocol_clean", "protocol",
+                         ident_window_packets=1e300),
+                 id="ident_window_packets-1e300"),
+    pytest.param(_edited("protocol_clean", None, duration_s=1e300),
+                 id="duration_s-1e300"),
 ])
 def test_run_reports_malformed_scenario_as_error(tmp_path, capsys, text):
     src = tmp_path / "scenario.json"

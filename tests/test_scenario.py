@@ -479,11 +479,16 @@ def test_scenario_hash_is_that_of_the_parsed_scenario():
     d = _variant()
     sc = scenario_from_dict(d)
     expected = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
-    # editing the dict after loading changes neither the run nor its hash
+    # editing the dict after loading changes neither the run, its hash nor
+    # the source it keeps, from which the same scenario can be rebuilt
     d["duration_s"] = 999.0
     record = run_scenario(sc)
     assert record.scenario_hash == sc.scenario_hash == expected
     assert len(record.dwells[0]["bits"]) == 1000
+    assert sc.source_dict == _variant()
+    rebuilt = scenario_from_dict(sc.source_dict)
+    assert rebuilt.scenario_hash == expected
+    assert run_scenario(rebuilt).to_json() == record.to_json()
 
 
 def test_run_is_deterministic_and_seed_sensitive():
