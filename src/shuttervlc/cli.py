@@ -44,7 +44,8 @@ def _point(text: str) -> tuple:
 
 
 def _cmd_geometry(args) -> int:
-    setup = OpticalSetup(d=args.d, S1=args.s1, S2=args.s2, BFL=args.bfl,
+    setup = OpticalSetup(d=args.d, S1=args.s1, BFL=args.bfl,
+                         S2=PROTOTYPE_SETUP["S2"],
                          grid_rows=args.rows, grid_cols=args.cols)
     out = {
         "h_m": min_separation(setup),
@@ -157,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     proto = PROTOTYPE_SETUP
     p.add_argument("--d", type=float, default=proto["d"], help="pixel pitch (m)")
     p.add_argument("--s1", type=float, default=proto["S1"], help="emitter-to-lens distance (m)")
-    p.add_argument("--s2", type=float, default=proto["S2"], help="lens-to-shutter distance (m)")
     p.add_argument("--bfl", type=float, default=proto["BFL"], help="back focal length (m)")
     p.add_argument("--rows", type=int, default=proto["grid_rows"])
     p.add_argument("--cols", type=int, default=proto["grid_cols"])

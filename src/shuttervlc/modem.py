@@ -13,6 +13,9 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+GMSK_SPAN = 4                 # Gaussian pulse span in symbols
+GMSK_CARRIER_CYCLES = 1.0     # subcarrier cycles per symbol
+
 
 class ModemError(ValueError):
     """Raised for invalid modem configuration or undecodable input."""
@@ -34,16 +37,14 @@ class ModemConfig:
     symbol_rate: float
     samples_per_symbol: int = 4
     gmsk_bt: float = 0.35
-    gmsk_span: int = 4              # Gaussian pulse span in symbols
-    gmsk_carrier_cycles: float = 1.0  # subcarrier cycles per symbol
     dc_bias: float = 1.0
     modulation_depth: float = 0.5
 
     def __post_init__(self):
-        for name in ("samples_per_symbol", "gmsk_span"):
-            if int(getattr(self, name)) != getattr(self, name):
-                raise ModemError(f"{name} must be an integer")
-            object.__setattr__(self, name, int(getattr(self, name)))
+        if int(self.samples_per_symbol) != self.samples_per_symbol:
+            raise ModemError("samples_per_symbol must be an integer")
+        object.__setattr__(self, "samples_per_symbol",
+                           int(self.samples_per_symbol))
         if not 0 < self.symbol_rate < math.inf:
             raise ModemError("symbol_rate must be finite and positive")
         if self.samples_per_symbol < 2:
@@ -58,14 +59,9 @@ class ModemConfig:
                              "(intensity must stay nonnegative)")
         if not 0 < self.gmsk_bt < math.inf:
             raise ModemError("gmsk_bt must be finite and positive")
-        if not self.gmsk_carrier_cycles > 0:
-            raise ModemError("gmsk_carrier_cycles must be positive")
-        if self.scheme is Scheme.GMSK:
-            if self.samples_per_symbol < 4:
-                raise ModemError("GMSK needs samples_per_symbol >= 4")
-            # keep carrier + peak deviation below Nyquist
-            if self.gmsk_carrier_cycles + 0.5 >= self.samples_per_symbol / 2:
-                raise ModemError("GMSK subcarrier too high for sample rate")
+        # 4 keeps subcarrier + peak deviation (1.5 cycles/symbol) below Nyquist
+        if self.scheme is Scheme.GMSK and self.samples_per_symbol < 4:
+            raise ModemError("GMSK needs samples_per_symbol >= 4")
 
     @property
     def sample_rate(self) -> float:
@@ -75,7 +71,7 @@ class ModemConfig:
     def context_symbols(self) -> int:
         """Symbols past the end of a window that its samples may depend
         on: one GMSK frequency pulse span, none for OOK."""
-        return self.gmsk_span + 1 if self.scheme is Scheme.GMSK else 0
+        return GMSK_SPAN + 1 if self.scheme is Scheme.GMSK else 0
 
 
 @dataclass
@@ -99,7 +95,7 @@ class SampleBlock:
 def _gmsk_frequency_pulse(cfg: ModemConfig) -> np.ndarray:
     """Discrete frequency pulse: Gaussian-filtered rectangle, unit area."""
     sps = cfg.samples_per_symbol
-    t = np.arange(-cfg.gmsk_span * sps / 2, cfg.gmsk_span * sps / 2 + 1) / sps
+    t = np.arange(-GMSK_SPAN * sps / 2, GMSK_SPAN * sps / 2 + 1) / sps
     k = np.sqrt(2 * np.pi / np.log(2)) * cfg.gmsk_bt
     gauss = k * np.exp(-2 * (np.pi * cfg.gmsk_bt * t) ** 2 / np.log(2))
     pulse = np.convolve(gauss, np.ones(sps))
@@ -179,7 +175,7 @@ def modulate(bits, cfg: ModemConfig,
     else:
         phase = (np.pi / 2.0) * _gmsk_phase(bits, cfg, first, n_symbols)
         n = np.arange(first * sps, (first + n_symbols) * sps)
-        carrier = 2 * np.pi * cfg.gmsk_carrier_cycles / sps * n
+        carrier = 2 * np.pi * GMSK_CARRIER_CYCLES / sps * n
         m = np.cos(carrier + phase)
     if phase_offset is PhaseOffset.INVERTED:
         m = -m
@@ -224,7 +220,7 @@ def _demodulate_gmsk(x: np.ndarray, cfg: ModemConfig, nsym: int) -> np.ndarray:
     dd = np.diff(p)
     turns = np.zeros(n, dtype=np.int64)
     np.cumsum((dd < -np.pi).astype(np.int64) - (dd > np.pi), out=turns[1:])
-    step = 2 * np.pi * cfg.gmsk_carrier_cycles / sps
+    step = 2 * np.pi * GMSK_CARRIER_CYCLES / sps
 
     def psi(i):
         return p[i] + 2 * np.pi * turns[i] - step * i

@@ -18,6 +18,8 @@ from typing import Dict, List, Optional, Tuple
 from .channel import PixelMask, ac_power, received_snr_db
 from .framing import HEADER_BITS, IdLookupTable, detect_packets
 
+IDENT_WINDOW_PACKETS = 4.2      # an identification dwell, in packets
+
 
 class ProtocolError(ValueError):
     """Raised for protocol, latency or slot parameters out of range."""
@@ -30,18 +32,15 @@ class ProtocolParams:
     corr_threshold: int = 11
     retry_budget: int = 3
     select_target: Optional[int] = None     # an emitter label
-    ident_window_packets: float = 4.2
 
     def __post_init__(self):
         for name in ("corr_threshold", "retry_budget"):
             if int(getattr(self, name)) != getattr(self, name):
                 raise ProtocolError(f"{name} must be an integer")
         for name, kind in (("T_s", float), ("snr_threshold_db", float),
-                           ("corr_threshold", int), ("retry_budget", int),
-                           ("ident_window_packets", float)):
+                           ("corr_threshold", int), ("retry_budget", int)):
             object.__setattr__(self, name, kind(getattr(self, name)))
-        _check_positive("T_s and ident_window_packets", self.T_s,
-                        self.ident_window_packets)
+        _check_positive("T_s", self.T_s)
         if not math.isfinite(self.snr_threshold_db):
             raise ProtocolError("snr_threshold_db must be finite")
         if not 1 <= self.corr_threshold <= HEADER_BITS:

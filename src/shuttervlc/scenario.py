@@ -10,6 +10,7 @@ metrics can be recomputed offline.
 import base64
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -26,7 +27,7 @@ from .geometry import EmitterPlacement, OpticalSetup, map_emitters_to_pixels
 from .metrics import bit_error_rate, goodput, packet_error_rate
 from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme,
                     demodulate, modulate)
-from .protocol import ProtocolParams, run_controller
+from .protocol import IDENT_WINDOW_PACKETS, ProtocolParams, run_controller
 
 SCENARIO_SCHEMA_VERSION = 1
 TRACE_SCHEMA_VERSION = 3     # packed bits; masks on phase-transition events
@@ -239,10 +240,13 @@ def _parse(d: dict) -> Scenario:
     mode = thr.get("mode", "ADAPTIVE")
     if mode not in ("ADAPTIVE", "FIXED"):
         raise ScenarioError("threshold mode must be ADAPTIVE or FIXED")
-    if mode == "FIXED" and thr.get("level") is None:
-        raise ScenarioError("FIXED threshold needs a level")
     if mode != "FIXED" and "level" in thr:
         raise ScenarioError("only a FIXED threshold takes a level")
+    level = None
+    if mode == "FIXED":
+        level = float(_number(thr.get("level"), "a FIXED threshold's level"))
+        if not math.isfinite(level):
+            raise ScenarioError("a FIXED threshold's level must be finite")
     name = d.get("name", "scenario")
     if (not isinstance(name, str) or name in ("", ".", "..")
             or any(c in name for c in "/\\\0")):
@@ -261,9 +265,9 @@ def _parse(d: dict) -> Scenario:
     samples = {"samples_per_symbol": modem.samples_per_symbol,
                "duration_s": duration_s * modem.sample_rate}
     if protocol is not None:
-        samples.update(T_s=protocol.T_s * modem.sample_rate,
-                       ident_window_packets=protocol.ident_window_packets
-                       * framing.PACKET_BITS * modem.samples_per_symbol)
+        samples["T_s"] = protocol.T_s * modem.sample_rate
+        samples["the identification window"] = (IDENT_WINDOW_PACKETS
+            * framing.PACKET_BITS * modem.samples_per_symbol)
     for what, count in samples.items():
         if count >= 2**63:
             raise ScenarioError(f"{what} asks for more samples than the "
@@ -280,8 +284,7 @@ def _parse(d: dict) -> Scenario:
         scenario_hash=hashlib.sha256(source.encode()).hexdigest(),
         mask=mask,
         protocol=protocol,
-        threshold=(float(_number(thr["level"], "threshold level"))
-                   if mode == "FIXED" else None),
+        threshold=level,
         code_rate=code_rate,
         id_table=id_table,
         source_dict=json.loads(source),
@@ -386,7 +389,7 @@ class LinkSimulation:
         self.clock = 0      # sample index
         self.framed = scenario.protocol is not None
         self.identification_window_s = (
-            scenario.protocol.ident_window_packets * framing.PACKET_BITS
+            IDENT_WINDOW_PACKETS * framing.PACKET_BITS
             / self.modem.symbol_rate if self.framed else None)
         self._rngs = {spec.label: None if spec.pattern is not None else
                       np.random.default_rng(spec.seed if spec.seed is not None

@@ -122,10 +122,15 @@ def test_receive_validation():
     with pytest.raises(ChannelError):
         ChannelConfig(emitter_gain=(1.0,), emitter_pixel=(0,),
                       ambient_dc=(0.0,), closed_leakage=1.0)
-    for pixel in (-1, 2):       # an emitter on no pixel of the shutter
+    good = dict(emitter_gain=(1.0, 1.0), emitter_pixel=(0, 1),
+                ambient_dc=(0.0, 0.0))
+    # an emitter on no pixel of the shutter, a gain count that differs from
+    # the emitter-pixel count, and a saturation level that is not positive
+    for bad in (dict(emitter_pixel=(0, -1)), dict(emitter_pixel=(0, 2)),
+                dict(emitter_pixel=(0,)),
+                dict(saturation_level=0.0), dict(saturation_level=-1.0)):
         with pytest.raises(ChannelError):
-            ChannelConfig(emitter_gain=(1.0, 1.0), emitter_pixel=(0, pixel),
-                          ambient_dc=(0.0, 0.0))
+            ChannelConfig(**dict(good, **bad))
 
 
 def test_snr_variance_ratio():

@@ -69,6 +69,85 @@ def test_bad_numbers_exit_2_with_one_error_line(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+def _text_and_json(capsys, argv):
+    """What a command prints, and what it prints with --json, parsed."""
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert main(argv + ["--json"]) == 0
+    return text.splitlines(), json.loads(capsys.readouterr().out)
+
+
+def _number_after(line, sep=":"):
+    return float(line.split(sep, 1)[1].split()[0])
+
+
+@pytest.mark.parametrize("placement", [
+    pytest.param([], id="no-placement"),
+    pytest.param([" -0.0744,0", "0.0744,0"], id="feasible"),
+    pytest.param(["0,0", "0.001,0"], id="same-pixel"),
+])
+def test_geometry_text_matches_json(capsys, placement):
+    argv = ["geometry"] + (["--placement", *placement] if placement else [])
+    lines, out = _text_and_json(capsys, argv)
+    assert _number_after(lines[0]) == pytest.approx(out["h_m"] * 100,
+                                                    abs=0.005)
+    assert _number_after(lines[1]) == out["alpha_deg"]
+    if not placement:
+        assert len(lines) == 2 and "feasible" not in out
+    elif out["feasible"]:
+        assert lines[2].endswith(f": yes, mapping {out['mapping']}")
+    else:
+        assert out["reason"] == "two emitters image onto the same pixel"
+        assert lines[2].endswith(f": no ({out['reason']})")
+
+
+def test_tables_text_matches_json(capsys):
+    lines, out = _text_and_json(capsys, ["tables", "ALL"])
+    rows = {line.split()[0]: line for line in lines if "computed=" in line}
+    cells = [cell for table in out.values() for cell in table]
+    assert len(rows) == len(cells)
+    for cell in cells:
+        row = rows[cell["name"]]
+        assert _number_after(row, "computed=") == pytest.approx(
+            cell["computed"], rel=1e-5)
+        assert row.endswith("[PASS]" if cell["pass"] else "[FAIL]")
+
+
+def test_latency_text_matches_json(capsys):
+    lines, out = _text_and_json(capsys, ["latency", "--rows", "20",
+                                         "--cols", "30"])
+    assert out["step1_ms"] == pytest.approx(20 * 30 * 1e-3)
+    for line, key in zip(lines, ("step1_ms", "step2_ms", "total_ms")):
+        assert _number_after(line) == pytest.approx(out[key], rel=1e-3)
+
+
+def test_packets_per_slot_text_matches_json(capsys):
+    lines, out = _text_and_json(capsys, ["packets-per-slot",
+                                         "--symbol-rate", "1e6"])
+    assert lines == [str(out["packets_per_slot"])]
+
+
+def test_run_text_matches_trace(tmp_path, capsys):
+    assert main(["run", "protocol_clean", "--bundled", "--seed", "3",
+                 "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    path = tmp_path / "protocol_clean_trace.json"
+    trace = json.loads(path.read_text())
+    assert trace["seed"] == 3
+    assert lines[0] == f"trace written to {path}"
+    assert lines[-1] == f"converged: {trace['converged']}"
+    assert len(lines) == 2 + len(trace["reports"])
+    for line, (label, rep) in zip(lines[1:], sorted(trace["reports"].items())):
+        assert line.startswith(f"emitter {label}: ")
+        fields = dict(f.split("=") for f in line.split()[2:] if "=" in f)
+        assert float(fields["BER"]) == pytest.approx(rep["ber"], rel=1e-3)
+        assert float(fields["PER"].rstrip("%")) == pytest.approx(
+            rep["per_percent"], abs=0.005)
+        assert float(fields["SNR"]) == pytest.approx(rep["snr_db"], abs=0.005)
+        assert float(fields["goodput"]) == pytest.approx(rep["goodput_bps"],
+                                                         rel=1e-3)
+
+
 def test_list_scenarios(capsys):
     assert main(["list-scenarios"]) == 0
     names = capsys.readouterr().out.split()
@@ -299,11 +378,28 @@ def _edited(bundled, section, **values):
                  id="samples_per_symbol-1e20"),
     pytest.param(_edited("protocol_clean", "protocol", T_s=1e300),
                  id="T_s-1e300"),
+    pytest.param(_edited("protocol_clean", None, duration_s=1e300),
+                 id="duration_s-1e300"),
+    # 4.2 packets of 10^18 samples per symbol
+    pytest.param(_edited("protocol_clean", "modem", samples_per_symbol=10**18,
+                         symbol_rate=1e-9), id="ident-window-1e22-samples"),
+    # the GMSK pulse span and the identification window are constants: a
+    # scenario that sets them names an unknown key, whatever the value
+    pytest.param(_edited("gmsk_demo", "modem", gmsk_span=10**7),
+                 id="gmsk_span-1e7"),
+    pytest.param(_edited("gmsk_demo", "modem", gmsk_span=-3),
+                 id="gmsk_span--3"),
+    pytest.param(_edited("protocol_clean", "protocol",
+                         ident_window_packets=1e9),
+                 id="ident_window_packets-1e9"),
     pytest.param(_edited("protocol_clean", "protocol",
                          ident_window_packets=1e300),
                  id="ident_window_packets-1e300"),
-    pytest.param(_edited("protocol_clean", None, duration_s=1e300),
-                 id="duration_s-1e300"),
+    # a FIXED threshold level must be finite
+    pytest.param(_edited("table1_type2_case1", "threshold", level=float("nan")),
+                 id="level-nan"),
+    pytest.param(_edited("table1_type2_case1", "threshold", level=float("inf")),
+                 id="level-inf"),
 ])
 def test_run_reports_malformed_scenario_as_error(tmp_path, capsys, text):
     src = tmp_path / "scenario.json"

@@ -13,8 +13,9 @@ from scipy.signal import hilbert
 from scipy.special import erfc
 
 import shuttervlc
-from shuttervlc.modem import (ModemConfig, ModemError, PhaseOffset, SampleBlock,
-                              Scheme, _demodulate_gmsk, _gmsk_frequency_pulse,
+from shuttervlc.modem import (GMSK_CARRIER_CYCLES, ModemConfig, ModemError,
+                              PhaseOffset, SampleBlock, Scheme,
+                              _demodulate_gmsk, _gmsk_frequency_pulse,
                               _gmsk_phase, _quadrature, _smooth_length,
                               demodulate, gmsk_data_phase, modulate)
 
@@ -35,21 +36,14 @@ def test_config_validation():
     with pytest.raises(ModemError):
         ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3, samples_per_symbol=3)
     with pytest.raises(ModemError):
-        # subcarrier at 1 cycle/symbol needs sample rate above 3 samples/cycle
-        ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3, samples_per_symbol=4,
-                    gmsk_carrier_cycles=1.6)
-    with pytest.raises(ModemError):
         ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, samples_per_symbol=4.5)
-    with pytest.raises(ModemError):
-        ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3, gmsk_span=3.5)
     for rate in (float("nan"), float("inf")):
         with pytest.raises(ModemError):
             ModemConfig(scheme=Scheme.OOK, symbol_rate=rate)
     with pytest.raises(ModemError):
         ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, dc_bias=float("inf"))
     for bad in ({"gmsk_bt": 0}, {"gmsk_bt": -0.35},
-                {"gmsk_bt": float("inf")}, {"gmsk_carrier_cycles": 0},
-                {"gmsk_carrier_cycles": -1}):
+                {"gmsk_bt": float("inf")}):
         with pytest.raises(ModemError):
             ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3,
                         samples_per_symbol=8, **bad)
@@ -300,7 +294,7 @@ def _reference_gmsk_phase_steps(x, cfg, nsym):
     pad = min(8 * sps, n - 1)
     padded = np.concatenate([x[pad:0:-1], x, x[-2:-pad - 2:-1]])
     psi = np.unwrap(np.angle(hilbert(padded)))[pad:pad + n]
-    psi = psi - 2 * np.pi * cfg.gmsk_carrier_cycles / sps * np.arange(n)
+    psi = psi - 2 * np.pi * GMSK_CARRIER_CYCLES / sps * np.arange(n)
     if n >= 3:
         psi[-1] = 2 * psi[-2] - psi[-3]
     ends = np.minimum(np.arange(1, nsym + 1) * sps, n - 1)

@@ -104,6 +104,7 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(schema_version=99),
         _with("modem", bits_per_symbol=2),
         _with("modem", samples_per_symbol=4.5),
+        _with("modem", samples_per_symbol=1),
         _variant(channel=[]),
         _with("channel", noise_sigma="abc"),
         _with("channel", noise_sigma=float("nan")),
@@ -111,6 +112,9 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _with("channel", ambient_dc=[0.0]),
         _variant(threshold=[]),
         _variant(threshold={"mode": "FIXED", "level": "high"}),
+        _variant(threshold={"mode": "FIXED", "level": float("nan")}),
+        _variant(threshold={"mode": "FIXED", "level": float("inf")}),
+        _variant(threshold={"mode": "MEDIAN"}),
         _variant(emitters=[{"label": 1, "pixel": 2}]),
         _variant(emitters=[{"label": 1}]),      # no pixel, no placement
         _variant(emitters=["label"]),
@@ -133,7 +137,6 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(code_rate=2.0),
         _variant(duration_s=-5.0),
         _variant(mask=None, protocol={"T_s": float("inf")}),
-        _variant(mask=None, protocol={"ident_window_packets": float("inf")}),
         _variant(mask=None, protocol={"snr_threshold_db": float("nan")}),
         _variant(mask=None, protocol={"corr_threshold": 14}),
         _variant(mask=None, protocol={"corr_threshold": 0}),
@@ -155,8 +158,6 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _with("modem", dc_bias=float("inf")),
         _with("modem", **GMSK8, gmsk_bt=0),
         _with("modem", **GMSK8, gmsk_bt=-0.35),
-        _with("modem", **GMSK8, gmsk_carrier_cycles=0),
-        _with("modem", **GMSK8, gmsk_carrier_cycles=-1),
         _variant(emitters=[{"label": 1, "pixel": 0, "gain": float("inf")}]),
         _with("channel", noise_sigma=float("inf")),
         _with("channel", ambient_dc=[float("nan"), 0.0]),
@@ -166,6 +167,11 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(duraton_s=1.0),
         _with("channel", noise_sgima=0.1),
         _with("channel", emitter_gain=[2.0]),
+        # the GMSK pulse span and subcarrier and the identification window
+        # are constants, not settings
+        _with("modem", **GMSK8, gmsk_span=4),
+        _with("modem", **GMSK8, gmsk_carrier_cycles=1.0),
+        _variant(mask=None, protocol={"ident_window_packets": 4.2}),
         _variant(emitters=[{"label": 1, "pixel": 0, "gian": 2.0}]),
         _source(type="random", sead=3),
         _source(type="pattern", bits="01", seed=3),
@@ -196,7 +202,6 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _with("optics", S2=float("nan")),
         _with("optics", S1=float("inf")),
         _with("optics", grid_cols=2.5),
-        _with("modem", gmsk_span=True),
         _variant(mask=None, protocol={"corr_threshold": True}),
         _variant(mask=None, protocol={"retry_budget": True}),
         _variant(mask=None, protocol={"T_s": True}),
@@ -210,7 +215,6 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _with("channel", ambient_dc=["0.05", 0.0]),
         _variant(mask=None, protocol={"T_s": "0.05"}),
         _variant(mask=None, protocol={"snr_threshold_db": "10"}),
-        _variant(mask=None, protocol={"ident_window_packets": "4.2"}),
         _variant(duration_s="0.05"),
         _variant(code_rate="0.5"),
         _variant(threshold={"mode": "FIXED", "level": "0.05"}),
