@@ -62,6 +62,10 @@ class ModemConfig:
         # 4 keeps subcarrier + peak deviation (1.5 cycles/symbol) below Nyquist
         if self.scheme is Scheme.GMSK and self.samples_per_symbol < 4:
             raise ModemError("GMSK needs samples_per_symbol >= 4")
+        # a huge gmsk_bt overflows the pulse (NaN) or its sum (all zeros)
+        if self.scheme is Scheme.GMSK and not math.isclose(
+                _gmsk_frequency_pulse(self).sum(), 1):
+            raise ModemError("gmsk_bt must give a finite pulse that sums to 1")
 
     @property
     def sample_rate(self) -> float:
@@ -92,6 +96,7 @@ class SampleBlock:
         return len(self.samples) / self.sample_rate
 
 
+@np.errstate(over="ignore", invalid="ignore")    # exp(-inf) is 0
 def _gmsk_frequency_pulse(cfg: ModemConfig) -> np.ndarray:
     """Discrete frequency pulse: Gaussian-filtered rectangle, unit area."""
     sps = cfg.samples_per_symbol

@@ -94,7 +94,8 @@ def run_controller(sim, params: ProtocolParams,
     extra all-closed dwell as the noise reference for the SNR probes.
 
     Every event records the controller's phase; a phase-transition event
-    adds its 0/1 mask per pixel, a dwell event only the pixel it opened. Each
+    adds its 0/1 mask per pixel, a dwell event the pixel it opened, and a
+    Discovery probe its SNR, rounded to 4 decimals, as `pixel_snr_db`. Each
     identification dwell logs `detected_ids`: the labels of every detection
     at or above `corr_threshold`, whether or not it locks. A candidate locks
     only if a detection on it scores HEADER_BITS and carries
@@ -129,8 +130,7 @@ def run_controller(sim, params: ProtocolParams,
                       if s >= params.snr_threshold_db]
         phase = "IDENTIFICATION" if candidates else "RESET"
         mask = PixelMask(n, candidates)
-        log("discovery_done",    # string keys, as the trace's JSON has them
-            pixel_snr_db={str(p): round(s, 4) for p, s in snrs.items()})
+        log("discovery_done")
         if not candidates:
             log("reset")
             continue

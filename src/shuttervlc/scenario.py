@@ -30,7 +30,7 @@ from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme,
 from .protocol import IDENT_WINDOW_PACKETS, ProtocolParams, run_controller
 
 SCENARIO_SCHEMA_VERSION = 1
-TRACE_SCHEMA_VERSION = 3     # packed bits; masks on phase-transition events
+TRACE_SCHEMA_VERSION = 4     # each fact once: no detections, one SNR a label
 
 
 class ScenarioError(ValueError):
@@ -496,7 +496,6 @@ class TraceRecord:
     converged: Optional[bool]
     events: List[dict]
     dwells: List[dict]              # {t0_s, pixel|mask, start_bit, bits}
-    detections: List[dict]          # {dwell_index, offset, label, score}
     tx_bits: Dict[str, str]         # label -> bit string
     reports: Dict[str, dict]        # label -> report (see _report)
     context: dict                   # what replay needs to recompute
@@ -522,7 +521,7 @@ class TraceRecord:
             if d["schema_version"] != TRACE_SCHEMA_VERSION:
                 raise ScenarioError(
                     f"trace schema version {d['schema_version']} unsupported")
-            fields = {k: d[k] for k in cls.__dataclass_fields__}
+            fields = dict(_object(d, "trace", cls.__dataclass_fields__))
             fields["dwells"] = [dict(dw, bits=_unpack(dw["bits"], "dwell bits"))
                                 for dw in d["dwells"]]
             fields["tx_bits"] = {label: _unpack(bits, f"tx_bits {label!r}")
@@ -572,28 +571,26 @@ def _report(ctx: dict, ber: float, per: float, snr_db: float,
             "packets_detected_valid": valid}
 
 
-def _score(record: TraceRecord) -> Tuple[Dict[str, dict], List[dict]]:
-    """The reports and detections of a trace, from its `mode`, per-dwell
-    bits, `tx_bits` and `context` alone; a run and its replay both score
-    here.
+def _score(record: TraceRecord) -> Dict[str, dict]:
+    """The reports of a trace, from its `mode`, per-dwell bits, `tx_bits`
+    and `context` alone; a run and its replay both score here.
 
     A fixed-mask dwell is compared with every emitter's transmit bits; no
     packets are framed, so PER is 0. A protocol dwell is searched for
     packets and compared with every emitter on its pixel from the dwell's
     first detection on; a detection is valid only for the emitter whose
     label it carries; its pixel must be on the shutter that the `init`
-    event's mask records. `snr_db` and the rates behind goodput come from
-    `context`."""
+    event's mask records. Each label's `snr_db` and the rates behind
+    goodput come from `context`."""
     ctx = record.context
     tx = {label: _bits_from_str(bits) for label, bits in record.tx_bits.items()}
     if record.mode == "fixed_mask":
         if not tx:
-            return {}, []
+            return {}
         rx = _bits_from_str(record.dwells[0]["bits"])
         return {label: _report(ctx, bit_error_rate(bits, rx[:len(bits)]), 0.0,
-                               ctx["snr_db"].get(label, float("nan")),
-                               len(bits), 0, 0)
-                for label, bits in tx.items()}, []
+                               ctx["snr_db"][label], len(bits), 0, 0)
+                for label, bits in tx.items()}
 
     table = IdLookupTable([make_id(IdKind(e["id_kind"]), e["label"])
                            for e in ctx["emitters"]])
@@ -604,8 +601,7 @@ def _score(record: TraceRecord) -> Tuple[Dict[str, dict], List[dict]]:
              for e in ctx["emitters"]}
     n_pixels = next((len(e["mask"]) for e in record.events
                      if e["event"] == "init"), 0)
-    detections: List[dict] = []
-    for index, dw in enumerate(record.dwells):
+    for dw in record.dwells:
         start, pixel = dw["start_bit"], dw["pixel"]
         if type(start) is not int or start < 0:
             raise ScenarioError(
@@ -615,8 +611,6 @@ def _score(record: TraceRecord) -> Tuple[Dict[str, dict], List[dict]]:
                                 f"{n_pixels}-pixel shutter")
         rx = _bits_from_str(dw["bits"])
         dets = detect_packets(rx, table, ctx["corr_threshold"])
-        detections += [{"dwell_index": index, "offset": d.offset,
-                        "label": d.label, "score": d.score} for d in dets]
         for label in on_pixel.get(pixel, ()):
             st = stats[label]
             st["expected"] += _expected_packets(start, len(rx))
@@ -635,10 +629,10 @@ def _score(record: TraceRecord) -> Tuple[Dict[str, dict], List[dict]]:
         ber = st["errors"] / st["bits"] if st["bits"] else 1.0
         per = (packet_error_rate(st["valid"], st["expected"])
                if st["expected"] else 100.0)
-        snr = ctx["pixel_snr_db"].get(str(e["pixel"]), float("nan"))
-        reports[str(e["label"])] = _report(ctx, ber, per, snr, st["bits"],
-                                           st["expected"], st["valid"])
-    return reports, detections
+        label = str(e["label"])
+        reports[label] = _report(ctx, ber, per, ctx["snr_db"][label],
+                                 st["bits"], st["expected"], st["valid"])
+    return reports
 
 
 def _rate_context(scenario: Scenario) -> dict:
@@ -661,18 +655,18 @@ def run_scenario(scenario: Scenario,
         raise ScenarioError("seed must be a nonnegative integer")
     run = _run_fixed_mask if scenario.mask is not None else _run_protocol
     record = run(scenario, seed)
-    record.reports, record.detections = _score(record)
+    record.reports = _score(record)
     record.tx_bits = {label: bits for label, bits in record.tx_bits.items()
                       if label in record.reports}
     return record
 
 
 def _record(scenario: Scenario, seed: int, **fields) -> TraceRecord:
-    """An unscored trace: its `reports` and `detections` are empty."""
+    """An unscored trace: its `reports` are empty."""
     return TraceRecord(schema_version=TRACE_SCHEMA_VERSION,
                        scenario_name=scenario.name,
                        scenario_hash=scenario.scenario_hash, seed=seed,
-                       detections=[], reports={}, **fields)
+                       reports={}, **fields)
 
 
 def _run_fixed_mask(scenario: Scenario, seed: int) -> TraceRecord:
@@ -706,8 +700,9 @@ def _run_protocol(scenario: Scenario, seed: int) -> TraceRecord:
                emitters=[{"label": e.label, "id_kind": e.id_kind.value,
                           "pixel": p}
                          for e, p in zip(scenario.emitters, pixels)],
-               pixel_snr_db={str(p): s for p, s
-                             in result.pixel_snr_db.items()})
+               snr_db={str(e.label): result.pixel_snr_db[p] for e, p
+                       in zip(scenario.emitters, pixels)
+                       if result.pixel_snr_db})     # {} if no scan ran
 
     dwells: List[dict] = []
     end_bit: Dict[int, int] = {}        # pixel -> end of its last dwell
@@ -737,11 +732,11 @@ def _run_protocol(scenario: Scenario, seed: int) -> TraceRecord:
 
 def replay_trace(record: TraceRecord) -> Dict[str, dict]:
     """Recompute the reports of a trace with the scoring a run uses; its
-    stored reports and detections are ignored. A report edited in the trace
+    stored reports are ignored. A report edited in the trace
     therefore differs from its replay; bits and `context` edited
     consistently with the reports do not show. A trace with a field missing
     or malformed raises a ScenarioError."""
     if record.mode not in ("fixed_mask", "protocol"):
         raise ScenarioError(f"unknown trace mode {record.mode!r}")
     with _malformed("trace"):
-        return _score(record)[0]
+        return _score(record)

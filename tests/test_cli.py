@@ -187,7 +187,7 @@ def test_trace_is_compact_json_with_packed_bits(tmp_path):
     assert "\n" not in text and ", " not in text
     record = run_scenario(bundled_scenario("protocol_clean"))
     d = json.loads(text)
-    assert d["schema_version"] == 3
+    assert d["schema_version"] == 4
     for packed, bits in zip([dw["bits"] for dw in d["dwells"]]
                             + [d["tx_bits"]["1"]],
                             [dw["bits"] for dw in record.dwells]
@@ -275,7 +275,7 @@ def test_replay_reports_malformed_packed_bits_as_error(tmp_path, capsys, edit):
 @pytest.mark.parametrize("name,edit", [
     pytest.param("protocol_clean", lambda d, k=key: d["context"].pop(k),
                  id=key)
-    for key in ("emitters", "corr_threshold", "pixel_snr_db", "symbol_rate")
+    for key in ("emitters", "corr_threshold", "snr_db", "symbol_rate")
 ] + [
     pytest.param("protocol_clean", lambda d, k=key: d["dwells"][0].pop(k),
                  id=f"dwell-without-{key}") for key in ("bits", "start_bit")
@@ -303,6 +303,11 @@ def test_replay_reports_malformed_packed_bits_as_error(tmp_path, capsys, edit):
                  id="fixed-mask-without-dwells"),
     pytest.param("table1_type1_case1",
                  lambda d: d["context"].update(snr_db=[]), id="snr_db-list"),
+    # a schema-3 trace relabelled as version 4 still stores its detections,
+    # and a trace holds no key its fields do not name
+    pytest.param("protocol_clean", lambda d: d.update(detections=[
+        {"dwell_index": 0, "offset": 0, "label": 1, "score": 13}]),
+                 id="schema-3-detections"),
 ])
 def test_replay_reports_malformed_trace_as_error(tmp_path, capsys, name, edit):
     d = _trace(name)
@@ -395,6 +400,12 @@ def _edited(bundled, section, **values):
     pytest.param(_edited("protocol_clean", "protocol",
                          ident_window_packets=1e300),
                  id="ident_window_packets-1e300"),
+    # a huge gmsk_bt makes the GMSK frequency pulse NaN (1e308) or, its
+    # sum overflowing, all zeros (5e307)
+    pytest.param(_edited("gmsk_demo", "modem", gmsk_bt=1e308),
+                 id="gmsk_bt-1e308"),
+    pytest.param(_edited("gmsk_demo", "modem", gmsk_bt=5e307),
+                 id="gmsk_bt-5e307"),
     # a FIXED threshold level must be finite
     pytest.param(_edited("table1_type2_case1", "threshold", level=float("nan")),
                  id="level-nan"),

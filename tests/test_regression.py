@@ -21,6 +21,12 @@ The eight protocol digests were retaken when the controller's dwell events
 stopped recording a mask (trace schema 3): every other simulated field
 stayed the same, and so did every event once the dwell events' `mask` was
 deleted. The five fixed-mask digests are unchanged.
+
+All thirteen were retaken when a trace stopped storing its detections and
+the `discovery_done` event's per-pixel SNRs (trace schema 4), over the
+fields a trace still has: each new digest equals the old code's digest of
+the same four fields once `discovery_done.pixel_snr_db` is deleted. The
+last digest, `protocol_multi`, was taken then.
 """
 
 import hashlib
@@ -33,7 +39,7 @@ from shuttervlc import modem, scenario
 from shuttervlc.scenario import (TraceRecord, bundled_scenario,
                                  run_scenario, scenario_from_dict)
 
-SIMULATED_FIELDS = ("dwells", "detections", "events", "tx_bits", "reports")
+SIMULATED_FIELDS = ("dwells", "events", "tx_bits", "reports")
 
 # sha256 of the simulated fields of each case's trace, at its bundled seed,
 # as JSON with the bits as '0'/'1' text: the digests were taken over that
@@ -41,36 +47,39 @@ SIMULATED_FIELDS = ("dwells", "detections", "events", "tx_bits", "reports")
 # decoding a trace gives back
 PINNED = {
     "protocol_clean":
-        "f40af95020f326aadc9fa6fbb000e368518cc3a41e17595cc0b3997a0fc17c5e",
+        "0c94c8778343c50433ad07d19c0e5400a5200af2763a56161bf97560b6cc760d",
     "protocol_all_off":
-        "489078e2ba0e2e6f7c18e808424f780a8cb72c0f6981d6da2679e7cb2be5b364",
+        "e9dfa0e4490fb57e0b98c07d88fd881746af5fba78b78dad9f5b45f053b5df86",
     "gmsk_demo":
-        "043cd77b2a7c6da90a23d7138d748f1a6650d9a0753b85cf6c7b2df85cc9e772",
+        "7c426d4f80c2fb437ad2f6040c6dcedcc7549d6468e2108968fe04d4c24b45c5",
     # a same_as bit source on an INVERTED emitter
     "table1_type4_case1":
-        "a1431e8662dd17fd702be7aa43301865ed3dee58107a9da6fafaaa460ed7cf79",
+        "747800833064d00cb289d17d55d2155a4b3d9172fe12c0ab63049646f0e38271",
     "protocol_clean_gmsk8":
-        "1c761c9a0d4bc6a7b57cac2c9189e8140a9522bc41035047e0b49b386a27ac43",
+        "f008e487358959e38b424f8bb5029b85ff8b4d527c77ae320b309a7ea22c293a",
     # closed pixels leak, so blocked emitters must still be synthesised
     "protocol_clean_gmsk8_leak":
-        "7d474572a31166277acf91a80254d4e1d37d38c1722dd459212adfb3ccc59be1",
+        "4940f4f2fee71d167f55959777b475ab14f808b31539e736e4cd11f36d355aa0",
     "table1_type1_case1_leak":
-        "113342c1e105a683ca289e161229d1c10b503bd70c5d922741ab460a7cbe03a1",
+        "d2253fe08163cc274e1d05812c3672468ea6d5baf50c9e7025e8f41af361fdc9",
     # a fixed mask that closes emitter 2's pixel
     "table1_type4_case2_leak":
-        "cdb68ba65003e35d4a5e472c3df3c841bfb7926f42fcbbf6f6610f9c19edd2b8",
+        "509fa8dab919e1cf78a846214edfef268b623d890dbb4218294825b14c3788f4",
     # an open pixel whose emitter has gain 0 is not synthesised either
     "protocol_clean_gmsk8_gain0":
-        "91171c4c9b384a842eae8d66456ad7d756bf736007ce0c6abf706a0e459c661e",
+        "4650231da5d5bd840c2f204e7f1f455b346fac7f6ddc3af0bc59afb0b247bb6f",
     # GMSK operating points whose decisions the demodulator must keep
     "protocol_clean_gmsk4":
-        "e577300f24e72a22bc34e5fc026beb284ea9b93fdfc8ca18a64da84c3536deed",
+        "a843f1e76c1dd857b31c74a691541699a10d9fa679104253244be66a0caca02f",
     "protocol_clean_gmsk16":
-        "31a5c48bd4185940300e1ec423f4604daae3e2122998a925d038c0219502fd86",
+        "16dc17d50104f8dd5ba8c138470444a3c792d18b45bcb2410a5af6f0ceae14f0",
     "protocol_clean_gmsk8_sigma0.1":
-        "b91fda0e3119a4e43134dfdd3f88ae03cfe00f8e9cacd02bce54e4b204044c91",
+        "17888f9ff9f0dafa227d78d9ee5d39b41f2124959a8139123f125e5fa992449d",
     "gmsk_demo_sigma0.1":
-        "a593f152cc9fb3c81138be2f9bc74cd496b09c0228c2c2a9893efc26c647eea4",
+        "401a3dbe578e4985a094ee3bcfa2a37c4f49ae1df379e35529123fc992a1c0cf",
+    # no select_target: two pixels lock and share the slots
+    "protocol_multi":
+        "9d5ab60ef60844fa5d8b4c8ead80a051686b3024acba1330896e8ae49396adc9",
 }
 
 
@@ -157,7 +166,10 @@ def test_paper_scale_grid_costs_o_open_pixels_per_dwell():
     # init, the noise reference, n probes, discovery_done, two
     # identification dwells and the lock
     assert len(record.events) == n + 6
-    assert len(text) < 2 * 2**20
+    # each pixel's SNR is stored once, on its probe event; when it was also
+    # on discovery_done and in the context, and the trace stored its
+    # detections, the trace was 1.45 MiB
+    assert len(text) < 1.25 * 2**20
     assert peak < 64 * 2**20
     dwell_events = {"noise_reference_dwell", "discovery_dwell",
                     "identification_dwell"}
@@ -166,6 +178,11 @@ def test_paper_scale_grid_costs_o_open_pixels_per_dwell():
             assert "mask" not in event
         else:
             assert len(event["mask"]) == n
+        assert ("pixel_snr_db" in event) == (event["event"] == "discovery_dwell")
+    doc = json.loads(text)
+    assert "detections" not in doc
+    assert set(doc["context"]["snr_db"]) == {str(e.label)
+                                             for e in scenario.emitters}
 
 
 def test_blocked_emitters_are_not_modulated(monkeypatch):

@@ -460,7 +460,10 @@ def test_noiseless_dark_shutter_never_identifies():
     assert events[-1] == "gave_up" and record.converged is False
     assert record.events[-1]["sim_time_s"] == pytest.approx(
         3 * (sc.optics.n_pixels + 1) * sc.protocol.T_s)
-    assert set(record.context["pixel_snr_db"].values()) == {float("-inf")}
+    assert {e["pixel_snr_db"] for e in record.events
+            if e["event"] == "discovery_dwell"} == {float("-inf")}
+    assert set(record.context["snr_db"]) == {"1", "2"}
+    assert set(record.context["snr_db"].values()) == {float("-inf")}
 
 
 def test_fixed_mask_run_produces_report():
@@ -535,7 +538,7 @@ def test_trace_json_roundtrip_property(rx_bits, tx_bits, seed):
         scenario_hash="0" * 64, seed=seed, mode="protocol", converged=True,
         events=[], dwells=[{"t0_s": 0.0, "pixel": 0, "start_bit": 0,
                             "bits": bits(rx_bits)}],
-        detections=[], tx_bits={"1": bits(tx_bits), "2": bits(tx_bits // 3)},
+        tx_bits={"1": bits(tx_bits), "2": bits(tx_bits // 3)},
         reports={}, context={})
     assert TraceRecord.from_json(record.to_json()) == record
 

@@ -117,6 +117,16 @@ scenarios["protocol_all_off"] = {
     "duration_s": 4.0,
     "emitters": [led(1, 0, gain=0.0), led(2, 1, gain=0.0)],
 }
+# no select_target: both pixels lock and the slots alternate between them
+scenarios["protocol_multi"] = {
+    **protocol_common,
+    "name": "protocol_multi",
+    "rng_seed": 7,
+    "duration_s": 8.0,
+    "emitters": [led(1, 0), led(2, 1)],
+    "protocol": {k: v for k, v in protocol_common["protocol"].items()
+                 if k != "select_target"},
+}
 
 # GMSK demo on a clean single-emitter link
 scenarios["gmsk_demo"] = {
