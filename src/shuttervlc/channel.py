@@ -7,6 +7,7 @@ amplifier front end.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import FrozenSet, List, Sequence, Tuple
 
@@ -19,6 +20,14 @@ class ChannelError(ValueError):
     """Raised for inconsistent channel inputs."""
 
 
+def _pixel_indices(pixels) -> Tuple[int, ...]:
+    """`pixels` as ints; a float, even a whole one, names no pixel."""
+    try:
+        return tuple(map(operator.index, pixels))
+    except TypeError:
+        raise ChannelError("pixel indices must be integers") from None
+
+
 @dataclass(frozen=True)
 class PixelMask:
     """The shutter at an instant: its pixel count and the set of OPEN
@@ -28,7 +37,7 @@ class PixelMask:
     open: FrozenSet[int] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "open", frozenset(self.open))
+        object.__setattr__(self, "open", frozenset(_pixel_indices(self.open)))
         if any(not (0 <= p < self.n_pixels) for p in self.open):
             raise ChannelError("open pixel outside the shutter")
 
@@ -47,17 +56,17 @@ class ChannelConfig:
     saturation_level: float = float("inf")
 
     def __post_init__(self):
-        for name, kind in (("emitter_gain", float), ("emitter_pixel", int),
-                           ("ambient_dc", float)):
-            object.__setattr__(self, name, tuple(map(kind, getattr(self, name))))
+        for name in ("emitter_gain", "ambient_dc"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        object.__setattr__(self, "emitter_pixel", _pixel_indices(self.emitter_pixel))
         for name in ("noise_sigma", "closed_leakage", "saturation_level"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if any(not 0 <= g < math.inf for g in self.emitter_gain):
             raise ChannelError("gains must be finite and nonnegative")
-        object.__setattr__(self, "ambient_lit", any(self.ambient_dc))
         object.__setattr__(self, "ambient_total", sum(self.ambient_dc))
-        if not math.isfinite(self.ambient_total):
-            raise ChannelError("ambient_dc and its sum must be finite")
+        if not (min(self.ambient_dc, default=0.0) >= 0
+                and math.isfinite(self.ambient_total)):
+            raise ChannelError("ambient_dc must be nonnegative, its sum finite")
         if not (0 <= self.closed_leakage < 1):
             raise ChannelError("closed_leakage must be in [0, 1)")
         if not 0 <= self.noise_sigma < math.inf:
@@ -109,7 +118,7 @@ def receive(emitter_blocks: Sequence[SampleBlock], mask: PixelMask,
     for block, weight in zip(emitter_blocks, weights):
         if weight:
             out += weight * block.samples
-    if cfg.ambient_lit:
+    if cfg.ambient_total:
         out += (cfg.closed_leakage * cfg.ambient_total + (1 - cfg.closed_leakage)
                 * sum(cfg.ambient_dc[p] for p in sorted(mask.open)))
     if cfg.noise_sigma > 0:

@@ -62,10 +62,13 @@ class ModemConfig:
         # 4 keeps subcarrier + peak deviation (1.5 cycles/symbol) below Nyquist
         if self.scheme is Scheme.GMSK and self.samples_per_symbol < 4:
             raise ModemError("GMSK needs samples_per_symbol >= 4")
-        # a huge gmsk_bt overflows the pulse (NaN) or its sum (all zeros)
-        if self.scheme is Scheme.GMSK and not math.isclose(
-                _gmsk_frequency_pulse(self).sum(), 1):
-            raise ModemError("gmsk_bt must give a finite pulse that sums to 1")
+        if self.scheme is Scheme.GMSK:
+            pulse = _gmsk_frequency_pulse(self)
+            # a huge gmsk_bt overflows the pulse (NaN) or its sum (all zeros)
+            if not math.isclose(pulse.sum(), 1):
+                raise ModemError("gmsk_bt must give a finite pulse that sums to 1")
+            object.__setattr__(self, "gmsk_phase_taps", _gmsk_phase_taps(
+                pulse, self.samples_per_symbol))
 
     @property
     def sample_rate(self) -> float:
@@ -107,12 +110,12 @@ def _gmsk_frequency_pulse(cfg: ModemConfig) -> np.ndarray:
     return pulse / pulse.sum()
 
 
-def _gmsk_phase_taps(cfg: ModemConfig) -> tuple[int, np.ndarray]:
+def _gmsk_phase_taps(pulse: np.ndarray, sps: int) -> tuple[int, np.ndarray]:
     """(j0, taps): the phase pulse q = cumsum(frequency pulse), centred and
     sampled per symbol. Symbol s adds taps[r, t] to the data phase at sample
-    (s + j0 + t) * sps + r; before that it adds 0, after it exactly 1."""
-    sps = cfg.samples_per_symbol
-    q = np.cumsum(_gmsk_frequency_pulse(cfg))
+    (s + j0 + t) * sps + r; before that it adds 0, after it exactly 1.
+    `ModemConfig` builds them once, as `gmsk_phase_taps`."""
+    q = np.cumsum(pulse)
     delay = (len(q) - sps) // 2
     j0 = -((delay + sps - 1) // sps)
     n_taps = (len(q) - 2 - delay) // sps - j0 + 1
@@ -130,7 +133,7 @@ def _gmsk_phase(bits: np.ndarray, cfg: ModemConfig, first: int,
     pulse has passed adds exactly +-1, so the phase is an integer running
     sum plus, per sample phase, a short convolution over the symbols still
     in transition."""
-    j0, taps = _gmsk_phase_taps(cfg)
+    j0, taps = cfg.gmsk_phase_taps
     lo, hi = first - (j0 + taps.shape[1] - 1), first + n_symbols - j0
     i, j = np.clip((lo, hi), 0, len(bits))
     a = np.pad(2.0 * bits[i:j] - 1.0, (i - lo, hi - j))
@@ -147,7 +150,8 @@ def gmsk_data_phase(bits, cfg: ModemConfig) -> np.ndarray:
     +-pi/2 in total.
     """
     bits = np.asarray(bits)
-    sps, n_pulse = cfg.samples_per_symbol, len(_gmsk_frequency_pulse(cfg))
+    sps = cfg.samples_per_symbol
+    n_pulse = (GMSK_SPAN + 1) * sps     # len(_gmsk_frequency_pulse(cfg))
     lead = n_pulse // sps + 1       # whole symbols that cover the lead-in
     phase = _gmsk_phase(bits, cfg, -lead, 2 * lead + len(bits))
     start = lead * sps - (n_pulse - sps) // 2

@@ -39,14 +39,13 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class EmitterSpec:
-    """An emitter resolved at load. Its payload repeats `pattern`, or is
-    random bits from `seed`, or else from the run seed and `stream` (its own
-    label, or that of the emitter its `same_as` source names)."""
+    """An emitter resolved at load. Its payload repeats `pattern`, or else
+    is random bits from the run seed and `stream` (its own label, or that of
+    the emitter its `same_as` source names)."""
     label: int
     id_kind: IdKind
     phase_offset: PhaseOffset
     pattern: Optional[np.ndarray]
-    seed: Optional[int]
     stream: int
 
 
@@ -77,14 +76,13 @@ class Scenario:
     source_dict: dict = field(default_factory=dict, repr=False)
 
 
-# keys of the objects no dataclass checks; a bit source's one key by type
+# keys of the objects no dataclass checks; a bit source's keys by type
 _SCENARIO_KEYS = ("schema_version", "name", "rng_seed", "duration_s",
                   "optics", "modem", "emitters", "placement", "channel",
                   "mask", "protocol", "threshold", "code_rate")
 _EMITTER_KEYS = ("label", "pixel", "gain", "id_kind", "phase_offset",
                  "bit_source")
-_SOURCE_KEY = {"random": "seed", "pattern": "bits", "file": "path",
-               "same_as": "label"}
+_SOURCE_KEYS = {"random": (), "pattern": ("bits",), "same_as": ("label",)}
 
 
 def _object(value, what: str, keys=None) -> dict:
@@ -121,13 +119,15 @@ def _numbers(obj: dict, what: str, *text: str) -> dict:
 
 def _emitter_pixels(specs: List[dict], placement,
                     optics: OpticalSetup) -> Tuple[int, ...]:
-    """Per-emitter pixel index: explicit assignment, else projected
-    through the lens from the placement."""
+    """Per-emitter pixel index: each emitter's own `pixel`, or, with a
+    placement, projected through the lens; never both."""
     explicit = [e.get("pixel") for e in specs]
-    if all(p is not None for p in explicit):
+    if placement is None:
+        if None in explicit:
+            raise ScenarioError("without a placement every emitter needs a pixel")
         return tuple(_number(p, "pixel", whole=True) for p in explicit)
-    if not placement:
-        raise ScenarioError("need either per-emitter pixels or a placement")
+    if any(p is not None for p in explicit):
+        raise ScenarioError("with a placement no emitter may have a pixel")
     result = map_emitters_to_pixels(optics, EmitterPlacement(tuple(
         tuple(_number(c, "placement coordinate") for c in p)
         for p in placement)))
@@ -139,41 +139,25 @@ def _emitter_pixels(specs: List[dict], placement,
 def _bit_source(value) -> dict:
     src = _object(value, "bit_source")
     kind = src.get("type", "random")
-    if kind not in _SOURCE_KEY:
+    if kind not in _SOURCE_KEYS:
         raise ScenarioError(f"unknown bit source type {kind!r}")
-    return _object(src, f"{kind} bit source", ("type", _SOURCE_KEY[kind]))
+    return _object(src, f"{kind} bit source", ("type",) + _SOURCE_KEYS[kind])
 
 
-def _own_bits(src: dict) -> Tuple[Optional[np.ndarray], Optional[int]]:
-    """(pattern, seed) of a bit source that is not `same_as`; a `file`
-    source is read here, and only here."""
-    kind = src.get("type", "random")
-    if kind == "random":
-        seed = src.get("seed")
-        if seed is None:
-            return None, None
-        seed = _number(seed, "a bit source seed", whole=True)
-        if seed < 0:
-            raise ScenarioError("a bit source seed must be a nonnegative integer")
-        return None, seed
-    key = _SOURCE_KEY[kind]
-    if key not in src:
-        raise ScenarioError(f"a {kind} bit source needs {key!r}")
-    text = src[key]
-    if kind == "file":
-        try:
-            text = "".join(c for c in Path(text).read_text() if c in "01")
-        except OSError as exc:
-            raise ScenarioError(f"bit source file unreadable: {exc}") from exc
-    pattern = _bits_from_str(text)
+def _own_bits(src: dict) -> Optional[np.ndarray]:
+    """The pattern of a bit source that is not `same_as`; None for a
+    random one."""
+    if src.get("type", "random") == "random":
+        return None
+    pattern = _bits_from_str(src.get("bits", ""))
     if pattern.size == 0:
-        raise ScenarioError(f"{kind} bit source has no bits")
-    return pattern, None
+        raise ScenarioError("a pattern bit source needs at least one bit")
+    return pattern
 
 
 def _emitters(specs: List[dict]) -> List[EmitterSpec]:
     """Resolve each emitter's header, phase and bit source; a `same_as`
-    source takes the pattern, seed and stream of the emitter it names."""
+    source takes the pattern and stream of the emitter it names."""
     sources = {_number(e["label"], "label", whole=True):
                _bit_source(e.get("bit_source", {"type": "random"}))
                for e in specs}
@@ -189,7 +173,7 @@ def _emitters(specs: List[dict]) -> List[EmitterSpec]:
             raise ScenarioError("same_as must name an emitter with bits of its own")
         emitters.append(EmitterSpec(
             label, IdKind(e.get("id_kind", "BARKER13")),
-            PhaseOffset(e.get("phase_offset", "IN_PHASE")), *own[stream],
+            PhaseOffset(e.get("phase_offset", "IN_PHASE")), own[stream],
             stream))
     return emitters
 
@@ -244,6 +228,8 @@ def _parse(d: dict) -> Scenario:
         raise ScenarioError("only a FIXED threshold takes a level")
     level = None
     if mode == "FIXED":
+        if modem.scheme is Scheme.GMSK:
+            raise ScenarioError("a GMSK modem takes no FIXED threshold")
         level = float(_number(thr.get("level"), "a FIXED threshold's level"))
         if not math.isfinite(level):
             raise ScenarioError("a FIXED threshold's level must be finite")
@@ -371,12 +357,11 @@ class LinkSimulation:
     to weight 0 is not synthesised: its block in `window` is all zeros.
     Only one dwell's samples exist at a time.
 
-    Each emitter's bits come from one generator per run, seeded by its
-    source's `seed`, else by the run seed and its `stream`, and are drawn
-    once, when `tx_bits` first reads them: a dwell reads each emitter it
-    lets through to the window's end plus `context_symbols`, and a trace
-    the prefix it stores, so a dark emitter draws nothing. A GMSK window
-    still reads every bit before it."""
+    Each emitter's bits come from one generator per run, seeded by the
+    run seed and its `stream`, and are drawn once, when `tx_bits` first
+    reads them: a dwell reads each emitter it lets through to the window's
+    end plus `context_symbols`, and a trace the prefix it stores, so a dark
+    emitter draws nothing. A GMSK window still reads every bit before it."""
 
     def __init__(self, scenario: Scenario, seed: int):
         self.scenario = scenario
@@ -392,8 +377,7 @@ class LinkSimulation:
             IDENT_WINDOW_PACKETS * framing.PACKET_BITS
             / self.modem.symbol_rate if self.framed else None)
         self._rngs = {spec.label: None if spec.pattern is not None else
-                      np.random.default_rng(spec.seed if spec.seed is not None
-                                            else [seed, spec.stream, 17])
+                      np.random.default_rng([seed, spec.stream, 17])
                       for spec in scenario.emitters}
         self._bits = {spec.label: np.empty(0, dtype=np.uint8)
                       for spec in scenario.emitters}

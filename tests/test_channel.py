@@ -21,7 +21,7 @@ def test_mask_constructors():
     assert PixelMask(5, [1]).n_pixels == 5
 
 
-@pytest.mark.parametrize("pixel", [-1, 4])
+@pytest.mark.parametrize("pixel", [-1, 4, 0.5, 1.0])
 def test_mask_rejects_out_of_range_pixel(pixel):
     with pytest.raises(ChannelError):
         PixelMask(4, {0, pixel})
@@ -59,9 +59,8 @@ def test_ambient_dc_follows_its_pixel_gate():
 
 @pytest.mark.parametrize("leak", [0.0, 0.1])
 def test_ambient_term_matches_per_pixel_gating(leak):
-    # the reference gates every pixel's ambient light in turn; ambient that
-    # sums to 0 still lights an open pixel
-    for ambient in ((3.0, 5.0, 0.0), (1.0, -1.0, 0.0), (0.25, 0.5, -0.75)):
+    # the reference gates every pixel's ambient light in turn
+    for ambient in ((3.0, 5.0, 0.0), (1.0, 0.0, 0.0), (0.25, 0.5, 0.75)):
         cfg = ChannelConfig(emitter_gain=(1.0,), emitter_pixel=(0,),
                             ambient_dc=ambient, closed_leakage=leak)
         for open_pixels in ((), (0,), (1,), (0, 2), (0, 1, 2)):
@@ -73,9 +72,10 @@ def test_ambient_term_matches_per_pixel_gating(leak):
             else:
                 np.testing.assert_allclose(out.samples, [max(expected, 0.0)],
                                            rtol=1e-12, atol=1e-15)
-    with pytest.raises(ChannelError):      # a sum that overflows
-        ChannelConfig(emitter_gain=(), emitter_pixel=(),
-                      ambient_dc=(1e308, 1e308))
+    # a sum that overflows, and light that is negative
+    for ambient in ((1e308, 1e308), (-50.0, 0.0), (0.25, -1e-300)):
+        with pytest.raises(ChannelError):
+            ChannelConfig(emitter_gain=(), emitter_pixel=(), ambient_dc=ambient)
 
 
 def test_saturation_clips_and_floor_at_zero():
@@ -127,7 +127,7 @@ def test_receive_validation():
     # an emitter on no pixel of the shutter, a gain count that differs from
     # the emitter-pixel count, and a saturation level that is not positive
     for bad in (dict(emitter_pixel=(0, -1)), dict(emitter_pixel=(0, 2)),
-                dict(emitter_pixel=(0,)),
+                dict(emitter_pixel=(0,)), dict(emitter_pixel=(0, 0.7)),
                 dict(saturation_level=0.0), dict(saturation_level=-1.0)):
         with pytest.raises(ChannelError):
             ChannelConfig(**dict(good, **bad))

@@ -348,6 +348,25 @@ def _edited(bundled, section, **values):
     pytest.param(_edited("gmsk_demo", None, emitters=[
         {"label": 1, "pixel": 0, "bit_source": {"type": "pattern"}}]),
                  id="pattern-without-bits"),
+    # a file's bits go inline as a pattern; random bits follow the run seed
+    pytest.param(_edited("gmsk_demo", None, emitters=[
+        {"label": 1, "pixel": 0, "bit_source": {"type": "file",
+                                                "path": "/dev/zero"}}]),
+                 id="bit_source-file"),
+    pytest.param(_edited("gmsk_demo", None, emitters=[
+        {"label": 1, "pixel": 0, "bit_source": {"type": "random", "seed": 3}}]),
+                 id="bit_source-seed-3"),
+    # a GMSK modem ignores a decision level; a placement maps every emitter
+    pytest.param(_edited("gmsk_demo", None,
+                         threshold={"mode": "FIXED", "level": 123.0}),
+                 id="gmsk-fixed-threshold"),
+    pytest.param(_edited("protocol_clean", None,
+                         placement=[[0.0744, 0], [-0.0744, 0]]),
+                 id="placement-and-pixels"),
+    pytest.param(_edited("table1_type2_case1", "channel", ambient_dc=[-50, 0]),
+                 id="ambient_dc-negative"),
+    pytest.param(_edited("protocol_clean", None, emitters=[
+        {"label": 1, "pixel": 0.7}]), id="pixel-0.7"),
     pytest.param(_edited("gmsk_demo", None, code_rate=2.0), id="code_rate-2"),
     pytest.param(_edited("gmsk_demo", None, duration_s=-5), id="duration_s--5"),
     pytest.param(_edited("protocol_clean", "protocol", T_s=2.0).replace(

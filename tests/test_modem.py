@@ -151,6 +151,19 @@ def test_gmsk_phase_matches_convolution_oracle(sps):
             np.testing.assert_allclose(phase, expected, rtol=0, atol=1e-9)
 
 
+def test_gmsk_pulse_is_built_once_per_config(monkeypatch):
+    # the config builds the phase taps; a window only reads them
+    bits = np.random.default_rng(7).integers(0, 2, 200).astype(np.uint8)
+    samples, phase = modulate(bits, GMSK).samples, gmsk_data_phase(bits, GMSK)
+
+    def rebuilt(cfg):
+        raise AssertionError("GMSK frequency pulse rebuilt after load")
+
+    monkeypatch.setattr(shuttervlc.modem, "_gmsk_frequency_pulse", rebuilt)
+    np.testing.assert_array_equal(modulate(bits, GMSK).samples, samples)
+    np.testing.assert_array_equal(gmsk_data_phase(bits, GMSK), phase)
+
+
 def test_ook_roundtrip_noiseless_property():
     rng = np.random.default_rng(100)
     for _ in range(100):

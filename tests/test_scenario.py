@@ -147,8 +147,11 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(rng_seed=1.5),
         _source(type="pattern"),
         _source(type="pattern", bits=""),
+        # no longer bit sources: a file, and a random source's own seed
         _source(type="file"),
         _source(type="file", path=str(tmp_path / "missing.txt")),
+        _source(type="random", seed=3),
+        _source(seed=3),
         dict(bundled_scenario("protocol_clean").source_dict, emitters=[
             {"label": 1, "pixel": 0, "id_kind": "BARKER13"},
             {"label": 2, "pixel": 1, "id_kind": "BARKER13"}]),
@@ -162,6 +165,10 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _with("channel", noise_sigma=float("inf")),
         _with("channel", ambient_dc=[float("nan"), 0.0]),
         _with("channel", ambient_dc=[0.0, float("inf")]),
+        _with("channel", ambient_dc=[-50.0, 0.0]),
+        # a GMSK modem has no decision level to fix
+        _variant(modem=dict(BASE["modem"], **GMSK8),
+                 threshold={"mode": "FIXED", "level": 123.0}),
         # no emitter, and unknown keys in the untyped objects
         _variant(emitters=[]),
         _variant(duraton_s=1.0),
@@ -235,11 +242,11 @@ def test_scenario_is_typed_at_load():
     assert scenario_from_dict(_variant(mask=[True, False])).mask == sc.mask
     # a whole float is taken as the integer it names
     sc = scenario_from_dict(_variant(rng_seed=5.0, emitters=[
-        {"label": 1.0, "pixel": 0.0, "bit_source": {"seed": 3.0}}]))
-    assert (sc.rng_seed, sc.emitters[0].label, sc.emitters[0].seed,
-            sc.channel.emitter_pixel) == (5, 1, 3, (0,))
+        {"label": 1.0, "pixel": 0.0}]))
+    assert (sc.rng_seed, sc.emitters[0].label,
+            sc.channel.emitter_pixel) == (5, 1, (0,))
     assert all(type(x) is int for x in (sc.rng_seed, sc.emitters[0].label,
-                                        sc.emitters[0].seed))
+                                        *sc.channel.emitter_pixel))
 
 
 def test_placement_maps_emitters_to_pixels():
@@ -253,15 +260,22 @@ def test_placement_maps_emitters_to_pixels():
     with pytest.raises(ScenarioError, match="coordinates must be finite"):
         scenario_from_dict(_variant(emitters=[{"label": 1}],
                                     placement=[[float("nan"), 0.0]]))
+    # a placement maps every emitter, so none may name a pixel too
+    with pytest.raises(ScenarioError, match="no emitter may have a pixel"):
+        scenario_from_dict(_variant(emitters=[{"label": 1, "pixel": 1}],
+                                    placement=[[0.0744, 0.0]]))
+    doc = bundled_scenario("protocol_clean").source_dict
+    del doc["emitters"][1]["pixel"]
+    with pytest.raises(ScenarioError, match="no emitter may have a pixel"):
+        scenario_from_dict(dict(doc, placement=[[0.0744, 0], [-0.0744, 0]]))
 
 
 def _payload_rng(spec, run_seed):
     """The generator a run draws an emitter's random payload from."""
-    return np.random.default_rng(spec.seed if spec.seed is not None
-                                 else [run_seed, spec.stream, 17])
+    return np.random.default_rng([run_seed, spec.stream, 17])
 
 
-def test_emitter_bits_sources(tmp_path):
+def test_emitter_bits_sources():
     spec = scenario_from_dict(_variant()).emitters[0]
 
     pattern = scenario_from_dict(_source(type="pattern", bits="101"))
@@ -270,12 +284,6 @@ def test_emitter_bits_sources(tmp_path):
     # a pattern is indexed modulo its length from any first bit
     bits = emitter_bits(pattern.emitters[0], None, 4, 4, False)
     np.testing.assert_array_equal(bits, [0, 1, 1, 0])
-
-    path = tmp_path / "bits.txt"
-    path.write_text("0110\n")
-    filed = scenario_from_dict(_source(type="file", path=str(path)))
-    bits = emitter_bits(filed.emitters[0], None, 0, 6, False)
-    np.testing.assert_array_equal(bits, [0, 1, 1, 0, 0, 1])
 
     # random source is deterministic per (run seed, label)
     a = emitter_bits(spec, _payload_rng(spec, 5), 0, 100, False)
@@ -317,14 +325,10 @@ def _one_shot_bits(spec, n_bits, framed, run_seed):
 
 
 @pytest.fixture(scope="module")
-def source_specs(tmp_path_factory):
+def source_specs():
     """One emitter spec per kind of bit source."""
-    path = tmp_path_factory.mktemp("bits") / "bits.txt"
-    path.write_text("0110100\n")
     sources = {"run-seeded": {"type": "random"},
-               "seeded": {"type": "random", "seed": 77},
-               "pattern": {"type": "pattern", "bits": "10110"},
-               "file": {"type": "file", "path": str(path)}}
+               "pattern": {"type": "pattern", "bits": "10110"}}
     specs = {kind: scenario_from_dict(_source(**src)).emitters[0]
              for kind, src in sources.items()}
     specs["same_as"] = scenario_from_dict(
@@ -333,8 +337,7 @@ def source_specs(tmp_path_factory):
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["run-seeded", "seeded", "pattern", "file",
-                             "same_as"]),
+@given(kind=st.sampled_from(["run-seeded", "pattern", "same_as"]),
        framed=st.booleans(),
        chunks=st.lists(st.integers(1, 3000), min_size=1, max_size=6))
 def test_extended_stream_equals_one_shot_draw_property(source_specs, kind,
@@ -358,15 +361,6 @@ def test_extended_stream_equals_one_shot_draw_property(source_specs, kind,
 def test_pattern_source_rejects_non_binary():
     with pytest.raises(ScenarioError):
         scenario_from_dict(_source(type="pattern", bits="102"))
-
-
-def test_file_source_is_read_once_at_load(tmp_path):
-    path = tmp_path / "bits.txt"
-    path.write_text("0110100111\n")
-    sc = scenario_from_dict(_source(type="file", path=str(path)))
-    before = run_scenario(sc).to_json()
-    path.unlink()
-    assert run_scenario(sc).to_json() == before
 
 
 _SAME_AS = [{"label": 1, "pixel": 0, "id_kind": "BARKER13"},
