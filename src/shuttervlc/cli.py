@@ -45,7 +45,6 @@ def _point(text: str) -> tuple:
 
 def _cmd_geometry(args) -> int:
     setup = OpticalSetup(d=args.d, S1=args.s1, BFL=args.bfl,
-                         S2=PROTOTYPE_SETUP["S2"],
                          grid_rows=args.rows, grid_cols=args.cols)
     out = {
         "h_m": min_separation(setup),

@@ -132,11 +132,8 @@ def detect_packets(bits: Sequence[int], table: IdLookupTable,
         return []
     ids = table.ids
     head = bits[:len(bits) - PACKET_BITS + HEADER_BITS]
-    scores = [correlation_scores(head, tid.id_bits) for tid in ids]
-    best_score, best_id = scores[0], np.zeros(len(scores[0]), dtype=np.intp)
-    for i, score in enumerate(scores[1:], 1):
-        best_id = np.where(score > best_score, i, best_id)
-        best_score = np.maximum(score, best_score)
+    scores = np.stack([correlation_scores(head, tid.id_bits) for tid in ids])
+    best_id, best_score = scores.argmax(axis=0), scores.max(axis=0)
     hits = np.nonzero(best_score >= corr_threshold)[0]
     if hits.size == 0:
         return []

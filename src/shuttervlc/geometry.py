@@ -20,14 +20,12 @@ class OpticalSetup:
     """Lens/shutter geometry. Lengths in meters.
 
     d is the center-to-center pixel pitch (square pixels: side length),
-    S1 the emitter-to-lens distance, S2 the lens-to-shutter distance
-    (recorded for completeness; not used in the separation formula) and
-    BFL the back focal length of the condenser lens.
+    S1 the emitter-to-lens distance and BFL the back focal length of the
+    condenser lens. The lens-to-shutter distance enters no formula here.
     """
 
     d: float
     S1: float
-    S2: float
     BFL: float
     grid_rows: int = 1
     grid_cols: int = 2
@@ -39,8 +37,6 @@ class OpticalSetup:
             object.__setattr__(self, name, int(getattr(self, name)))
         if not all(0 < x < math.inf for x in (self.d, self.S1, self.BFL)):
             raise InvalidSetupError("d, S1 and BFL must be finite and positive")
-        if not math.isfinite(self.S2):
-            raise InvalidSetupError("S2 must be finite")
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise InvalidSetupError("grid must have at least one pixel")
         if not self.S1 > self.BFL:

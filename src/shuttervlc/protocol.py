@@ -35,7 +35,8 @@ class ProtocolParams:
 
     def __post_init__(self):
         for name in ("corr_threshold", "retry_budget"):
-            if int(getattr(self, name)) != getattr(self, name):
+            value = getattr(self, name)
+            if not (isinstance(value, int) or float(value).is_integer()):
                 raise ProtocolError(f"{name} must be an integer")
         for name, kind in (("T_s", float), ("snr_threshold_db", float),
                            ("corr_threshold", int), ("retry_budget", int)):

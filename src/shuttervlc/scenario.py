@@ -1,10 +1,10 @@
 """Scenario definition, end-to-end runs, trace persistence and replay.
 
-A scenario JSON describes the optics, the emitters (modulation, gain,
-transmitter ID, bit source), the channel and either a fixed shutter mask
-(BER-style experiments) or the automated control protocol. Runs are fully
-deterministic given the seed; traces persist the decoded bits, packed, so
-metrics can be recomputed offline.
+A scenario JSON describes the shutter grid, the modem, the emitters
+(pixel, gain, transmitter ID, bit source), the channel and either a fixed
+shutter mask (BER-style experiments) or the automated control protocol.
+Runs are fully deterministic given the seed; traces persist the decoded
+bits, packed, so metrics can be recomputed offline.
 """
 
 import base64
@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -23,14 +23,13 @@ from . import framing
 from .channel import (ChannelConfig, PixelMask, ac_power, emitter_weights,
                       receive, received_snr_db)
 from .framing import IdKind, IdLookupTable, detect_packets, make_id
-from .geometry import EmitterPlacement, OpticalSetup, map_emitters_to_pixels
 from .metrics import bit_error_rate, goodput, packet_error_rate
 from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme,
                     demodulate, modulate)
 from .protocol import IDENT_WINDOW_PACKETS, ProtocolParams, run_controller
 
-SCENARIO_SCHEMA_VERSION = 1
-TRACE_SCHEMA_VERSION = 4     # each fact once: no detections, one SNR a label
+SCENARIO_SCHEMA_VERSION = 2  # the grid and pixels only: no lens, no placement
+TRACE_SCHEMA_VERSION = 5     # no code_rate in context
 
 
 class ScenarioError(ValueError):
@@ -53,7 +52,7 @@ class EmitterSpec:
 class Scenario:
     """A parsed and checked scenario; `scenario_from_dict` builds it.
 
-    `channel` holds each emitter's resolved pixel; `threshold` is the
+    `channel` holds each emitter's pixel; `threshold` is the
     fixed OOK decision level, or None for the adaptive one; `id_table` holds
     the emitters' headers when there is a protocol to identify them.
     `source_dict` is a copy of the parsed document, which later edits of
@@ -63,7 +62,7 @@ class Scenario:
     name: str
     rng_seed: int
     duration_s: float
-    optics: OpticalSetup
+    n_pixels: int
     modem: ModemConfig
     emitters: List[EmitterSpec]
     channel: ChannelConfig
@@ -71,15 +70,14 @@ class Scenario:
     mask: Optional[PixelMask] = None
     protocol: Optional[ProtocolParams] = None
     threshold: Optional[float] = None
-    code_rate: float = 1.0
     id_table: Optional[IdLookupTable] = None
     source_dict: dict = field(default_factory=dict, repr=False)
 
 
 # keys of the objects no dataclass checks; a bit source's keys by type
 _SCENARIO_KEYS = ("schema_version", "name", "rng_seed", "duration_s",
-                  "optics", "modem", "emitters", "placement", "channel",
-                  "mask", "protocol", "threshold", "code_rate")
+                  "optics", "modem", "emitters", "channel", "mask",
+                  "protocol", "threshold")
 _EMITTER_KEYS = ("label", "pixel", "gain", "id_kind", "phase_offset",
                  "bit_source")
 _SOURCE_KEYS = {"random": (), "pattern": ("bits",), "same_as": ("label",)}
@@ -106,7 +104,7 @@ def _number(value, what: str, whole: bool = False):
     `whole`, an integral one, as an int (4.0 is taken as 4)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{what} must be a number")
-    if whole and int(value) != value:
+    if whole and not (isinstance(value, int) or value.is_integer()):
         raise ScenarioError(f"{what} must be an integer")
     return int(value) if whole else value
 
@@ -115,25 +113,6 @@ def _numbers(obj: dict, what: str, *text: str) -> dict:
     """`obj` with each value a JSON number, but those of the `text` keys."""
     return {k: v if k in text else _number(v, f"{what} {k}")
             for k, v in obj.items()}
-
-
-def _emitter_pixels(specs: List[dict], placement,
-                    optics: OpticalSetup) -> Tuple[int, ...]:
-    """Per-emitter pixel index: each emitter's own `pixel`, or, with a
-    placement, projected through the lens; never both."""
-    explicit = [e.get("pixel") for e in specs]
-    if placement is None:
-        if None in explicit:
-            raise ScenarioError("without a placement every emitter needs a pixel")
-        return tuple(_number(p, "pixel", whole=True) for p in explicit)
-    if any(p is not None for p in explicit):
-        raise ScenarioError("with a placement no emitter may have a pixel")
-    result = map_emitters_to_pixels(optics, EmitterPlacement(tuple(
-        tuple(_number(c, "placement coordinate") for c in p)
-        for p in placement)))
-    if not result.feasible:
-        raise ScenarioError(f"placement infeasible: {result.reason}")
-    return result.mapping
 
 
 def _bit_source(value) -> dict:
@@ -183,9 +162,13 @@ def _parse(d: dict) -> Scenario:
         "schema_version", SCENARIO_SCHEMA_VERSION), "schema_version")
     if version != SCENARIO_SCHEMA_VERSION:
         raise ScenarioError(f"scenario schema version {version} unsupported")
-    optics = OpticalSetup(**_numbers(_object(d["optics"], "optics"), "optics"))
-    n = optics.n_pixels
-    m = _object(d["modem"], "modem")
+    optics = _object(d["optics"], "optics", ("grid_rows", "grid_cols"))
+    rows, cols = (_number(optics.get(k), f"optics {k}", whole=True)
+                  for k in ("grid_rows", "grid_cols"))
+    if rows < 1 or cols < 1:
+        raise ScenarioError("the shutter grid needs at least one pixel")
+    n = rows * cols
+    m = _object(d["modem"], "modem", ModemConfig.__dataclass_fields__)
     modem = ModemConfig(**dict(_numbers(m, "modem", "scheme"),
                                scheme=Scheme(m["scheme"])))
     specs = [_object(e, "emitter", _EMITTER_KEYS) for e in d["emitters"]]
@@ -196,7 +179,8 @@ def _parse(d: dict) -> Scenario:
     ambient_dc = _per_pixel(ch.get("ambient_dc", [0.0] * n), n, "ambient_dc")
     channel = ChannelConfig(
         emitter_gain=tuple(_number(e.get("gain", 1.0), "gain") for e in specs),
-        emitter_pixel=_emitter_pixels(specs, d.get("placement"), optics),
+        emitter_pixel=tuple(_number(e.get("pixel"), "pixel", whole=True)
+                            for e in specs),
         **dict(_numbers(ch, "channel", "ambient_dc"), ambient_dc=[
             _number(a, "ambient_dc entry") for a in ambient_dc]))
     mask = None
@@ -207,8 +191,9 @@ def _parse(d: dict) -> Scenario:
         mask = PixelMask(n, (p for p, b in enumerate(states) if b))
     protocol = id_table = None
     if d.get("protocol") is not None:
-        p = _numbers(_object(d["protocol"], "protocol"), "protocol",
-                     "select_target")
+        p = _numbers(_object(d["protocol"], "protocol",
+                             ProtocolParams.__dataclass_fields__),
+                     "protocol", "select_target")
         target = p.get("select_target")
         if target is not None:
             carriers = [e.label for e in emitters if e.id_kind.value == target]
@@ -240,13 +225,10 @@ def _parse(d: dict) -> Scenario:
                             "'..', without '/', '\\' or NUL")
     rng_seed = _number(d.get("rng_seed", 0), "rng_seed", whole=True)
     duration_s = float(_number(d.get("duration_s", 0.0), "duration_s"))
-    code_rate = float(_number(d.get("code_rate", 1.0), "code_rate"))
     if rng_seed < 0:
         raise ScenarioError("rng_seed must be a nonnegative integer")
     if not 0 <= duration_s < float("inf"):
         raise ScenarioError("duration_s must be finite and nonnegative")
-    if not 0 < code_rate <= 1:
-        raise ScenarioError("code_rate must be in (0, 1]")
     # a dwell's samples: its window's, or one symbol's if that is more
     samples = {"samples_per_symbol": modem.samples_per_symbol,
                "duration_s": duration_s * modem.sample_rate}
@@ -263,7 +245,7 @@ def _parse(d: dict) -> Scenario:
         name=name,
         rng_seed=rng_seed,
         duration_s=duration_s,
-        optics=optics,
+        n_pixels=n,
         modem=modem,
         emitters=emitters,
         channel=channel,
@@ -271,7 +253,6 @@ def _parse(d: dict) -> Scenario:
         mask=mask,
         protocol=protocol,
         threshold=level,
-        code_rate=code_rate,
         id_table=id_table,
         source_dict=json.loads(source),
     )
@@ -368,7 +349,7 @@ class LinkSimulation:
         self.modem = scenario.modem
         self.fs = self.modem.sample_rate
         self.sps = self.modem.samples_per_symbol
-        self.n_pixels = scenario.optics.n_pixels
+        self.n_pixels = scenario.n_pixels
         self.seed = seed
         self.rng = np.random.default_rng([seed, 31])
         self.clock = 0      # sample index
@@ -550,7 +531,7 @@ def _report(ctx: dict, ber: float, per: float, snr_db: float,
             bits_compared: int, expected: int, valid: int) -> dict:
     """One emitter's entry in a trace's `reports`."""
     return {"ber": ber, "per_percent": per, "snr_db": snr_db,
-            "goodput_bps": goodput(ber, ctx["code_rate"], ctx["symbol_rate"], 1),
+            "goodput_bps": goodput(ber, 1.0, ctx["symbol_rate"], 1),
             "bits_compared": bits_compared, "packets_expected": expected,
             "packets_detected_valid": valid}
 
@@ -564,8 +545,8 @@ def _score(record: TraceRecord) -> Dict[str, dict]:
     packets and compared with every emitter on its pixel from the dwell's
     first detection on; a detection is valid only for the emitter whose
     label it carries; its pixel must be on the shutter that the `init`
-    event's mask records. Each label's `snr_db` and the rates behind
-    goodput come from `context`."""
+    event's mask records. Each label's `snr_db` and the symbol rate
+    behind goodput come from `context`."""
     ctx = record.context
     tx = {label: _bits_from_str(bits) for label, bits in record.tx_bits.items()}
     if record.mode == "fixed_mask":
@@ -619,11 +600,6 @@ def _score(record: TraceRecord) -> Dict[str, dict]:
     return reports
 
 
-def _rate_context(scenario: Scenario) -> dict:
-    return {"code_rate": scenario.code_rate,
-            "symbol_rate": scenario.modem.symbol_rate}
-
-
 def run_scenario(scenario: Scenario,
                  seed_override: Optional[int] = None) -> TraceRecord:
     """Execute a scenario end to end and return its trace.
@@ -657,7 +633,7 @@ def _run_fixed_mask(scenario: Scenario, seed: int) -> TraceRecord:
     sim = LinkSimulation(scenario, seed)
     mask = scenario.mask
     n_bits = int(round(scenario.duration_s * scenario.modem.symbol_rate))
-    ctx = dict(_rate_context(scenario), snr_db={})
+    ctx = {"symbol_rate": scenario.modem.symbol_rate, "snr_db": {}}
     dwells: List[dict] = []
     tx_store: Dict[str, str] = {}
     if n_bits > 0:
@@ -676,10 +652,10 @@ def _run_fixed_mask(scenario: Scenario, seed: int) -> TraceRecord:
 def _run_protocol(scenario: Scenario, seed: int) -> TraceRecord:
     params = scenario.protocol
     sim = LinkSimulation(scenario, seed)
-    n = scenario.optics.n_pixels
+    n = scenario.n_pixels
     result = run_controller(sim, params, scenario.id_table)
     pixels = scenario.channel.emitter_pixel
-    ctx = dict(_rate_context(scenario),
+    ctx = dict(symbol_rate=scenario.modem.symbol_rate,
                corr_threshold=params.corr_threshold,
                emitters=[{"label": e.label, "id_kind": e.id_kind.value,
                           "pixel": p}

@@ -187,7 +187,7 @@ def test_trace_is_compact_json_with_packed_bits(tmp_path):
     assert "\n" not in text and ", " not in text
     record = run_scenario(bundled_scenario("protocol_clean"))
     d = json.loads(text)
-    assert d["schema_version"] == 4
+    assert d["schema_version"] == 5
     for packed, bits in zip([dw["bits"] for dw in d["dwells"]]
                             + [d["tx_bits"]["1"]],
                             [dw["bits"] for dw in record.dwells]
@@ -206,6 +206,18 @@ def test_replay_rejects_version_1_trace(tmp_path, capsys):
     assert main(["replay", str(trace)]) == 2
     assert capsys.readouterr().err == (
         "shuttervlc: error: trace schema version 1 unsupported\n")
+
+
+def test_replay_rejects_version_4_trace(tmp_path, capsys):
+    # a version-4 trace kept its code rate in context; replayed at rate 1 it
+    # would differ, the verdict for an edited report, so it is unsupported
+    d = _trace("gmsk_demo")
+    d.update(schema_version=4, context=dict(d["context"], code_rate=0.5))
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(d))
+    assert main(["replay", str(trace)]) == 2
+    assert capsys.readouterr().err == (
+        "shuttervlc: error: trace schema version 4 unsupported\n")
 
 
 def _set_packed(where, **values):
@@ -303,7 +315,7 @@ def test_replay_reports_malformed_packed_bits_as_error(tmp_path, capsys, edit):
                  id="fixed-mask-without-dwells"),
     pytest.param("table1_type1_case1",
                  lambda d: d["context"].update(snr_db=[]), id="snr_db-list"),
-    # a schema-3 trace relabelled as version 4 still stores its detections,
+    # a schema-3 trace relabelled as version 5 still stores its detections,
     # and a trace holds no key its fields do not name
     pytest.param("protocol_clean", lambda d: d.update(detections=[
         {"dwell_index": 0, "offset": 0, "label": 1, "score": 13}]),
@@ -339,6 +351,8 @@ def _edited(bundled, section, **values):
                  id="mask-string"),
     pytest.param(_edited("protocol_clean", None, schema_version=99),
                  id="schema_version-99"),
+    pytest.param(_edited("protocol_clean", None, schema_version=1),
+                 id="schema_version-1"),
     pytest.param(_edited("protocol_clean", "modem", bits_per_symbol=2),
                  id="bits_per_symbol"),
     pytest.param(_edited("gmsk_demo", None, rng_seed=-1), id="rng_seed--1"),
@@ -356,18 +370,14 @@ def _edited(bundled, section, **values):
     pytest.param(_edited("gmsk_demo", None, emitters=[
         {"label": 1, "pixel": 0, "bit_source": {"type": "random", "seed": 3}}]),
                  id="bit_source-seed-3"),
-    # a GMSK modem ignores a decision level; a placement maps every emitter
+    # a GMSK modem ignores a decision level
     pytest.param(_edited("gmsk_demo", None,
                          threshold={"mode": "FIXED", "level": 123.0}),
                  id="gmsk-fixed-threshold"),
-    pytest.param(_edited("protocol_clean", None,
-                         placement=[[0.0744, 0], [-0.0744, 0]]),
-                 id="placement-and-pixels"),
     pytest.param(_edited("table1_type2_case1", "channel", ambient_dc=[-50, 0]),
                  id="ambient_dc-negative"),
     pytest.param(_edited("protocol_clean", None, emitters=[
         {"label": 1, "pixel": 0.7}]), id="pixel-0.7"),
-    pytest.param(_edited("gmsk_demo", None, code_rate=2.0), id="code_rate-2"),
     pytest.param(_edited("gmsk_demo", None, duration_s=-5), id="duration_s--5"),
     pytest.param(_edited("protocol_clean", "protocol", T_s=2.0).replace(
         '"T_s": 2.0', '"T_s": 1e999'), id="T_s-1e999"),
@@ -419,12 +429,19 @@ def _edited(bundled, section, **values):
     pytest.param(_edited("protocol_clean", "protocol",
                          ident_window_packets=1e300),
                  id="ident_window_packets-1e300"),
-    # a huge gmsk_bt makes the GMSK frequency pulse NaN (1e308) or, its
-    # sum overflowing, all zeros (5e307)
+    # a scenario gives its grid and each emitter's pixel: the lens, a
+    # placement, a code rate and the GMSK bandwidth-time product are unknown
+    # keys (a gmsk_bt of 1e308 or 5e307 made the GMSK pulse NaN or all zeros)
+    pytest.param(_edited("protocol_clean", None,
+                         placement=[[0.0744, 0], [-0.0744, 0]]),
+                 id="placement-and-pixels"),
+    pytest.param(_edited("gmsk_demo", None, code_rate=2.0), id="code_rate-2"),
     pytest.param(_edited("gmsk_demo", "modem", gmsk_bt=1e308),
                  id="gmsk_bt-1e308"),
     pytest.param(_edited("gmsk_demo", "modem", gmsk_bt=5e307),
                  id="gmsk_bt-5e307"),
+    *(pytest.param(_edited("protocol_clean", "optics", **{key: 0.036}),
+                   id=f"optics-{key}") for key in ("d", "S1", "S2", "BFL")),
     # a FIXED threshold level must be finite
     pytest.param(_edited("table1_type2_case1", "threshold", level=float("nan")),
                  id="level-nan"),

@@ -9,7 +9,7 @@ from shuttervlc.geometry import (EmitterPlacement, InvalidSetupError,
                                  OpticalSetup, map_emitters_to_pixels,
                                  min_angle, min_separation)
 
-PROTO = dict(d=0.036, S1=0.155, S2=0.082, BFL=0.0375, grid_rows=1, grid_cols=2)
+PROTO = dict(d=0.036, S1=0.155, BFL=0.0375, grid_rows=1, grid_cols=2)
 
 
 def test_prototype_separation_and_angle():
@@ -26,7 +26,7 @@ def test_separation_matches_image_scale_oracle():
         d = rng.uniform(0.001, 0.1)
         bfl = rng.uniform(0.01, 0.2)
         s1 = bfl * rng.uniform(1.5, 20.0)
-        setup = OpticalSetup(d=d, S1=s1, S2=s1 / 2, BFL=bfl)
+        setup = OpticalSetup(d=d, S1=s1, BFL=bfl)
         h = min_separation(setup)
         image_gap = h * setup.BFL / setup.S1
         assert image_gap == pytest.approx(d, rel=1e-12)
@@ -54,7 +54,7 @@ def test_separation_boundary_feasibility_oracle():
 
 def test_mapping_half_open_boundary():
     # an image landing exactly on a cell edge belongs to the higher pixel
-    setup = OpticalSetup(d=0.01, S1=0.1, S2=0.05, BFL=0.05,
+    setup = OpticalSetup(d=0.01, S1=0.1, BFL=0.05,
                          grid_rows=1, grid_cols=2)
     scale = setup.BFL / setup.S1
     # image x = width/2 -> boundary between col 0 and col 1 is at image 0.01
@@ -75,16 +75,14 @@ def test_mapping_off_grid_infeasible():
 
 def test_invalid_setups_rejected():
     with pytest.raises(InvalidSetupError):
-        OpticalSetup(d=-0.01, S1=0.1, S2=0.05, BFL=0.05)
+        OpticalSetup(d=-0.01, S1=0.1, BFL=0.05)
     with pytest.raises(InvalidSetupError):
-        OpticalSetup(d=0.01, S1=0.04, S2=0.05, BFL=0.05)   # S1 <= BFL
+        OpticalSetup(d=0.01, S1=0.04, BFL=0.05)   # S1 <= BFL
     with pytest.raises(InvalidSetupError):
-        OpticalSetup(d=0.01, S1=0.1, S2=0.05, BFL=0.05, grid_cols=0)
-    # every length finite, d, S1 and BFL positive, the grid whole numbers
+        OpticalSetup(d=0.01, S1=0.1, BFL=0.05, grid_cols=0)
+    # d, S1 and BFL finite and positive, the grid whole numbers
     for bad in (dict(d=math.inf), dict(S1=math.inf), dict(BFL=math.inf),
-                dict(d=math.nan), dict(S2=math.nan), dict(S2=math.inf),
-                dict(S2=-math.inf), dict(grid_cols=2.5),
-                dict(grid_rows=0.5)):
+                dict(d=math.nan), dict(grid_cols=2.5), dict(grid_rows=0.5)):
         with pytest.raises(InvalidSetupError):
             OpticalSetup(**dict(PROTO, **bad))
     with pytest.raises(InvalidSetupError):
@@ -97,6 +95,6 @@ def test_whole_float_grid_taken_as_integer():
 
 
 def test_grid_pixel_count():
-    setup = OpticalSetup(d=0.01, S1=0.1, S2=0.05, BFL=0.05,
+    setup = OpticalSetup(d=0.01, S1=0.1, BFL=0.05,
                          grid_rows=3, grid_cols=5)
     assert setup.n_pixels == 15

@@ -42,14 +42,6 @@ def test_config_validation():
             ModemConfig(scheme=Scheme.OOK, symbol_rate=rate)
     with pytest.raises(ModemError):
         ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, dc_bias=float("inf"))
-    # a huge gmsk_bt makes the frequency pulse NaN (1e308) or, its sum
-    # overflowing, all zeros (5e307)
-    for bad in ({"gmsk_bt": 0}, {"gmsk_bt": -0.35},
-                {"gmsk_bt": float("inf")}, {"gmsk_bt": 1e308},
-                {"gmsk_bt": 5e307}):
-        with pytest.raises(ModemError):
-            ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3,
-                        samples_per_symbol=8, **bad)
     cfg = ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, samples_per_symbol=4.0)
     assert type(cfg.samples_per_symbol) is int
 
@@ -183,15 +175,6 @@ def test_gmsk_roundtrip_noiseless_property(sps):
         bits = rng.integers(0, 2, n)
         out = demodulate(modulate(bits, cfg), cfg)
         np.testing.assert_array_equal(out, bits)
-
-
-def test_gmsk_roundtrip_at_a_huge_bt():
-    # at 1e300 the Gaussian's exponent overflows to -inf off the centre, so
-    # the pulse is a rectangle one symbol long, and every bit decodes
-    cfg = ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3,
-                      samples_per_symbol=8, gmsk_bt=1e300)
-    bits = np.random.default_rng(300).integers(0, 2, 1000)
-    np.testing.assert_array_equal(demodulate(modulate(bits, cfg), cfg), bits)
 
 
 def test_gmsk_inverted_roundtrip():

@@ -15,16 +15,15 @@ from shuttervlc.framing import PACKET_BITS, PAYLOAD_BITS, frame, make_id
 from shuttervlc.scenario import (LinkSimulation, Scenario, ScenarioError,
                                  TraceRecord, bundled_scenario,
                                  bundled_scenario_names, emitter_bits,
-                                 replay_trace, run_scenario,
+                                 load_scenario, replay_trace, run_scenario,
                                  scenario_from_dict)
 
 BASE = {
-    "schema_version": 1,
+    "schema_version": 2,
     "name": "unit",
     "rng_seed": 5,
     "duration_s": 1.0,
-    "optics": {"d": 0.036, "S1": 0.155, "S2": 0.082, "BFL": 0.0375,
-               "grid_rows": 1, "grid_cols": 2},
+    "optics": {"grid_rows": 1, "grid_cols": 2},
     "modem": {"scheme": "OOK", "symbol_rate": 1000, "samples_per_symbol": 4,
               "dc_bias": 1.0, "modulation_depth": 0.5},
     "emitters": [{"label": 1, "pixel": 0, "gain": 1.0, "id_kind": "BARKER13"}],
@@ -32,7 +31,6 @@ BASE = {
                 "closed_leakage": 0.0, "saturation_level": 100.0},
     "threshold": {"mode": "ADAPTIVE"},
     "mask": [1, 0],
-    "code_rate": 1.0,
 }
 
 
@@ -116,7 +114,7 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(threshold={"mode": "FIXED", "level": float("inf")}),
         _variant(threshold={"mode": "MEDIAN"}),
         _variant(emitters=[{"label": 1, "pixel": 2}]),
-        _variant(emitters=[{"label": 1}]),      # no pixel, no placement
+        _variant(emitters=[{"label": 1}]),      # no pixel
         _variant(emitters=["label"]),
         _variant(emitters=[{"label": 1, "pixel": 0}, {"label": 1, "pixel": 1}]),
         _variant(emitters=[{"label": -1, "pixel": 0}]),
@@ -134,7 +132,6 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(rng_seed=-1),
         _variant(emitters=[{"label": 1, "pixel": 0,
                             "bit_source": {"type": "random", "seed": -3}}]),
-        _variant(code_rate=2.0),
         _variant(duration_s=-5.0),
         _variant(mask=None, protocol={"T_s": float("inf")}),
         _variant(mask=None, protocol={"snr_threshold_db": float("nan")}),
@@ -159,8 +156,6 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _with("modem", symbol_rate=float("nan")),
         _with("modem", symbol_rate=float("inf")),
         _with("modem", dc_bias=float("inf")),
-        _with("modem", **GMSK8, gmsk_bt=0),
-        _with("modem", **GMSK8, gmsk_bt=-0.35),
         _variant(emitters=[{"label": 1, "pixel": 0, "gain": float("inf")}]),
         _with("channel", noise_sigma=float("inf")),
         _with("channel", ambient_dc=[float("nan"), 0.0]),
@@ -179,6 +174,14 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _with("modem", **GMSK8, gmsk_span=4),
         _with("modem", **GMSK8, gmsk_carrier_cycles=1.0),
         _variant(mask=None, protocol={"ident_window_packets": 4.2}),
+        # a scenario gives its grid and each emitter's pixel: the lens, a
+        # placement, a code rate and the GMSK bandwidth-time product are
+        # not settings, nor is the old schema that held them
+        _variant(schema_version=1),
+        *(_with("optics", **{key: 0.036}) for key in ("d", "S1", "S2", "BFL")),
+        _variant(emitters=[{"label": 1}], placement=[[0.0744, 0.0]]),
+        _variant(code_rate=1.0),
+        _with("modem", **GMSK8, gmsk_bt=0.35),
         _variant(emitters=[{"label": 1, "pixel": 0, "gian": 2.0}]),
         _source(type="random", sead=3),
         _source(type="pattern", bits="01", seed=3),
@@ -205,10 +208,10 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(rng_seed=True),
         _source(type="random", seed=True),
         _with("optics", grid_rows=2, grid_cols=True),
-        _with("optics", S2="x"),
-        _with("optics", S2=float("nan")),
-        _with("optics", S1=float("inf")),
         _with("optics", grid_cols=2.5),
+        _with("optics", grid_cols=0),
+        _with("optics", grid_rows="1"),
+        _variant(optics={"grid_rows": 1}),
         _variant(mask=None, protocol={"corr_threshold": True}),
         _variant(mask=None, protocol={"retry_budget": True}),
         _variant(mask=None, protocol={"T_s": True}),
@@ -223,13 +226,71 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(mask=None, protocol={"T_s": "0.05"}),
         _variant(mask=None, protocol={"snr_threshold_db": "10"}),
         _variant(duration_s="0.05"),
-        _variant(code_rate="0.5"),
         _variant(threshold={"mode": "FIXED", "level": "0.05"}),
-        _variant(emitters=[{"label": 1}], placement=[["0.0744", 0.0]]),
     ]
     for d in malformed:
         with pytest.raises(ScenarioError):
             scenario_from_dict(d)
+
+
+def _set(doc: dict, path: tuple, value) -> None:
+    """Put `value` at `path`, a tuple of keys and list indices, in `doc`."""
+    for k in path[:-1]:
+        doc = doc[k]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("path", [
+    ("rng_seed",), ("emitters", 0, "pixel"), ("emitters", 0, "label"),
+    ("optics", "grid_rows"), ("modem", "samples_per_symbol"),
+    ("protocol", "retry_budget"), ("protocol", "corr_threshold"),
+], ids=lambda path: path[-1])
+def test_non_finite_whole_number_names_its_key(tmp_path, path, value):
+    # Python's json reads the NaN and Infinity tokens; int() of one used to
+    # fail with a message that named no key
+    d = bundled_scenario("protocol_clean").source_dict
+    _set(d, path, float(value.replace("Infinity", "inf")))
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(d))
+    assert value in scenario_file.read_text()
+    with pytest.raises(ScenarioError, match=f"{path[-1]} must be an integer"):
+        load_scenario(scenario_file)
+
+
+# what each edit of the loader sweep puts in place of a value
+_HOSTILE = (None, True, "x", -1, 0, 0.5, 1e308, float("nan"), float("inf"),
+            float("-inf"), [], {}, 10**20)
+
+
+def _sweep_paths(value, path=()):
+    """The path of every scalar leaf of a document, and of its
+    `emitters`, `optics`, `modem` and `channel`."""
+    if not isinstance(value, (dict, list)):
+        yield path
+        return
+    if path in (("emitters",), ("optics",), ("modem",), ("channel",)):
+        yield path
+    keys = value if isinstance(value, dict) else range(len(value))
+    for k in keys:
+        yield from _sweep_paths(value[k], path + (k,))
+
+
+def test_loader_sweep_loads_or_raises_one_line_scenario_error():
+    # any other exception fails the test as it stands
+    edits = 0
+    for name in bundled_scenario_names():
+        doc = bundled_scenario(name).source_dict
+        for path in _sweep_paths(doc):
+            for value in _HOSTILE:
+                d = json.loads(json.dumps(doc))
+                _set(d, path, value)
+                edits += 1
+                try:
+                    scenario_from_dict(d)
+                except ScenarioError as exc:
+                    assert "\n" not in str(exc), (name, path, value)
+    assert edits > 7000      # 558 paths of the 18 bundled scenarios, 13 values
 
 
 def test_scenario_is_typed_at_load():
@@ -247,27 +308,6 @@ def test_scenario_is_typed_at_load():
             sc.channel.emitter_pixel) == (5, 1, (0,))
     assert all(type(x) is int for x in (sc.rng_seed, sc.emitters[0].label,
                                         *sc.channel.emitter_pixel))
-
-
-def test_placement_maps_emitters_to_pixels():
-    # 0.0744 m off axis images onto the centre of the second column
-    sc = scenario_from_dict(_variant(emitters=[{"label": 1}],
-                                     placement=[[0.0744, 0.0]]))
-    assert sc.channel.emitter_pixel == (1,)
-    with pytest.raises(ScenarioError):
-        scenario_from_dict(_variant(emitters=[{"label": 1}],
-                                    placement=[[1.0, 0.0]]))
-    with pytest.raises(ScenarioError, match="coordinates must be finite"):
-        scenario_from_dict(_variant(emitters=[{"label": 1}],
-                                    placement=[[float("nan"), 0.0]]))
-    # a placement maps every emitter, so none may name a pixel too
-    with pytest.raises(ScenarioError, match="no emitter may have a pixel"):
-        scenario_from_dict(_variant(emitters=[{"label": 1, "pixel": 1}],
-                                    placement=[[0.0744, 0.0]]))
-    doc = bundled_scenario("protocol_clean").source_dict
-    del doc["emitters"][1]["pixel"]
-    with pytest.raises(ScenarioError, match="no emitter may have a pixel"):
-        scenario_from_dict(dict(doc, placement=[[0.0744, 0], [-0.0744, 0]]))
 
 
 def _payload_rng(spec, run_seed):
@@ -453,7 +493,7 @@ def test_noiseless_dark_shutter_never_identifies():
     assert events.count("reset") == sc.protocol.retry_budget == 3
     assert events[-1] == "gave_up" and record.converged is False
     assert record.events[-1]["sim_time_s"] == pytest.approx(
-        3 * (sc.optics.n_pixels + 1) * sc.protocol.T_s)
+        3 * (sc.n_pixels + 1) * sc.protocol.T_s)
     assert {e["pixel_snr_db"] for e in record.events
             if e["event"] == "discovery_dwell"} == {float("-inf")}
     assert set(record.context["snr_db"]) == {"1", "2"}

@@ -6,8 +6,9 @@ from pathlib import Path
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "shuttervlc" / "scenarios"
 
-OPTICS = {"d": 0.036, "S1": 0.155, "S2": 0.082, "BFL": 0.0375,
-          "grid_rows": 1, "grid_cols": 2}
+# the prototype's two-pixel shutter; `shuttervlc geometry --placement`
+# finds which pixel an emitter images onto through its lens
+OPTICS = {"grid_rows": 1, "grid_cols": 2}
 
 OOK_100 = {"scheme": "OOK", "symbol_rate": 100, "samples_per_symbol": 4,
            "dc_bias": 1.0, "modulation_depth": 0.5}
@@ -22,7 +23,7 @@ def led(label, pixel, **kw):
 
 def table1(name, emitters, mask, ambient, saturation, threshold, seed):
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "name": name,
         "rng_seed": seed,
         "duration_s": 100.0,                    # 10^4 bits at 100 Hz
@@ -33,7 +34,6 @@ def table1(name, emitters, mask, ambient, saturation, threshold, seed):
                     "closed_leakage": 0.0, "saturation_level": saturation},
         "threshold": threshold,
         "mask": mask,
-        "code_rate": 1.0,
     }
 
 
@@ -73,7 +73,7 @@ for seed, (rate, tag) in enumerate(((500e3, "500k"), (1e6, "1M"),
     for config, mask in (("config1", [1, 0]), ("config3", [1, 1])):
         name = f"table2_{config}_{tag}"
         scenarios[name] = {
-            "schema_version": 1,
+            "schema_version": 2,
             "name": name,
             "rng_seed": seed,
             "duration_s": 1e4 / rate,
@@ -86,13 +86,12 @@ for seed, (rate, tag) in enumerate(((500e3, "500k"), (1e6, "1M"),
                         "closed_leakage": 0.0, "saturation_level": 100.0},
             "threshold": {"mode": "ADAPTIVE"},
             "mask": mask,
-            "code_rate": 1.0,
-        }
+            }
 
 # Automated shutter protocol: two framed transmitters at 10 kbit/s, 2 s
 # dwell slots, LED 1 selected as the desired signal.
 protocol_common = {
-    "schema_version": 1,
+    "schema_version": 2,
     "optics": OPTICS,
     "modem": {"scheme": "OOK", "symbol_rate": 10000, "samples_per_symbol": 4,
               "dc_bias": 1.0, "modulation_depth": 0.5},
@@ -101,7 +100,6 @@ protocol_common = {
     "threshold": {"mode": "ADAPTIVE"},
     "protocol": {"T_s": 2.0, "snr_threshold_db": 10.0, "corr_threshold": 11,
                  "retry_budget": 3, "select_target": "BARKER13"},
-    "code_rate": 1.0,
 }
 scenarios["protocol_clean"] = {
     **protocol_common,
@@ -130,19 +128,18 @@ scenarios["protocol_multi"] = {
 
 # GMSK demo on a clean single-emitter link
 scenarios["gmsk_demo"] = {
-    "schema_version": 1,
+    "schema_version": 2,
     "name": "gmsk_demo",
     "rng_seed": 30,
     "duration_s": 2.0,
     "optics": OPTICS,
     "modem": {"scheme": "GMSK", "symbol_rate": 1000, "samples_per_symbol": 8,
-              "gmsk_bt": 0.35, "dc_bias": 1.0, "modulation_depth": 0.5},
+              "dc_bias": 1.0, "modulation_depth": 0.5},
     "emitters": [led(1, 0)],
     "channel": {"ambient_dc": [0.0, 0.0], "noise_sigma": 0.01,
                 "closed_leakage": 0.0, "saturation_level": 100.0},
     "threshold": {"mode": "ADAPTIVE"},
     "mask": [1, 0],
-    "code_rate": 1.0,
 }
 
 
