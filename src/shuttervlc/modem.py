@@ -99,7 +99,10 @@ def _gmsk_frequency_pulse(cfg: ModemConfig) -> np.ndarray:
     t = np.arange(-GMSK_SPAN * sps / 2, GMSK_SPAN * sps / 2 + 1) / sps
     k = np.sqrt(2 * np.pi / np.log(2)) * GMSK_BT
     gauss = k * np.exp(-2 * (np.pi * GMSK_BT * t) ** 2 / np.log(2))
-    pulse = np.convolve(gauss, np.ones(sps))
+    # the Gaussian convolved with an sps-sample rectangle, as a running-sum
+    # difference: O(sps) where np.convolve is O(sps**2)
+    c = np.cumsum(np.pad(gauss, (sps, sps - 1)))
+    pulse = c[sps:] - c[:-sps]
     return pulse / pulse.sum()
 
 
@@ -191,8 +194,13 @@ def demodulate(block: SampleBlock, cfg: ModemConfig,
 
     OOK: integrate-and-dump per symbol against a fixed `threshold` level, or
     the block mean when `threshold` is None (adaptive). GMSK: noncoherent
-    frequency discrimination on the analytic signal; `threshold` is ignored.
-    Returns exactly floor(len / samples_per_symbol) bits.
+    frequency discrimination after a pre-detection filter (Murota & Hirade,
+    1981). The block, less its mean, is mixed down by the subcarrier and
+    summed over a one-symbol window centred on each symbol boundary (the
+    block is zero-padded by half a symbol at each end); a bit is 1 when the
+    baseband phase turns positive from one boundary to the next.
+    `threshold` is ignored. Returns exactly floor(len / samples_per_symbol)
+    bits.
     """
     sps = cfg.samples_per_symbol
     x = np.asarray(block.samples, dtype=float)
@@ -209,51 +217,12 @@ def demodulate(block: SampleBlock, cfg: ModemConfig,
 
 def _demodulate_gmsk(x: np.ndarray, cfg: ModemConfig, nsym: int) -> np.ndarray:
     sps = cfg.samples_per_symbol
-    x = x - x.mean()
-    n = len(x)
-    # mirror-pad so the FFT edge ringing lands outside the data; the right
-    # pad runs on to a 5-smooth length, where the FFT is fast
-    pad = min(8 * sps, n - 1)
-    right = min(_smooth_length(n + 2 * pad) - n - pad, n - 1)
-    padded = np.concatenate([x[pad:0:-1], x, x[-2:-right - 2:-1]])
-    p = np.arctan2(_quadrature(padded)[pad:pad + n], x)
-    # the unwrapped phase, carrier removed, is needed only at the symbol
-    # boundaries: count np.unwrap's 2*pi corrections as turns
-    dd = np.diff(p)
-    turns = np.zeros(n, dtype=np.int64)
-    np.cumsum((dd < -np.pi).astype(np.int64) - (dd > np.pi), out=turns[1:])
-    step = 2 * np.pi * GMSK_CARRIER_CYCLES / sps
-
-    def psi(i):
-        return p[i] + 2 * np.pi * turns[i] - step * i
-
-    edges = psi(np.append(np.arange(nsym) * sps, n - 1))
-    if n >= 3:
-        # the final sample's analytic-phase estimate is unreliable (the
-        # mirror pad reverses the frequency there); extrapolate it locally
-        edges[-1] = 2 * psi(n - 2) - psi(n - 3)
-    return (edges[1:] > edges[:-1]).astype(int)
-
-
-def _smooth_length(m: int) -> int:
-    """The smallest 2**a * 3**b * 5**c >= m."""
-    best = 1 << (m - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # p35 times the smallest power of two that takes it to m
-            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _quadrature(x: np.ndarray) -> np.ndarray:
-    """hilbert(x).imag by a real FFT: -j times the spectrum, with the DC
-    bin (and the Nyquist bin of an even length) zeroed."""
-    spectrum = -1j * np.fft.rfft(x)
-    spectrum[0] = 0
-    if len(x) % 2 == 0:
-        spectrum[-1] = 0
-    return np.fft.irfft(spectrum, len(x))
+    # row i is the one-symbol window centred on the boundary before symbol i
+    x = np.pad(x - x.mean(), (sps // 2, sps - sps // 2))
+    rows = x.reshape(nsym + 1, sps)
+    # one product mixes each row down and sums it: the real and imaginary
+    # parts of its baseband. The subcarrier turns a whole number of cycles
+    # per row, so its DC and its 2 f_c image sum to zero
+    w = 2 * np.pi * GMSK_CARRIER_CYCLES * np.arange(sps) / sps
+    b = (rows @ np.stack([np.cos(w), -np.sin(w)], axis=1)).view(complex)[:, 0]
+    return (np.angle(b[1:] * b[:-1].conj()) > 0).astype(int)

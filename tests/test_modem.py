@@ -13,11 +13,11 @@ from scipy.signal import hilbert
 from scipy.special import erfc
 
 import shuttervlc
-from shuttervlc.modem import (GMSK_CARRIER_CYCLES, ModemConfig, ModemError,
-                              PhaseOffset, SampleBlock, Scheme,
-                              _demodulate_gmsk, _gmsk_frequency_pulse,
-                              _gmsk_phase, _quadrature, _smooth_length,
-                              demodulate, gmsk_data_phase, modulate)
+from shuttervlc.modem import (GMSK_BT, GMSK_CARRIER_CYCLES, GMSK_SPAN,
+                              ModemConfig, ModemError, PhaseOffset,
+                              SampleBlock, Scheme, _gmsk_frequency_pulse,
+                              _gmsk_phase, demodulate, gmsk_data_phase,
+                              modulate)
 
 OOK = ModemConfig(scheme=Scheme.OOK, symbol_rate=1000, samples_per_symbol=4,
                   dc_bias=1.0, modulation_depth=0.5)
@@ -85,6 +85,20 @@ def test_gmsk_pulse_unit_area_quadrature_oracle():
         assert np.all(pulse >= 0)
         # peak per-sample weight cannot exceed one symbol's share
         assert pulse.max() <= 1.0 / sps + 1e-12
+
+
+@pytest.mark.parametrize("sps", [4, 5, 8, 16, 1000])
+def test_gmsk_pulse_matches_direct_convolution(sps):
+    # the pulse is built by a running-sum difference; np.convolve of the
+    # Gaussian with an sps-sample rectangle is the reference
+    t = np.arange(-GMSK_SPAN * sps / 2, GMSK_SPAN * sps / 2 + 1) / sps
+    k = np.sqrt(2 * np.pi / np.log(2)) * GMSK_BT
+    gauss = k * np.exp(-2 * (np.pi * GMSK_BT * t) ** 2 / np.log(2))
+    pulse = np.convolve(gauss, np.ones(sps))
+    cfg = ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3,
+                      samples_per_symbol=sps)
+    np.testing.assert_allclose(_gmsk_frequency_pulse(cfg), pulse / pulse.sum(),
+                               rtol=0, atol=1e-12)
 
 
 def test_gmsk_isolated_bit_phase_shift():
@@ -170,11 +184,11 @@ def test_gmsk_roundtrip_noiseless_property(sps):
     cfg = ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3,
                       samples_per_symbol=sps)
     rng = np.random.default_rng(200 + sps)
-    for _ in range(50):
-        n = int(rng.integers(1, 1500))
+    for n in [1, 2, 3] + [int(m) for m in rng.integers(1, 1500, 50)]:
         bits = rng.integers(0, 2, n)
-        out = demodulate(modulate(bits, cfg), cfg)
-        np.testing.assert_array_equal(out, bits)
+        for offset in PhaseOffset:
+            out = demodulate(modulate(bits, cfg, offset), cfg)
+            np.testing.assert_array_equal(out, bits)
 
 
 def test_gmsk_inverted_roundtrip():
@@ -269,31 +283,8 @@ def test_window_past_end_of_bits_rejected():
         modulate([1, 0, 1], OOK, first=-1, n_symbols=2)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 64, 97, 128, 1001, 4097, 8819,
-                               70551, 70552])
-def test_analytic_signal_matches_scipy_hilbert(n):
-    # the demodulator builds the analytic signal x + j*_quadrature(x)
-    x = np.random.default_rng(n).normal(size=n)
-    np.testing.assert_allclose(_quadrature(x), hilbert(x).imag,
-                               rtol=0, atol=1e-9)
-
-
-def _is_5_smooth(k: int) -> bool:
-    for p in (2, 3, 5):
-        while k % p == 0:
-            k //= p
-    return k == 1
-
-
-@given(m=st.integers(1, 20000))
-def test_smooth_length_is_next_5_smooth_number(m):
-    n = _smooth_length(m)
-    assert n >= m and _is_5_smooth(n)
-    assert not any(_is_5_smooth(k) for k in range(m, n))
-
-
 def _reference_gmsk_phase_steps(x, cfg, nsym):
-    """The discriminator before 5-smooth padding: scipy's analytic signal of
+    """The full-band discriminator: scipy's analytic signal of
     the evenly mirror-padded window, np.unwrap, and the unwrapped phase
     step across each symbol (positive reads as a 1)."""
     sps = cfg.samples_per_symbol
@@ -311,21 +302,23 @@ def _reference_gmsk_phase_steps(x, cfg, nsym):
 
 @pytest.mark.parametrize("sps", [4, 8, 16])
 def test_gmsk_decisions_match_reference_discriminator(sps):
-    # The longer right pad moves the phase estimate by a few mrad near the
-    # window's end, so a symbol whose phase step is that close to zero may
-    # flip; every decision taken with a margin must be the same.
+    # The receiver filters before it discriminates, so over the same
+    # windows it must make well under the full-band discriminator's errors.
     cfg = ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3,
                       samples_per_symbol=sps)
-    for sigma in (0.0, 0.05, 0.1):
+    for sigma in (0.1, 0.2):
+        errors = reference_errors = 0
         for nsym in (1, 2, 13, 777, 8803, 20000):
             rng = np.random.default_rng([sps, nsym, round(sigma * 100)])
             bits = rng.integers(0, 2, nsym + 20)
             x = modulate(bits, cfg, first=10, n_symbols=nsym).samples
             x = x + rng.normal(0, sigma, len(x))
+            sent = bits[10:10 + nsym]
+            errors += np.sum(demodulate(SampleBlock(x, 1.0), cfg) != sent)
             steps = _reference_gmsk_phase_steps(x, cfg, nsym)
-            flipped = _demodulate_gmsk(x, cfg, nsym) != (steps > 0)
-            assert np.all(np.abs(steps[flipped]) < 0.05), (sigma, nsym)
-            assert flipped.sum() <= nsym // 1000, (sigma, nsym)
+            reference_errors += np.sum((steps > 0) != sent)
+        assert errors < 0.6 * reference_errors, (sigma, errors,
+                                                 reference_errors)
 
 
 def test_import_leaves_scipy_unloaded():
