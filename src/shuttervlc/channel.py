@@ -114,19 +114,32 @@ def receive(emitter_blocks: Sequence[SampleBlock], mask: PixelMask,
 
     n = lengths.pop() if lengths else 0
     rate = rates.pop() if rates else 0.0
-    out = np.zeros(n)
-    for block, weight in zip(emitter_blocks, weights):
-        if weight:
-            out += weight * block.samples
+    lit = (weight * block.samples
+           for block, weight in zip(emitter_blocks, weights) if weight)
+    out = next(lit, None)   # the first term holds the sum: no zeros to add to
+    for term in lit:
+        out += term
     if cfg.ambient_total:
-        out += (cfg.closed_leakage * cfg.ambient_total + (1 - cfg.closed_leakage)
-                * sum(cfg.ambient_dc[p] for p in sorted(mask.open)))
+        ambient = (cfg.closed_leakage * cfg.ambient_total + (1 - cfg.closed_leakage)
+                   * sum(cfg.ambient_dc[p] for p in sorted(mask.open)))
+        out = np.full(n, ambient) if out is None else np.add(out, ambient, out=out)
     if cfg.noise_sigma > 0:
         if rng is None:
             raise ChannelError("a noisy channel needs a generator")
-        out += rng.normal(0.0, cfg.noise_sigma, size=n)
+        noise = awgn(rng, cfg.noise_sigma, n)
+        out = noise if out is None else np.add(out, noise, out=out)
+    if out is None:
+        out = np.zeros(n)
     np.clip(out, 0.0, cfg.saturation_level, out=out)
     return SampleBlock(out, rate)
+
+
+def awgn(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
+    """n Gaussian noise samples of deviation `sigma` in one array: the draws
+    and values of `rng.normal(0, sigma, n)`, which computes 0 + sigma * z."""
+    z = rng.standard_normal(n)
+    z *= sigma
+    return z
 
 
 def ac_power(block: SampleBlock) -> float:

@@ -132,8 +132,13 @@ def detect_packets(bits: Sequence[int], table: IdLookupTable,
         return []
     ids = table.ids
     head = bits[:len(bits) - PACKET_BITS + HEADER_BITS]
-    scores = np.stack([correlation_scores(head, tid.id_bits) for tid in ids])
-    best_id, best_score = scores.argmax(axis=0), scores.max(axis=0)
+    # a running vote: a strict > keeps the first ID on a tie
+    best_score = correlation_scores(head, ids[0].id_bits)
+    best_id = np.zeros(len(best_score), dtype=np.intp)
+    for k, tid in enumerate(ids[1:], 1):
+        score = correlation_scores(head, tid.id_bits)
+        best_id[score > best_score] = k
+        np.maximum(best_score, score, out=best_score)
     hits = np.nonzero(best_score >= corr_threshold)[0]
     if hits.size == 0:
         return []

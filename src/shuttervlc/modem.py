@@ -60,6 +60,9 @@ class ModemConfig:
         # 4 keeps subcarrier + peak deviation (1.5 cycles/symbol) below Nyquist
         if self.scheme is Scheme.GMSK and self.samples_per_symbol < 4:
             raise ModemError("GMSK needs samples_per_symbol >= 4")
+        # the receiver's windows centre on symbol boundaries only at even sps
+        if self.scheme is Scheme.GMSK and self.samples_per_symbol % 2:
+            raise ModemError("GMSK needs an even samples_per_symbol")
         if self.scheme is Scheme.GMSK:
             object.__setattr__(self, "gmsk_phase_taps", _gmsk_phase_taps(
                 _gmsk_frequency_pulse(self), self.samples_per_symbol))
@@ -135,8 +138,11 @@ def _gmsk_phase(bits: np.ndarray, cfg: ModemConfig, first: int,
     a = np.pad(2.0 * bits[i:j] - 1.0, (i - lo, hi - j))
     settled = 2 * int(np.count_nonzero(bits[:i])) - i
     run = np.cumsum(a[:n_symbols]) - a[:n_symbols] + settled
-    moving = np.stack([np.convolve(a, w, "valid") for w in taps], axis=1)
-    return (moving + run[:, None]).ravel()
+    phase = np.empty((n_symbols, len(taps)))
+    for r, w in enumerate(taps):
+        phase[:, r] = np.convolve(a, w, "valid")
+    phase += run[:, None]
+    return phase.ravel()
 
 
 def gmsk_data_phase(bits, cfg: ModemConfig) -> np.ndarray:
@@ -178,14 +184,18 @@ def modulate(bits, cfg: ModemConfig,
     if cfg.scheme is Scheme.OOK:
         m = np.repeat(2.0 * bits[first:first + n_symbols] - 1.0, sps)
     else:
-        phase = (np.pi / 2.0) * _gmsk_phase(bits, cfg, first, n_symbols)
-        n = np.arange(first * sps, (first + n_symbols) * sps)
-        carrier = 2 * np.pi * GMSK_CARRIER_CYCLES / sps * n
-        m = np.cos(carrier + phase)
-    if phase_offset is PhaseOffset.INVERTED:
-        m = -m
-    samples = cfg.dc_bias + cfg.modulation_depth * m
-    return SampleBlock(samples, cfg.sample_rate)
+        # in place, each step rounds as the out-of-place expression would
+        m = _gmsk_phase(bits, cfg, first, n_symbols)
+        m *= np.pi / 2.0
+        carrier = np.arange(first * sps, (first + n_symbols) * sps, dtype=float)
+        carrier *= 2 * np.pi * GMSK_CARRIER_CYCLES / sps
+        m += carrier
+        np.cos(m, out=m)
+    # depth * (-m) == (-depth) * m: IEEE products are symmetric in sign
+    m *= (-cfg.modulation_depth if phase_offset is PhaseOffset.INVERTED
+          else cfg.modulation_depth)
+    m += cfg.dc_bias
+    return SampleBlock(m, cfg.sample_rate)
 
 
 def demodulate(block: SampleBlock, cfg: ModemConfig,
@@ -218,8 +228,8 @@ def demodulate(block: SampleBlock, cfg: ModemConfig,
 def _demodulate_gmsk(x: np.ndarray, cfg: ModemConfig, nsym: int) -> np.ndarray:
     sps = cfg.samples_per_symbol
     # row i is the one-symbol window centred on the boundary before symbol i
-    x = np.pad(x - x.mean(), (sps // 2, sps - sps // 2))
-    rows = x.reshape(nsym + 1, sps)
+    rows = np.zeros((nsym + 1, sps))
+    np.subtract(x, x.mean(), out=rows.reshape(-1)[sps // 2:-(sps // 2)])
     # one product mixes each row down and sums it: the real and imaginary
     # parts of its baseband. The subcarrier turns a whole number of cycles
     # per row, so its DC and its 2 f_c image sum to zero

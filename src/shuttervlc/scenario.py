@@ -20,8 +20,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import framing
-from .channel import (ChannelConfig, PixelMask, ac_power, emitter_weights,
-                      receive, received_snr_db)
+from .channel import (ChannelConfig, PixelMask, ac_power, awgn,
+                      emitter_weights, receive, received_snr_db)
 from .framing import IdKind, IdLookupTable, detect_packets, make_id
 from .metrics import bit_error_rate, goodput, packet_error_rate
 from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme,
@@ -30,6 +30,7 @@ from .protocol import IDENT_WINDOW_PACKETS, ProtocolParams, run_controller
 
 SCENARIO_SCHEMA_VERSION = 2  # the grid and pixels only: no lens, no placement
 TRACE_SCHEMA_VERSION = 5     # no code_rate in context
+MAX_PIXELS = 10**7           # ten times Table V's largest (1000x1000) shutter
 
 
 class ScenarioError(ValueError):
@@ -168,6 +169,9 @@ def _parse(d: dict) -> Scenario:
     if rows < 1 or cols < 1:
         raise ScenarioError("the shutter grid needs at least one pixel")
     n = rows * cols
+    if n > MAX_PIXELS:
+        raise ScenarioError(f"the shutter grid has {n} pixels, more than "
+                            f"{MAX_PIXELS}")
     m = _object(d["modem"], "modem", ModemConfig.__dataclass_fields__)
     modem = ModemConfig(**dict(_numbers(m, "modem", "scheme"),
                                scheme=Scheme(m["scheme"])))
@@ -176,7 +180,8 @@ def _parse(d: dict) -> Scenario:
         raise ScenarioError(f"need 1 to {n} emitters for {n} shutter pixels")
     emitters = _emitters(specs)
     ch = _object(d.get("channel", {}), "channel")
-    ambient_dc = _per_pixel(ch.get("ambient_dc", [0.0] * n), n, "ambient_dc")
+    ambient_dc = _per_pixel(ch["ambient_dc"] if "ambient_dc" in ch
+                            else [0.0] * n, n, "ambient_dc")
     channel = ChannelConfig(
         emitter_gain=tuple(_number(e.get("gain", 1.0), "gain") for e in specs),
         emitter_pixel=tuple(_number(e.get("pixel"), "pixel", whole=True)
@@ -515,9 +520,8 @@ def _snr_estimates(sim: LinkSimulation, mask: PixelMask) -> Dict[str, float]:
     cfg = sim.scenario.channel
     noise_power = 0.0
     if cfg.noise_sigma > 0:
-        noise_power = ac_power(SampleBlock(np.random.default_rng(
-            [sim.seed, 47]).normal(0.0, cfg.noise_sigma,
-                                   size=len(sim.window[0])), sim.fs))
+        noise_power = ac_power(SampleBlock(awgn(np.random.default_rng(
+            [sim.seed, 47]), cfg.noise_sigma, len(sim.window[0])), sim.fs))
     snrs = {}
     for i, spec in enumerate(sim.scenario.emitters):
         quiet = replace(cfg, noise_sigma=0.0, emitter_gain=tuple(

@@ -1,5 +1,7 @@
 """Shutter-gated single-photodiode channel."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,46 @@ def test_noise_is_deterministic_per_seed():
     # noise comes only from the caller's generator
     with pytest.raises(ChannelError):
         receive(blocks, mask, cfg)
+
+
+def _reference_receive(blocks, mask, cfg, rng):
+    """`receive` as one all-zero array plus each term, out of place: the
+    gated emitters in order, the ambient light, then rng.normal noise."""
+    n = len(blocks[0])
+    out = np.zeros(n)
+    for block, gain, pixel in zip(blocks, cfg.emitter_gain, cfg.emitter_pixel):
+        weight = gain * (1.0 if pixel in mask.open else cfg.closed_leakage)
+        if weight:
+            out += weight * block.samples
+    if cfg.ambient_total:
+        out += (cfg.closed_leakage * cfg.ambient_total + (1 - cfg.closed_leakage)
+                * sum(cfg.ambient_dc[p] for p in sorted(mask.open)))
+    if cfg.noise_sigma > 0:
+        out += rng.normal(0.0, cfg.noise_sigma, size=n)
+    return np.clip(out, 0.0, cfg.saturation_level)
+
+
+def test_receive_matches_reference_bit_for_bit():
+    # 0, 1 or 2 lit emitters (a closed one is lit by leakage), with or
+    # without ambient light and noise, on blocks of 0, 1 and odd lengths;
+    # saturation and the floor at 0 both clip
+    data = np.random.default_rng(23)
+    for opened, leak, ambient, sigma, n in itertools.product(
+            [(), (0,), (0, 1)], [0.0, 0.05], [(0.0,) * 3, (0.3, 0.0, 0.7)],
+            [0.0, 0.05], [0, 1, 7, 1001]):
+        cfg = ChannelConfig(emitter_gain=(0.9, 1.3), emitter_pixel=(0, 1),
+                            ambient_dc=ambient, noise_sigma=sigma,
+                            closed_leakage=leak, saturation_level=1.6)
+        blocks = _blocks(*data.uniform(0.0, 1.2, (2, n)))
+        before = [b.samples.copy() for b in blocks]
+        mask = PixelMask(3, opened)
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = receive(blocks, mask, cfg, rng=rng).samples
+        expected = _reference_receive(blocks, mask, cfg, ref_rng)
+        assert got.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # the emitter blocks are read, never written
+        assert all(np.array_equal(b.samples, a) for b, a in zip(blocks, before))
 
 
 def test_receive_validation():

@@ -442,6 +442,16 @@ def _edited(bundled, section, **values):
                  id="gmsk_bt-5e307"),
     *(pytest.param(_edited("protocol_clean", "optics", **{key: 0.036}),
                    id=f"optics-{key}") for key in ("d", "S1", "S2", "BFL")),
+    # an odd GMSK samples_per_symbol would centre the receiver's windows
+    # half a sample late
+    *(pytest.param(_edited("gmsk_demo", "modem", samples_per_symbol=sps),
+                   id=f"gmsk-sps-{sps}") for sps in (5, 7)),
+    # a grid above 10^7 pixels is refused before any per-pixel list is
+    # built (10^10 pixels would have asked for an 80 GB ambient_dc default)
+    pytest.param(_edited("protocol_clean", "optics", grid_rows=10**5,
+                         grid_cols=10**5), id="grid-1e5x1e5"),
+    pytest.param(_edited("protocol_clean", "optics", grid_rows=3163,
+                         grid_cols=3163), id="grid-3163x3163"),
     # a FIXED threshold level must be finite
     pytest.param(_edited("table1_type2_case1", "threshold", level=float("nan")),
                  id="level-nan"),
