@@ -15,7 +15,8 @@ import numpy as np
 
 GMSK_BT = 0.35                # Gaussian filter bandwidth-time product
 GMSK_SPAN = 4                 # Gaussian pulse span in symbols
-GMSK_CARRIER_CYCLES = 1.0     # subcarrier cycles per symbol
+GMSK_CARRIER_CYCLES = 1.0     # subcarrier cycles per symbol; a whole number,
+                              # so every symbol starts at carrier phase 0
 
 
 class ModemError(ValueError):
@@ -123,6 +124,24 @@ def _gmsk_phase_taps(pulse: np.ndarray, sps: int) -> tuple[int, np.ndarray]:
     return j0, taps
 
 
+def _gmsk_symbols(bits: np.ndarray, cfg: ModemConfig, first: int,
+                  n_symbols: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, run) of the window of symbols [first, first + n_symbols).
+
+    `a` holds 2 b - 1 of the symbols a sample of the window may still be
+    in transition on, 0 outside the stream: a[k:k + n_taps] are those of
+    symbol first + k, taps' column t pairing with a[k + n_taps - 1 - t].
+    run[k] is the integer sum of `a` over the earlier symbols, whose pulse
+    has passed."""
+    j0, taps = cfg.gmsk_phase_taps
+    lo, hi = first - (j0 + taps.shape[1] - 1), first + n_symbols - j0
+    i, j = np.clip((lo, hi), 0, len(bits))
+    a = np.pad(2.0 * bits[i:j] - 1.0, (i - lo, hi - j))
+    settled = 2 * int(np.count_nonzero(bits[:i])) - i
+    run = np.cumsum(a[:n_symbols]) - a[:n_symbols] + settled
+    return a, run
+
+
 def _gmsk_phase(bits: np.ndarray, cfg: ModemConfig, first: int,
                 n_symbols: int) -> np.ndarray:
     """Unscaled data phase (units of pi/2) at the samples of symbols
@@ -132,17 +151,53 @@ def _gmsk_phase(bits: np.ndarray, cfg: ModemConfig, first: int,
     pulse has passed adds exactly +-1, so the phase is an integer running
     sum plus, per sample phase, a short convolution over the symbols still
     in transition."""
-    j0, taps = cfg.gmsk_phase_taps
-    lo, hi = first - (j0 + taps.shape[1] - 1), first + n_symbols - j0
-    i, j = np.clip((lo, hi), 0, len(bits))
-    a = np.pad(2.0 * bits[i:j] - 1.0, (i - lo, hi - j))
-    settled = 2 * int(np.count_nonzero(bits[:i])) - i
-    run = np.cumsum(a[:n_symbols]) - a[:n_symbols] + settled
+    taps = cfg.gmsk_phase_taps[1]
+    a, run = _gmsk_symbols(bits, cfg, first, n_symbols)
     phase = np.empty((n_symbols, len(taps)))
     for r, w in enumerate(taps):
         phase[:, r] = np.convolve(a, w, "valid")
     phase += run[:, None]
     return phase.ravel()
+
+
+def _gmsk_waveform(bits: np.ndarray, cfg: ModemConfig, first: int,
+                   n_symbols: int) -> np.ndarray:
+    """cos(pi/2 * phase + subcarrier) at the samples of a window, the
+    phase as `_gmsk_phase` gives it, one symbol waveform per row.
+
+    The subcarrier turns a whole number of cycles per symbol, so it is at
+    2 pi GMSK_CARRIER_CYCLES r / sps at sample r of every symbol. The data
+    phase is the running sum, of which only its value mod 4 (a quadrant)
+    moves the cosine, plus the taps weighted by the symbols in transition,
+    each -1, 0 or +1. So a symbol's samples are one of 4 * 3**n_taps
+    waveforms (Murota & Hirade, 1981): the cosine is taken only for those
+    the window uses, at most n_symbols of them."""
+    sps = cfg.samples_per_symbol
+    taps = cfg.gmsk_phase_taps[1]
+    n_taps = taps.shape[1]
+    a, run = _gmsk_symbols(bits, cfg, first, n_symbols)
+    # each symbol's waveform index, quadrant * 3**n_taps + sum_t (a + 1) *
+    # 3**t over the taps in transition, by Horner's rule from the quadrant
+    index = run.astype(np.intp) & 3
+    code = (a + 1).astype(np.intp)
+    for s in range(n_taps):
+        index *= 3
+        index += code[s:s + n_symbols]
+    used = np.zeros(4 * 3 ** n_taps, dtype=bool)
+    used[index] = True
+    rows = np.flatnonzero(used)
+    quadrant, pattern = np.divmod(rows, 3 ** n_taps)
+    # sums per element in a fixed order, so that a row does not depend on
+    # which others the window uses (a matrix product's order may)
+    phase = np.zeros((len(rows), sps))
+    phase += quadrant[:, None]
+    for t in range(n_taps):
+        phase += (pattern[:, None] // 3 ** t % 3 - 1) * taps[:, t]
+    carrier = 2 * np.pi * GMSK_CARRIER_CYCLES / sps * np.arange(sps)
+    table = np.cos(np.pi / 2 * phase + carrier)
+    row_of = np.empty(len(used), dtype=np.intp)
+    row_of[rows] = np.arange(len(rows))
+    return np.take(table, row_of[index], axis=0).ravel()
 
 
 def gmsk_data_phase(bits, cfg: ModemConfig) -> np.ndarray:
@@ -184,13 +239,7 @@ def modulate(bits, cfg: ModemConfig,
     if cfg.scheme is Scheme.OOK:
         m = np.repeat(2.0 * bits[first:first + n_symbols] - 1.0, sps)
     else:
-        # in place, each step rounds as the out-of-place expression would
-        m = _gmsk_phase(bits, cfg, first, n_symbols)
-        m *= np.pi / 2.0
-        carrier = np.arange(first * sps, (first + n_symbols) * sps, dtype=float)
-        carrier *= 2 * np.pi * GMSK_CARRIER_CYCLES / sps
-        m += carrier
-        np.cos(m, out=m)
+        m = _gmsk_waveform(bits, cfg, first, n_symbols)
     # depth * (-m) == (-depth) * m: IEEE products are symmetric in sign
     m *= (-cfg.modulation_depth if phase_offset is PhaseOffset.INVERTED
           else cfg.modulation_depth)

@@ -123,9 +123,11 @@ def run_controller(sim, params: ProtocolParams,
         noise_power = ac_power(sim.dwell(PixelMask(n), params.T_s))
         log("noise_reference_dwell")
         snrs = {}
+        # no block is kept across the next dwell: at the paper's rate each
+        # one holds hundreds of MiB
         for p in range(n):
-            block = sim.dwell(PixelMask(n, {p}), params.T_s)
-            snrs[p] = received_snr_db(block, noise_power)
+            snrs[p] = received_snr_db(sim.dwell(PixelMask(n, {p}), params.T_s),
+                                      noise_power)
             log("discovery_dwell", pixel=p, pixel_snr_db=round(snrs[p], 4))
         candidates = [p for p, s in snrs.items()
                       if s >= params.snr_threshold_db]
@@ -138,9 +140,9 @@ def run_controller(sim, params: ProtocolParams,
 
         locked = []
         for p in candidates:
-            block = sim.dwell(PixelMask(n, {p}), sim.identification_window_s)
-            dets = detect_packets(sim.decode(block), id_table,
-                                  params.corr_threshold)
+            dets = detect_packets(sim.decode(sim.dwell(
+                PixelMask(n, {p}), sim.identification_window_s)), id_table,
+                params.corr_threshold)
             if any(d.score == HEADER_BITS
                    and params.select_target in (None, d.label) for d in dets):
                 locked.append(p)

@@ -394,6 +394,7 @@ class LinkSimulation:
         n_symbols = self._snap(duration_s) // self.sps
         end = first + n_symbols + self.modem.context_symbols
         weights = emitter_weights(mask, self.scenario.channel)
+        self.window = []    # the last dwell's blocks go before new ones exist
         dark = SampleBlock(np.zeros(n_symbols * self.sps), self.fs)
         self.window = [
             modulate(self.tx_bits(spec, end), self.modem, spec.phase_offset,
@@ -677,13 +678,12 @@ def _run_protocol(scenario: Scenario, seed: int) -> TraceRecord:
             pixel = locked[len(dwells) % len(locked)]
             t0 = sim.sim_time_s
             start_bit = sim.clock // sim.sps
-            block = sim.dwell(PixelMask(n, {pixel}), params.T_s)
-            rx = sim.decode(block)
+            rx = sim.decode(sim.dwell(PixelMask(n, {pixel}), params.T_s))
             dwells.append({"t0_s": round(t0, 9), "pixel": pixel,
                            "start_bit": int(start_bit),
                            "bits": _bits_to_str(rx)})
             end_bit[pixel] = start_bit + len(rx)
-            remaining -= block.duration_s
+            remaining -= len(rx) * sim.sps / sim.fs     # the dwell's duration
 
     tx_store = {str(spec.label): _bits_to_str(
                     sim.tx_bits(spec, end_bit[pixel]))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -209,28 +210,76 @@ def _stacked_phase(bits, cfg, first, n_symbols):
     return (moving + run[:, None]).ravel()
 
 
+def _exact_carrier(bits, cfg, offset, first, n_symbols):
+    """The GMSK samples of a window with the subcarrier's phase taken at
+    the sample's index within its symbol, so the argument stays small."""
+    sps = cfg.samples_per_symbol
+    phase = (np.pi / 2.0) * _gmsk_phase(bits, cfg, first, n_symbols)
+    k = np.arange(first * sps, (first + n_symbols) * sps)
+    m = np.cos(phase + 2 * np.pi * GMSK_CARRIER_CYCLES * (k % sps) / sps)
+    if offset is PhaseOffset.INVERTED:
+        m = -m
+    return cfg.dc_bias + cfg.modulation_depth * m
+
+
 @pytest.mark.parametrize("offset", list(PhaseOffset))
 @pytest.mark.parametrize("cfg", [OOK, GMSK], ids=["OOK", "GMSK"])
 def test_modulate_matches_out_of_place_expressions(cfg, offset):
-    # modulate computes in place; these out-of-place expressions are the
-    # reference, and every sample must equal theirs bit for bit
+    # OOK computes in place and must equal the out-of-place expression bit
+    # for bit; GMSK reads each symbol from a table of waveforms, so it must
+    # match the exact-carrier expression within 1e-11
     sps = cfg.samples_per_symbol
     bits = np.random.default_rng(11).integers(0, 2, 600).astype(np.uint8)
     for first, n in [(0, 600), (0, 1), (37, 201), (599, 1)]:
+        got = modulate(bits, cfg, offset, first, n).samples
         if cfg.scheme is Scheme.OOK:
             m = np.repeat(2.0 * bits[first:first + n] - 1.0, sps)
+            if offset is PhaseOffset.INVERTED:
+                m = -m
+            expected = cfg.dc_bias + cfg.modulation_depth * m
+            assert got.tobytes() == expected.tobytes()
         else:
             phase = _stacked_phase(bits, cfg, first, n)
             assert _gmsk_phase(bits, cfg, first, n).tobytes() == phase.tobytes()
-            phase = (np.pi / 2.0) * phase
-            carrier = (2 * np.pi * GMSK_CARRIER_CYCLES / sps
-                       * np.arange(first * sps, (first + n) * sps))
-            m = np.cos(carrier + phase)
-        if offset is PhaseOffset.INVERTED:
-            m = -m
-        expected = cfg.dc_bias + cfg.modulation_depth * m
-        got = modulate(bits, cfg, offset, first, n).samples
-        assert got.tobytes() == expected.tobytes()
+            np.testing.assert_allclose(
+                got, _exact_carrier(bits, cfg, offset, first, n),
+                rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("sps", [4, 8, 16])
+def test_gmsk_modulate_matches_exact_carrier(sps):
+    # a carrier computed from the absolute sample index rounds worse as the
+    # index grows: 5.7e-10 off at 10**6 symbols
+    cfg = ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3,
+                      samples_per_symbol=sps)
+    bits = np.random.default_rng(400 + sps).integers(
+        0, 2, 10**6 + 500).astype(np.uint8)
+    # from the stream's start, where the symbols before it are 0; to its
+    # end, where the pulses run past the last bit; and 10**6 symbols in
+    for first, n in [(0, 300), (10**6 + 200, 300), (10**6, 400)]:
+        for offset in PhaseOffset:
+            np.testing.assert_allclose(
+                modulate(bits, cfg, offset, first, n).samples,
+                _exact_carrier(bits, cfg, offset, first, n), rtol=0, atol=1e-11)
+
+
+def test_gmsk_rows_are_bounded_by_the_window():
+    # a table of every symbol waveform would hold 4 * 3**5 * sps samples:
+    # a config keeps only its phase taps, and a window builds one row for
+    # each distinct waveform it uses
+    sps = 2**16
+    tracemalloc.start()
+    try:
+        cfg = ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3,
+                          samples_per_symbol=sps)
+        _, config_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        modulate([1, 0, 1], cfg, first=1, n_symbols=1)
+        _, window_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert config_peak < 100 * sps * 8
+    assert window_peak < 16 * sps * 8
 
 
 def test_gmsk_inverted_roundtrip():

@@ -40,6 +40,14 @@ that changed in `_gain0` are each the first bit of a slot, before the
 slot's first detection, so none is scored. `_leak`'s report SNR moved by
 4e-15 dB with the pulse. `gmsk_demo`, `protocol_clean_gmsk8` and the six
 OOK digests did not move.
+
+The eight GMSK digests were retaken when GMSK samples came to be read from
+a table of symbol waveforms, with the subcarrier at its phase within the
+symbol instead of at 2 pi k / sps for the absolute sample index k, which
+rounds worse as k grows. In each, `events`, `dwells`, `tx_bits` and
+`converged` stayed the same; only the `snr_db` floats of the reports and
+the context changed, by at most 3.7e-13 dB. The six OOK digests did not
+move.
 """
 
 import hashlib
@@ -64,15 +72,15 @@ PINNED = {
     "protocol_all_off":
         "e9dfa0e4490fb57e0b98c07d88fd881746af5fba78b78dad9f5b45f053b5df86",
     "gmsk_demo":
-        "7c426d4f80c2fb437ad2f6040c6dcedcc7549d6468e2108968fe04d4c24b45c5",
+        "4ee21b20c4191794279e5809e72944024124d9b19269bd19e53f44111342406c",
     # a same_as bit source on an INVERTED emitter
     "table1_type4_case1":
         "747800833064d00cb289d17d55d2155a4b3d9172fe12c0ab63049646f0e38271",
     "protocol_clean_gmsk8":
-        "f008e487358959e38b424f8bb5029b85ff8b4d527c77ae320b309a7ea22c293a",
+        "c66534b3d4d6f214254b29e62d6e5d100ec6bbbf6bc9bfade60e14f9194bc1d9",
     # closed pixels leak, so blocked emitters must still be synthesised
     "protocol_clean_gmsk8_leak":
-        "f9e91948d0148ae4ffbb6711496d9f616073565fe0dd2b6cb634e185a820a80b",
+        "648a3234c8549e97a116251bfe821fa37100187af65a93848dc670eca2bc671c",
     "table1_type1_case1_leak":
         "d2253fe08163cc274e1d05812c3672468ea6d5baf50c9e7025e8f41af361fdc9",
     # a fixed mask that closes emitter 2's pixel
@@ -80,16 +88,16 @@ PINNED = {
         "509fa8dab919e1cf78a846214edfef268b623d890dbb4218294825b14c3788f4",
     # an open pixel whose emitter has gain 0 is not synthesised either
     "protocol_clean_gmsk8_gain0":
-        "83e850874cb5be9780e29006fe8959aa52740e19010a2fffc836d400ef3ecf75",
+        "2802371c782379d71f15781f02049e6179c925be4e380a99cb979d01f6f3026b",
     # GMSK operating points whose decisions the demodulator must keep
     "protocol_clean_gmsk4":
-        "5e074c016ddf05fd29b35963ada1e835892e4ea791657e3e943abdea07ce4e8c",
+        "9f0c1d1ab2348a4864a7631cc3eac84df4f684c1bab99f7a02652a0c02cefbdc",
     "protocol_clean_gmsk16":
-        "94a4e8d752f32bbc14c72e3d79f4746f4cd493593efb7c8bdf3c1ebdafdbae8f",
+        "c3a6221f07702ada035596fd2b6b9070496cad5d4734e75483742fa594b85cea",
     "protocol_clean_gmsk8_sigma0.1":
-        "47eda5a21f618829063ad4307e7227722f465907babfc888759527f3a0fea76a",
+        "dcfbf44881233062be6b252f0644dd22de6015c6fc36e243e98208ddf6358837",
     "gmsk_demo_sigma0.1":
-        "92d69ce395334d126a0ae117617c0ffa32b8186f5769fc96015bceba742b7816",
+        "dca57f6ae388adee90816445e8c1038651d1f5b35376da63e8ca3ceea580982f",
     # no select_target: two pixels lock and share the slots
     "protocol_multi":
         "9d5ab60ef60844fa5d8b4c8ead80a051686b3024acba1330896e8ae49396adc9",
@@ -202,7 +210,7 @@ def test_blocked_emitters_are_not_modulated(monkeypatch):
     # protocol_clean's controller dwells five times (noise reference, two
     # discovery scans, two identifications) with one pixel open or none,
     # so only one of its two emitters is ever let through, and a GMSK
-    # dwell computes the data phase of that one window only
+    # dwell synthesises the waveform of that one window only
     calls = {}
 
     def counting(name, fn):
@@ -213,14 +221,14 @@ def test_blocked_emitters_are_not_modulated(monkeypatch):
 
     monkeypatch.setattr(scenario, "modulate",
                         counting("modulate", scenario.modulate))
-    monkeypatch.setattr(modem, "_gmsk_phase",
-                        counting("phase", modem._gmsk_phase))
+    monkeypatch.setattr(modem, "_gmsk_waveform",
+                        counting("waveform", modem._gmsk_waveform))
     gmsk = {"scheme": "GMSK", "samples_per_symbol": 8}
-    for modem_update, phase_windows in (({}, 0), (gmsk, 4)):
-        calls.update(modulate=0, phase=0)
+    for modem_update, gmsk_windows in (({}, 0), (gmsk, 4)):
+        calls.update(modulate=0, waveform=0)
         doc = _doc("protocol_clean")
         doc["duration_s"] = 0.0
         doc["modem"].update(modem_update)
         record = run_scenario(scenario_from_dict(doc))
         assert record.converged
-        assert calls == {"modulate": 4, "phase": phase_windows}
+        assert calls == {"modulate": 4, "waveform": gmsk_windows}
