@@ -8,8 +8,7 @@ from .framing import (BARKER_11, BARKER_13, Detection, IdKind, IdLookupTable,
 from .geometry import (EmitterPlacement, MappingResult, OpticalSetup,
                        map_emitters_to_pixels, min_angle, min_separation)
 from .metrics import bit_error_rate, goodput, packet_error_rate
-from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme, demodulate,
-                    modulate)
+from .modem import ModemConfig, PhaseOffset, Scheme, demodulate, modulate
 from .protocol import (ControllerResult, ProtocolParams, estimate_latency,
                        packets_per_slot, run_controller)
 from .scenario import (Scenario, TraceRecord, bundled_scenario,

@@ -3,7 +3,9 @@
 The photodiode sums every intensity reaching it; each shutter pixel gates
 the emitters (and ambient light) mapped to it with a factor of 1 when OPEN
 or `closed_leakage` when CLOSED. AWGN and a hard saturation clip model the
-amplifier front end.
+amplifier front end. Samples are plain float64 arrays at the modem's
+`ModemConfig.sample_rate`: `receive` takes one per emitter and returns one,
+and `ac_power` and `received_snr_db` take one.
 """
 
 import math
@@ -12,8 +14,6 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
-
-from .modem import SampleBlock
 
 
 class ChannelError(ValueError):
@@ -95,26 +95,24 @@ def emitter_weights(mask: PixelMask, cfg: ChannelConfig) -> Tuple[float, ...]:
                  for gain, pixel in zip(cfg.emitter_gain, cfg.emitter_pixel))
 
 
-def receive(emitter_blocks: Sequence[SampleBlock], mask: PixelMask,
-            cfg: ChannelConfig, rng: np.random.Generator | None = None) -> SampleBlock:
+def receive(emitter_blocks: Sequence[np.ndarray], mask: PixelMask,
+            cfg: ChannelConfig, rng: np.random.Generator | None = None) -> np.ndarray:
     """Superpose gated emitter waveforms, ambient DC and AWGN; clip to
     [0, saturation_level].
 
-    All emitter blocks must share one sample rate and length; the samples
-    of an emitter whose `emitter_weights` entry is 0 are never read. Noise
-    comes from `rng`, which a noisy channel requires.
+    All emitter blocks must have one length; the samples of an emitter
+    whose `emitter_weights` entry is 0 are never read. Noise comes from
+    `rng`, which a noisy channel requires.
     """
     if len(emitter_blocks) != len(cfg.emitter_gain):
         raise ChannelError("one block per configured emitter required")
     weights = emitter_weights(mask, cfg)
-    rates = {b.sample_rate for b in emitter_blocks}
     lengths = {len(b) for b in emitter_blocks}
-    if len(rates) > 1 or len(lengths) > 1:
-        raise ChannelError("emitter blocks must share sample rate and length")
+    if len(lengths) > 1:
+        raise ChannelError("emitter blocks must share one length")
 
     n = lengths.pop() if lengths else 0
-    rate = rates.pop() if rates else 0.0
-    lit = (weight * block.samples
+    lit = (weight * block
            for block, weight in zip(emitter_blocks, weights) if weight)
     out = next(lit, None)   # the first term holds the sum: no zeros to add to
     for term in lit:
@@ -131,7 +129,7 @@ def receive(emitter_blocks: Sequence[SampleBlock], mask: PixelMask,
     if out is None:
         out = np.zeros(n)
     np.clip(out, 0.0, cfg.saturation_level, out=out)
-    return SampleBlock(out, rate)
+    return out
 
 
 def awgn(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
@@ -142,14 +140,14 @@ def awgn(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
     return z
 
 
-def ac_power(block: SampleBlock) -> float:
+def ac_power(samples: np.ndarray) -> float:
     """AC power of a block: the variance of its samples."""
-    if len(block) == 0:
+    if len(samples) == 0:
         raise ChannelError("SNR needs nonempty blocks")
-    return float(np.var(block.samples))
+    return float(np.var(samples))
 
 
-def received_snr_db(signal_only: SampleBlock, noise_power: float) -> float:
+def received_snr_db(signal_only: np.ndarray, noise_power: float) -> float:
     """AC-coupled power ratio in dB: 10*log10(var(signal)/noise_power), with
     `noise_power` the `ac_power` of a noise-only block, taken once for any
     number of probes.

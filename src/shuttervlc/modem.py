@@ -5,7 +5,9 @@ dc_bias + modulation_depth * m(t) with m(t) in [-1, 1]. For OOK m(t) is the
 NRZ bit level; for GMSK m(t) is a constant-envelope FM waveform riding on a
 subcarrier (a real baseband cos(phi) cannot carry the sign of the frequency
 deviation, so an intensity channel needs the subcarrier to make the
-frequency discriminator work).
+frequency discriminator work). Samples are plain float64 arrays, all at
+one rate, `ModemConfig.sample_rate`: `modulate` returns them and
+`demodulate` takes them.
 """
 
 import enum
@@ -77,24 +79,6 @@ class ModemConfig:
         """Symbols past the end of a window that its samples may depend
         on: one GMSK frequency pulse span, none for OOK."""
         return GMSK_SPAN + 1 if self.scheme is Scheme.GMSK else 0
-
-
-@dataclass
-class SampleBlock:
-    """A finite run of real intensity samples at a fixed sample rate."""
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
 
 
 def _gmsk_frequency_pulse(cfg: ModemConfig) -> np.ndarray:
@@ -217,9 +201,9 @@ def gmsk_data_phase(bits, cfg: ModemConfig) -> np.ndarray:
 
 def modulate(bits, cfg: ModemConfig,
              phase_offset: PhaseOffset = PhaseOffset.IN_PHASE,
-             first: int = 0, n_symbols: int | None = None) -> SampleBlock:
-    """Intensity samples (samples_per_symbol per bit) of one window of a
-    bit stream.
+             first: int = 0, n_symbols: int | None = None) -> np.ndarray:
+    """Intensity samples (samples_per_symbol per bit, float64 at
+    `cfg.sample_rate`) of one window of a bit stream.
 
     `bits` holds the stream's leading bits. The window is `n_symbols`
     symbols from symbol `first`, by default the rest of `bits`; it is a
@@ -244,28 +228,28 @@ def modulate(bits, cfg: ModemConfig,
     m *= (-cfg.modulation_depth if phase_offset is PhaseOffset.INVERTED
           else cfg.modulation_depth)
     m += cfg.dc_bias
-    return SampleBlock(m, cfg.sample_rate)
+    return m
 
 
-def demodulate(block: SampleBlock, cfg: ModemConfig,
+def demodulate(samples: np.ndarray, cfg: ModemConfig,
                threshold: float | None = None) -> np.ndarray:
-    """Recover bits from an intensity block.
+    """Recover bits from intensity samples at `cfg.sample_rate`.
 
     OOK: integrate-and-dump per symbol against a fixed `threshold` level, or
-    the block mean when `threshold` is None (adaptive). GMSK: noncoherent
+    the samples' mean when `threshold` is None (adaptive). GMSK: noncoherent
     frequency discrimination after a pre-detection filter (Murota & Hirade,
-    1981). The block, less its mean, is mixed down by the subcarrier and
-    summed over a one-symbol window centred on each symbol boundary (the
-    block is zero-padded by half a symbol at each end); a bit is 1 when the
+    1981). The samples, less their mean, are mixed down by the subcarrier and
+    summed over a one-symbol window centred on each symbol boundary (they
+    are zero-padded by half a symbol at each end); a bit is 1 when the
     baseband phase turns positive from one boundary to the next.
     `threshold` is ignored. Returns exactly floor(len / samples_per_symbol)
     bits.
     """
     sps = cfg.samples_per_symbol
-    x = np.asarray(block.samples, dtype=float)
+    x = np.asarray(samples, dtype=float)
     nsym = len(x) // sps
     if nsym < 1:
-        raise ModemError("block shorter than one symbol")
+        raise ModemError("samples shorter than one symbol")
     x = x[:nsym * sps]
     if cfg.scheme is Scheme.OOK:
         means = x.reshape(nsym, sps).mean(axis=1)

@@ -89,9 +89,9 @@ def run_controller(sim, params: ProtocolParams,
     pixel locks or `params.retry_budget` cycles have run.
 
     `sim` supplies the physical side: `n_pixels`, `sim_time_s`,
-    `dwell(mask, duration_s) -> SampleBlock` (advancing its clock),
-    `decode(block) -> bits` and `identification_window_s` (long enough to
-    contain a whole packet at any alignment). Each Discovery scan takes one
+    `dwell(mask, duration_s) -> samples` (a float64 array; advancing its
+    clock), `decode(samples) -> bits` and `identification_window_s` (long
+    enough to contain a whole packet at any alignment). Each Discovery scan takes one
     extra all-closed dwell as the noise reference for the SNR probes.
 
     Every event records the controller's phase; a phase-transition event

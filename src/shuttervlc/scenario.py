@@ -24,13 +24,14 @@ from .channel import (ChannelConfig, PixelMask, ac_power, awgn,
                       emitter_weights, receive, received_snr_db)
 from .framing import IdKind, IdLookupTable, detect_packets, make_id
 from .metrics import bit_error_rate, goodput, packet_error_rate
-from .modem import (ModemConfig, PhaseOffset, SampleBlock, Scheme,
-                    demodulate, modulate)
+from .modem import ModemConfig, PhaseOffset, Scheme, demodulate, modulate
 from .protocol import IDENT_WINDOW_PACKETS, ProtocolParams, run_controller
 
 SCENARIO_SCHEMA_VERSION = 2  # the grid and pixels only: no lens, no placement
 TRACE_SCHEMA_VERSION = 5     # no code_rate in context
 MAX_PIXELS = 10**7           # ten times Table V's largest (1000x1000) shutter
+MAX_DWELL_SAMPLES = 2**27    # 1 GiB of float64; 2 MHz GMSK slots of 2 s: 3.2e7
+MAX_DWELLS = 10**8           # a run's; a MAX_PIXELS grid takes 6e7 in 3 retries
 
 
 class ScenarioError(ValueError):
@@ -234,17 +235,27 @@ def _parse(d: dict) -> Scenario:
         raise ScenarioError("rng_seed must be a nonnegative integer")
     if not 0 <= duration_s < float("inf"):
         raise ScenarioError("duration_s must be finite and nonnegative")
-    # a dwell's samples: its window's, or one symbol's if that is more
-    samples = {"samples_per_symbol": modem.samples_per_symbol,
-               "duration_s": duration_s * modem.sample_rate}
-    if protocol is not None:
+    # a dwell's samples: its window's, or one symbol's if that is more;
+    # the budgets also keep the int64 sample clock far from overflow
+    samples = {"samples_per_symbol": modem.samples_per_symbol}
+    if protocol is None:
+        samples["duration_s"] = duration_s * modem.sample_rate
+    else:
         samples["T_s"] = protocol.T_s * modem.sample_rate
         samples["the identification window"] = (IDENT_WINDOW_PACKETS
             * framing.PACKET_BITS * modem.samples_per_symbol)
     for what, count in samples.items():
-        if count >= 2**63:
-            raise ScenarioError(f"{what} asks for more samples than the "
-                                f"int64 sample clock can count")
+        if count > MAX_DWELL_SAMPLES:
+            raise ScenarioError(f"{what} asks for more than "
+                                f"{MAX_DWELL_SAMPLES} samples in one dwell")
+    if protocol is not None:
+        # per retry a noise reference, a probe and an identification dwell
+        # per pixel; then the locked slots
+        dwells = (protocol.retry_budget * (2 * n + 1) + duration_s
+                  * modem.sample_rate / _dwell_samples(modem, protocol.T_s))
+        if dwells > MAX_DWELLS:
+            raise ScenarioError(f"the protocol may take {dwells:.3g} dwells, "
+                                f"more than {MAX_DWELLS}")
     source = json.dumps(d, sort_keys=True)
     return Scenario(
         name=name,
@@ -333,6 +344,12 @@ def emitter_bits(spec: EmitterSpec, rng: Optional[np.random.Generator],
 # ---------------------------------------------------------------------------
 # simulation core
 
+def _dwell_samples(modem: ModemConfig, duration_s: float) -> int:
+    """The samples of a dwell of `duration_s`: whole symbols, at least one."""
+    sps = modem.samples_per_symbol
+    return max(sps, int(round(duration_s * modem.sample_rate)) // sps * sps)
+
+
 class LinkSimulation:
     """Emitter bit streams plus a channel and a sample clock.
 
@@ -367,7 +384,7 @@ class LinkSimulation:
                       for spec in scenario.emitters}
         self._bits = {spec.label: np.empty(0, dtype=np.uint8)
                       for spec in scenario.emitters}
-        self.window: List[SampleBlock] = []     # emitter blocks of the last dwell
+        self.window: List[np.ndarray] = []      # emitter blocks of the last dwell
 
     @property
     def sim_time_s(self) -> float:
@@ -385,17 +402,13 @@ class LinkSimulation:
                 self.framed)))
         return bits[:n_bits]
 
-    def _snap(self, duration_s: float) -> int:
-        n = int(round(duration_s * self.fs))
-        return max(self.sps, (n // self.sps) * self.sps)
-
-    def dwell(self, mask: PixelMask, duration_s: float) -> SampleBlock:
+    def dwell(self, mask: PixelMask, duration_s: float) -> np.ndarray:
         first = self.clock // self.sps
-        n_symbols = self._snap(duration_s) // self.sps
+        n_symbols = _dwell_samples(self.modem, duration_s) // self.sps
         end = first + n_symbols + self.modem.context_symbols
         weights = emitter_weights(mask, self.scenario.channel)
         self.window = []    # the last dwell's blocks go before new ones exist
-        dark = SampleBlock(np.zeros(n_symbols * self.sps), self.fs)
+        dark = np.zeros(n_symbols * self.sps)
         self.window = [
             modulate(self.tx_bits(spec, end), self.modem, spec.phase_offset,
                      first, n_symbols) if weight else dark
@@ -404,8 +417,8 @@ class LinkSimulation:
         self.clock += n_symbols * self.sps
         return out
 
-    def decode(self, block: SampleBlock) -> np.ndarray:
-        return demodulate(block, self.modem, self.scenario.threshold)
+    def decode(self, samples: np.ndarray) -> np.ndarray:
+        return demodulate(samples, self.modem, self.scenario.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +534,8 @@ def _snr_estimates(sim: LinkSimulation, mask: PixelMask) -> Dict[str, float]:
     cfg = sim.scenario.channel
     noise_power = 0.0
     if cfg.noise_sigma > 0:
-        noise_power = ac_power(SampleBlock(awgn(np.random.default_rng(
-            [sim.seed, 47]), cfg.noise_sigma, len(sim.window[0])), sim.fs))
+        noise_power = ac_power(awgn(np.random.default_rng([sim.seed, 47]),
+                                    cfg.noise_sigma, len(sim.window[0])))
     snrs = {}
     for i, spec in enumerate(sim.scenario.emitters):
         quiet = replace(cfg, noise_sigma=0.0, emitter_gain=tuple(
@@ -558,7 +571,7 @@ def _score(record: TraceRecord) -> Dict[str, dict]:
         if not tx:
             return {}
         rx = _bits_from_str(record.dwells[0]["bits"])
-        return {label: _report(ctx, bit_error_rate(bits, rx[:len(bits)]), 0.0,
+        return {label: _report(ctx, bit_error_rate(bits, rx), 0.0,
                                ctx["snr_db"][label], len(bits), 0, 0)
                 for label, bits in tx.items()}
 
@@ -588,6 +601,9 @@ def _score(record: TraceRecord) -> Dict[str, dict]:
             if dets:
                 o = dets[0].offset
                 sent = tx[str(label)][start + o:start + len(rx)]
+                if len(sent) != len(rx) - o:
+                    raise ScenarioError(f"tx_bits {str(label)!r} ends "
+                                        f"inside a dwell of its pixel")
                 st["errors"] += int(np.count_nonzero(sent != rx[o:]))
                 st["bits"] += len(rx) - o
 

@@ -14,7 +14,7 @@ from scipy.special import erfc
 from shuttervlc.framing import (BARKER_11, BARKER_13, IdKind, IdLookupTable,
                                 PACKET_BITS, PAYLOAD_BITS, detect_packets,
                                 frame, make_id)
-from shuttervlc.modem import (ModemConfig, SampleBlock, Scheme, demodulate,
+from shuttervlc.modem import (ModemConfig, Scheme, demodulate,
                               gmsk_data_phase, modulate)
 from shuttervlc.protocol import packets_per_slot
 from shuttervlc.scenario import (bundled_scenario, replay_trace, run_scenario,
@@ -173,9 +173,7 @@ def test_criterion_09_modem_properties():
     for sigma in (0.5, 0.4, 1 / 3):
         tx = rng.integers(0, 2, 100_000)
         block = modulate(tx, ook)
-        noisy = SampleBlock(block.samples
-                            + rng.normal(0, sigma, len(block)),
-                            block.sample_rate)
+        noisy = block + rng.normal(0, sigma, len(block))
         measured = float(np.mean(demodulate(noisy, ook,
                                             threshold=ook.dc_bias) != tx))
         arg = ook.modulation_depth * math.sqrt(ook.samples_per_symbol) / sigma
@@ -195,7 +193,7 @@ def test_criterion_10_snr_dwell_consistency():
         rng = np.random.default_rng([1010, i])
         n_bits = int(dwell_ms / 1000 * cfg.symbol_rate)
         block = modulate(rng.integers(0, 2, n_bits), cfg)
-        sig = block.samples + rng.normal(0, sigma, len(block))
+        sig = block + rng.normal(0, sigma, len(block))
         noise = rng.normal(0, sigma, len(block))
         estimates.append(10 * np.log10(np.var(sig) / np.var(noise)))
     spread = max(estimates) - min(estimates)

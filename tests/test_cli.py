@@ -3,10 +3,12 @@
 import json
 import string
 
+import numpy as np
 import pytest
 
 from shuttervlc.cli import main
-from shuttervlc.scenario import bundled_scenario, run_scenario
+from shuttervlc.framing import IdKind, IdLookupTable, detect_packets, make_id
+from shuttervlc.scenario import TraceRecord, bundled_scenario, run_scenario
 
 
 def test_geometry_json(capsys):
@@ -331,6 +333,39 @@ def test_replay_reports_malformed_trace_as_error(tmp_path, capsys, name, edit):
     assert err.startswith("shuttervlc: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_replay_rejects_tx_bits_that_end_inside_a_dwell(tmp_path, capsys,
+                                                        extra):
+    # tx_bits cut 1 bit after the last dwell's first detection would
+    # broadcast that bit over the whole dwell
+    d = _trace("protocol_clean")
+    record = TraceRecord.from_json(json.dumps(d))
+    table = IdLookupTable([make_id(IdKind(e["id_kind"]), e["label"])
+                           for e in record.context["emitters"]])
+    last = record.dwells[-1]
+    rx = np.frombuffer(last["bits"].encode(), dtype=np.uint8) - ord("0")
+    first = detect_packets(rx, table, record.context["corr_threshold"])[0]
+    end = last["start_bit"] + first.offset + extra
+    record.tx_bits["1"] = record.tx_bits["1"][:end]
+    trace = tmp_path / "trace.json"
+    record.save(trace)
+    assert main(["replay", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shuttervlc: error: ") and err.count("\n") == 1
+
+
+def test_replay_rejects_fixed_mask_tx_bits_shorter_than_the_dwell(tmp_path,
+                                                                  capsys):
+    d = _trace("table1_type1_case1")
+    record = TraceRecord.from_json(json.dumps(d))
+    record.tx_bits["1"] = record.tx_bits["1"][:-1]
+    trace = tmp_path / "trace.json"
+    record.save(trace)
+    assert main(["replay", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shuttervlc: error: ") and err.count("\n") == 1
+
+
 def _edited(bundled, section, **values):
     """A bundled scenario's JSON text with entries of one section (None:
     the top level) replaced."""
@@ -452,6 +487,16 @@ def _edited(bundled, section, **values):
                          grid_cols=10**5), id="grid-1e5x1e5"),
     pytest.param(_edited("protocol_clean", "optics", grid_rows=3163,
                          grid_cols=3163), id="grid-3163x3163"),
+    # counts that fit the int64 sample clock but are still too much work:
+    # 5e11 locked slots, 5e12 dwells of retries, and dwells of 1e12 samples
+    pytest.param(_edited("protocol_clean", None, duration_s=1e12),
+                 id="duration_s-1e12-locked-slots"),
+    pytest.param(_edited("protocol_all_off", "protocol", retry_budget=10**12),
+                 id="retry_budget-1e12"),
+    pytest.param(_edited("protocol_clean", "protocol", T_s=2.5e7),
+                 id="T_s-1e12-samples"),
+    pytest.param(_edited("table1_type1_case1", None, duration_s=2.5e9),
+                 id="fixed-mask-duration_s-1e12-samples"),
     # a FIXED threshold level must be finite
     pytest.param(_edited("table1_type2_case1", "threshold", level=float("nan")),
                  id="level-nan"),

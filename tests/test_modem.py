@@ -15,10 +15,9 @@ from scipy.special import erfc
 
 import shuttervlc
 from shuttervlc.modem import (GMSK_BT, GMSK_CARRIER_CYCLES, GMSK_SPAN,
-                              ModemConfig, ModemError, PhaseOffset,
-                              SampleBlock, Scheme, _gmsk_frequency_pulse,
-                              _gmsk_phase, demodulate, gmsk_data_phase,
-                              modulate)
+                              ModemConfig, ModemError, PhaseOffset, Scheme,
+                              _gmsk_frequency_pulse, _gmsk_phase, demodulate,
+                              gmsk_data_phase, modulate)
 
 OOK = ModemConfig(scheme=Scheme.OOK, symbol_rate=1000, samples_per_symbol=4,
                   dc_bias=1.0, modulation_depth=0.5)
@@ -57,8 +56,7 @@ def test_ook_sample_levels():
     block = modulate(bits, OOK)
     assert len(block) == len(bits) * OOK.samples_per_symbol
     expected = np.repeat(np.where(bits == 1, 1.5, 0.5), 4)
-    np.testing.assert_allclose(block.samples, expected)
-    assert block.sample_rate == OOK.sample_rate == 4000
+    np.testing.assert_allclose(block, expected)
 
 
 def test_intensity_nonnegative_both_schemes():
@@ -66,7 +64,7 @@ def test_intensity_nonnegative_both_schemes():
     bits = rng.integers(0, 2, 500)
     for cfg in (OOK, GMSK):
         for off in PhaseOffset:
-            s = modulate(bits, cfg, off).samples
+            s = modulate(bits, cfg, off)
             assert np.all(s >= 0.0)
             assert np.all(s <= cfg.dc_bias + cfg.modulation_depth + 1e-12)
 
@@ -74,8 +72,8 @@ def test_intensity_nonnegative_both_schemes():
 def test_inverted_phase_mirrors_waveform():
     bits = np.array([1, 0, 1, 1, 0, 0, 1])
     for cfg in (OOK, GMSK):
-        a = modulate(bits, cfg, PhaseOffset.IN_PHASE).samples
-        b = modulate(bits, cfg, PhaseOffset.INVERTED).samples
+        a = modulate(bits, cfg, PhaseOffset.IN_PHASE)
+        b = modulate(bits, cfg, PhaseOffset.INVERTED)
         np.testing.assert_allclose(a + b, 2 * cfg.dc_bias, atol=1e-12)
 
 
@@ -166,13 +164,13 @@ def test_gmsk_phase_matches_convolution_oracle(sps):
 def test_gmsk_pulse_is_built_once_per_config(monkeypatch):
     # the config builds the phase taps; a window only reads them
     bits = np.random.default_rng(7).integers(0, 2, 200).astype(np.uint8)
-    samples, phase = modulate(bits, GMSK).samples, gmsk_data_phase(bits, GMSK)
+    samples, phase = modulate(bits, GMSK), gmsk_data_phase(bits, GMSK)
 
     def rebuilt(cfg):
         raise AssertionError("GMSK frequency pulse rebuilt after load")
 
     monkeypatch.setattr(shuttervlc.modem, "_gmsk_frequency_pulse", rebuilt)
-    np.testing.assert_array_equal(modulate(bits, GMSK).samples, samples)
+    np.testing.assert_array_equal(modulate(bits, GMSK), samples)
     np.testing.assert_array_equal(gmsk_data_phase(bits, GMSK), phase)
 
 
@@ -231,7 +229,7 @@ def test_modulate_matches_out_of_place_expressions(cfg, offset):
     sps = cfg.samples_per_symbol
     bits = np.random.default_rng(11).integers(0, 2, 600).astype(np.uint8)
     for first, n in [(0, 600), (0, 1), (37, 201), (599, 1)]:
-        got = modulate(bits, cfg, offset, first, n).samples
+        got = modulate(bits, cfg, offset, first, n)
         if cfg.scheme is Scheme.OOK:
             m = np.repeat(2.0 * bits[first:first + n] - 1.0, sps)
             if offset is PhaseOffset.INVERTED:
@@ -259,7 +257,7 @@ def test_gmsk_modulate_matches_exact_carrier(sps):
     for first, n in [(0, 300), (10**6 + 200, 300), (10**6, 400)]:
         for offset in PhaseOffset:
             np.testing.assert_allclose(
-                modulate(bits, cfg, offset, first, n).samples,
+                modulate(bits, cfg, offset, first, n),
                 _exact_carrier(bits, cfg, offset, first, n), rtol=0, atol=1e-11)
 
 
@@ -307,8 +305,7 @@ def _ook_awgn_ber(sigma: float, n_bits: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, n_bits)
     block = modulate(bits, OOK)
-    noisy = SampleBlock(block.samples + rng.normal(0, sigma, len(block)),
-                        block.sample_rate)
+    noisy = block + rng.normal(0, sigma, len(block))
     out = demodulate(noisy, OOK, threshold=OOK.dc_bias)
     return float(np.mean(out != bits))
 
@@ -326,14 +323,13 @@ def test_ook_awgn_ber_matches_analytic(sigma):
 def test_demodulate_truncates_to_whole_symbols():
     bits = np.array([1, 0, 1])
     block = modulate(bits, OOK)
-    ragged = SampleBlock(np.concatenate([block.samples, [1.0, 1.0]]),
-                         block.sample_rate)
+    ragged = np.concatenate([block, [1.0, 1.0]])
     np.testing.assert_array_equal(demodulate(ragged, OOK), bits)
 
 
 def test_demodulate_errors():
     with pytest.raises(ModemError):
-        demodulate(SampleBlock(np.ones(2), 4000.0), OOK)
+        demodulate(np.ones(2), OOK)
     with pytest.raises(ModemError):
         modulate([], OOK)
 
@@ -352,18 +348,18 @@ def test_windows_concatenate_to_one_shot_property(data, scheme, sps, offset,
     cuts = sorted(set(data.draw(st.lists(st.integers(1, max(1, n_bits - 1)),
                                          max_size=8)))) if n_bits > 1 else []
     edges = list(zip([0] + cuts, cuts + [n_bits]))
-    whole = modulate(bits, cfg, offset).samples
-    parts = [modulate(bits, cfg, offset, a, b - a).samples for a, b in edges]
+    whole = modulate(bits, cfg, offset)
+    parts = [modulate(bits, cfg, offset, a, b - a) for a, b in edges]
     assert np.array_equal(np.concatenate(parts), whole)
     # a window needs only cfg.context_symbols bits past its end
     parts = [modulate(bits[:b + cfg.context_symbols], cfg, offset, a,
-                      b - a).samples for a, b in edges]
+                      b - a) for a, b in edges]
     assert np.array_equal(np.concatenate(parts), whole)
     # a window starting anywhere is the one-shot slice, with no window
     # modulated before it
     a = data.draw(st.integers(0, n_bits - 1))
     b = data.draw(st.integers(a + 1, n_bits))
-    part = modulate(bits, cfg, offset, a, b - a).samples
+    part = modulate(bits, cfg, offset, a, b - a)
     assert np.array_equal(part, whole[a * sps:b * sps])
 
 
@@ -402,10 +398,10 @@ def test_gmsk_decisions_match_reference_discriminator(sps):
         for nsym in (1, 2, 13, 777, 8803, 20000):
             rng = np.random.default_rng([sps, nsym, round(sigma * 100)])
             bits = rng.integers(0, 2, nsym + 20)
-            x = modulate(bits, cfg, first=10, n_symbols=nsym).samples
+            x = modulate(bits, cfg, first=10, n_symbols=nsym)
             x = x + rng.normal(0, sigma, len(x))
             sent = bits[10:10 + nsym]
-            errors += np.sum(demodulate(SampleBlock(x, 1.0), cfg) != sent)
+            errors += np.sum(demodulate(x, cfg) != sent)
             steps = _reference_gmsk_phase_steps(x, cfg, nsym)
             reference_errors += np.sum((steps > 0) != sent)
         assert errors < 0.6 * reference_errors, (sigma, errors,

@@ -71,7 +71,7 @@ class _StubSim:
         self._bits = np.concatenate(chunks)
         if header_chip_error:
             self._bits[::PACKET_BITS] ^= 1
-        self._wave = modulate(self._bits, self.cfg).samples
+        self._wave = modulate(self._bits, self.cfg)
         self.dark = dark
         self.noise = rng
         self.n_pixels = 2
@@ -83,18 +83,16 @@ class _StubSim:
         return self.clock / self.cfg.sample_rate
 
     def dwell(self, mask: PixelMask, duration_s: float):
-        from shuttervlc.modem import SampleBlock
         n = int(round(duration_s * self.cfg.sample_rate))
         n = (n // 4) * 4
         sig = self._wave[self.clock:self.clock + n] \
             if 0 in mask.open and not self.dark \
             else np.full(n, self.cfg.dc_bias)
         self.clock += n
-        return SampleBlock(sig + self.noise.normal(0, 0.02, n),
-                           self.cfg.sample_rate)
+        return sig + self.noise.normal(0, 0.02, n)
 
-    def decode(self, block):
-        return demodulate(block, self.cfg)
+    def decode(self, samples):
+        return demodulate(samples, self.cfg)
 
 
 def _control(sim, **params):

@@ -293,6 +293,32 @@ def test_loader_sweep_loads_or_raises_one_line_scenario_error():
     assert edits > 7000      # 558 paths of the 18 bundled scenarios, 13 values
 
 
+def test_work_budgets_are_inclusive_and_admit_the_operating_point():
+    def clean(**protocol):
+        d = json.loads(json.dumps(bundled_scenario("protocol_clean").source_dict))
+        d["protocol"].update(protocol)
+        return d
+
+    # the 2 MHz GMSK operating point: 3.2e7 samples in a 2 s slot
+    d = clean()
+    d["modem"].update(scheme="GMSK", samples_per_symbol=8, symbol_rate=2e6)
+    scenario_from_dict(d)
+    # a MAX_PIXELS grid at 3 retries, with protocol_clean's 6 locked slots
+    assert 3 * (2 * scenario.MAX_PIXELS + 1) + 6 <= scenario.MAX_DWELLS
+    # 2 pixels and 6 locked slots: 5 dwells a retry
+    retries = (scenario.MAX_DWELLS - 6) // 5
+    scenario_from_dict(clean(retry_budget=retries))
+    with pytest.raises(ScenarioError, match="dwells"):
+        scenario_from_dict(clean(retry_budget=retries + 1))
+    # a slot of exactly MAX_DWELL_SAMPLES samples, and one a sample longer
+    d = clean(T_s=1.0)
+    d["modem"]["symbol_rate"] = scenario.MAX_DWELL_SAMPLES / 4
+    scenario_from_dict(d)
+    d["protocol"]["T_s"] = 1.0 + 1.0 / scenario.MAX_DWELL_SAMPLES
+    with pytest.raises(ScenarioError, match="samples in one dwell"):
+        scenario_from_dict(d)
+
+
 def test_scenario_is_typed_at_load():
     sc = scenario_from_dict(_variant(threshold={"mode": "FIXED", "level": 1}))
     assert sc.mask == PixelMask(2, {0})
