@@ -8,12 +8,15 @@ amplifier front end. Samples are plain float64 arrays at the modem's
 and `ac_power` and `received_snr_db` take one.
 """
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
+
+# the largest gain, ambient_dc entry and noise_sigma, in units of the LEDs'
+# DC bias: sums and squares of 10^7 such terms stay finite in float64
+MAX_INTENSITY = 1e100
 
 
 class ChannelError(ValueError):
@@ -56,21 +59,20 @@ class ChannelConfig:
     saturation_level: float = float("inf")
 
     def __post_init__(self):
-        for name in ("emitter_gain", "ambient_dc"):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        for name, what in (("emitter_gain", "gains"),
+                           ("ambient_dc", "ambient_dc entries")):
+            values = tuple(map(float, getattr(self, name)))
+            if not all(0 <= x <= MAX_INTENSITY for x in values):
+                raise ChannelError(f"{what} must be in [0, {MAX_INTENSITY:g}]")
+            object.__setattr__(self, name, values)
         object.__setattr__(self, "emitter_pixel", _pixel_indices(self.emitter_pixel))
         for name in ("noise_sigma", "closed_leakage", "saturation_level"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if any(not 0 <= g < math.inf for g in self.emitter_gain):
-            raise ChannelError("gains must be finite and nonnegative")
         object.__setattr__(self, "ambient_total", sum(self.ambient_dc))
-        if not (min(self.ambient_dc, default=0.0) >= 0
-                and math.isfinite(self.ambient_total)):
-            raise ChannelError("ambient_dc must be nonnegative, its sum finite")
         if not (0 <= self.closed_leakage < 1):
             raise ChannelError("closed_leakage must be in [0, 1)")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ChannelError("noise_sigma must be finite and nonnegative")
+        if not 0 <= self.noise_sigma <= MAX_INTENSITY:
+            raise ChannelError(f"noise_sigma must be in [0, {MAX_INTENSITY:g}]")
         if not self.saturation_level > 0:
             raise ChannelError("saturation_level must be positive")
         if len(self.emitter_gain) != len(self.emitter_pixel):

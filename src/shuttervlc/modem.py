@@ -1,8 +1,9 @@
 """Bit <-> intensity-waveform conversion: OOK and GMSK schemes.
 
-Both schemes emit nonnegative intensity samples of the form
-dc_bias + modulation_depth * m(t) with m(t) in [-1, 1]. For OOK m(t) is the
-NRZ bit level; for GMSK m(t) is a constant-envelope FM waveform riding on a
+Intensity is measured in units of the LED's DC bias: both schemes emit
+nonnegative samples 1 + modulation_depth * m(t) with m(t) in [-1, 1], which
+the channel scales by each emitter's gain. For OOK m(t) is the NRZ bit
+level; for GMSK m(t) is a constant-envelope FM waveform riding on a
 subcarrier (a real baseband cos(phi) cannot carry the sign of the frequency
 deviation, so an intensity channel needs the subcarrier to make the
 frequency discriminator work). Samples are plain float64 arrays, all at
@@ -13,6 +14,7 @@ one rate, `ModemConfig.sample_rate`: `modulate` returns them and
 import enum
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 import numpy as np
 
 GMSK_BT = 0.35                # Gaussian filter bandwidth-time product
@@ -40,8 +42,8 @@ class ModemConfig:
     scheme: Scheme
     symbol_rate: float
     samples_per_symbol: int = 4
-    dc_bias: float = 1.0
     modulation_depth: float = 0.5
+    dc_bias: ClassVar[float] = 1.0      # the unit of intensity
 
     def __post_init__(self):
         sps = self.samples_per_symbol
@@ -55,11 +57,9 @@ class ModemConfig:
         if not self.sample_rate < math.inf:
             raise ModemError("sample rate (symbol_rate * samples_per_symbol) "
                              "must be finite")
+        # a depth of at most the bias keeps intensity nonnegative
         if not (0 < self.modulation_depth <= 1):
             raise ModemError("modulation_depth must be in (0, 1]")
-        if not self.modulation_depth <= self.dc_bias < math.inf:
-            raise ModemError("dc_bias must be finite and cover modulation_depth "
-                             "(intensity must stay nonnegative)")
         # 4 keeps subcarrier + peak deviation (1.5 cycles/symbol) below Nyquist
         if self.scheme is Scheme.GMSK and self.samples_per_symbol < 4:
             raise ModemError("GMSK needs samples_per_symbol >= 4")

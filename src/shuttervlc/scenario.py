@@ -1,7 +1,7 @@
 """Scenario definition, end-to-end runs, trace persistence and replay.
 
 A scenario JSON describes the shutter grid, the modem, the emitters
-(pixel, gain, transmitter ID, bit source), the channel and either a fixed
+(pixel, gain, transmitter ID, payload), the channel and either a fixed
 shutter mask (BER-style experiments) or the automated control protocol.
 Runs are fully deterministic given the seed; traces persist the decoded
 bits, packed, so metrics can be recomputed offline.
@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -27,9 +27,10 @@ from .metrics import bit_error_rate, goodput, packet_error_rate
 from .modem import ModemConfig, PhaseOffset, Scheme, demodulate, modulate
 from .protocol import IDENT_WINDOW_PACKETS, ProtocolParams, run_controller
 
-SCENARIO_SCHEMA_VERSION = 2  # the grid and pixels only: no lens, no placement
+SCENARIO_SCHEMA_VERSION = 3  # no value the loader can work out
 TRACE_SCHEMA_VERSION = 5     # no code_rate in context
 MAX_PIXELS = 10**7           # ten times Table V's largest (1000x1000) shutter
+MAX_SAMPLES_PER_SYMBOL = 1024  # 64 times the most a bundled scenario uses
 MAX_DWELL_SAMPLES = 2**27    # 1 GiB of float64; 2 MHz GMSK slots of 2 s: 3.2e7
 MAX_DWELLS = 10**8           # a run's; a MAX_PIXELS grid takes 6e7 in 3 retries
 
@@ -42,7 +43,7 @@ class ScenarioError(ValueError):
 class EmitterSpec:
     """An emitter resolved at load. Its payload repeats `pattern`, or else
     is random bits from the run seed and `stream` (its own label, or that of
-    the emitter its `same_as` source names)."""
+    the emitter its `same_as` names)."""
     label: int
     id_kind: IdKind
     phase_offset: PhaseOffset
@@ -76,13 +77,12 @@ class Scenario:
     source_dict: dict = field(default_factory=dict, repr=False)
 
 
-# keys of the objects no dataclass checks; a bit source's keys by type
+# keys of the objects no dataclass checks
 _SCENARIO_KEYS = ("schema_version", "name", "rng_seed", "duration_s",
                   "optics", "modem", "emitters", "channel", "mask",
                   "protocol", "threshold")
 _EMITTER_KEYS = ("label", "pixel", "gain", "id_kind", "phase_offset",
-                 "bit_source")
-_SOURCE_KEYS = {"random": (), "pattern": ("bits",), "same_as": ("label",)}
+                 "pattern", "same_as")
 
 
 def _object(value, what: str, keys=None) -> dict:
@@ -117,39 +117,21 @@ def _numbers(obj: dict, what: str, *text: str) -> dict:
             for k, v in obj.items()}
 
 
-def _bit_source(value) -> dict:
-    src = _object(value, "bit_source")
-    kind = src.get("type", "random")
-    if kind not in _SOURCE_KEYS:
-        raise ScenarioError(f"unknown bit source type {kind!r}")
-    return _object(src, f"{kind} bit source", ("type",) + _SOURCE_KEYS[kind])
-
-
-def _own_bits(src: dict) -> Optional[np.ndarray]:
-    """The pattern of a bit source that is not `same_as`; None for a
-    random one."""
-    if src.get("type", "random") == "random":
-        return None
-    pattern = _bits_from_str(src.get("bits", ""))
-    if pattern.size == 0:
-        raise ScenarioError("a pattern bit source needs at least one bit")
-    return pattern
-
-
 def _emitters(specs: List[dict]) -> List[EmitterSpec]:
-    """Resolve each emitter's header, phase and bit source; a `same_as`
-    source takes the pattern and stream of the emitter it names."""
-    sources = {_number(e["label"], "label", whole=True):
-               _bit_source(e.get("bit_source", {"type": "random"}))
-               for e in specs}
-    if len(sources) < len(specs) or min(sources, default=0) < 0:
+    """Resolve each emitter's header, phase and payload: its `pattern`, the
+    payload of the emitter its `same_as` names, or else random bits."""
+    labels = [_number(e["label"], "label", whole=True) for e in specs]
+    if len(set(labels)) < len(labels) or min(labels, default=0) < 0:
         raise ScenarioError("emitter labels must be distinct and nonnegative")
-    own = {label: _own_bits(src) for label, src in sources.items()
-           if src.get("type") != "same_as"}
+    if any("pattern" in e and "same_as" in e for e in specs):
+        raise ScenarioError("an emitter takes a pattern or same_as, not both")
+    own = {label: _bits_from_str(e["pattern"]) if "pattern" in e else None
+           for label, e in zip(labels, specs) if "same_as" not in e}
+    if any(p is not None and p.size == 0 for p in own.values()):
+        raise ScenarioError("a pattern needs at least one bit")
     emitters = []
-    for e, (label, src) in zip(specs, sources.items()):
-        stream = (_number(src.get("label"), "same_as label", whole=True)
-                  if src.get("type") == "same_as" else label)
+    for label, e in zip(labels, specs):
+        stream = _number(e.get("same_as", label), "same_as", whole=True)
         if stream not in own:
             raise ScenarioError("same_as must name an emitter with bits of its own")
         emitters.append(EmitterSpec(
@@ -173,8 +155,15 @@ def _parse(d: dict) -> Scenario:
     if n > MAX_PIXELS:
         raise ScenarioError(f"the shutter grid has {n} pixels, more than "
                             f"{MAX_PIXELS}")
-    m = _object(d["modem"], "modem", ModemConfig.__dataclass_fields__)
-    modem = ModemConfig(**dict(_numbers(m, "modem", "scheme"),
+    keys = [f.name for f in fields(ModemConfig)]     # not the dc_bias unit
+    m = _numbers(_object(d["modem"], "modem", keys), "modem", "scheme")
+    # capped before a GMSK ModemConfig builds its tables of sps samples
+    sps = _number(m.get("samples_per_symbol", ModemConfig.samples_per_symbol),
+                  "samples_per_symbol", whole=True)
+    if sps > MAX_SAMPLES_PER_SYMBOL:
+        raise ScenarioError(f"samples_per_symbol {sps} is more than "
+                            f"{MAX_SAMPLES_PER_SYMBOL}")
+    modem = ModemConfig(**dict(m, samples_per_symbol=sps,
                                scheme=Scheme(m["scheme"])))
     specs = [_object(e, "emitter", _EMITTER_KEYS) for e in d["emitters"]]
     if not 0 < len(specs) <= n:
@@ -191,10 +180,12 @@ def _parse(d: dict) -> Scenario:
             _number(a, "ambient_dc entry") for a in ambient_dc]))
     mask = None
     if d.get("mask") is not None:
-        states = _per_pixel(d["mask"], n, "mask")
-        if any(not isinstance(b, int) or b not in (0, 1) for b in states):
-            raise ScenarioError("mask entries must be 0, 1, true or false")
-        mask = PixelMask(n, (p for p, b in enumerate(states) if b))
+        if not isinstance(d["mask"], list):
+            raise ScenarioError("mask must be a list of the open pixels")
+        mask = PixelMask(n, [_number(p, "mask pixel", whole=True)
+                             for p in d["mask"]])
+        if len(mask.open) < len(d["mask"]):
+            raise ScenarioError("mask lists a pixel twice")
     protocol = id_table = None
     if d.get("protocol") is not None:
         p = _numbers(_object(d["protocol"], "protocol",
@@ -211,19 +202,14 @@ def _parse(d: dict) -> Scenario:
         id_table = IdLookupTable([make_id(e.id_kind, e.label) for e in emitters])
     if (mask is None) == (protocol is None):
         raise ScenarioError("scenario needs exactly one of mask / protocol")
-    thr = _object(d.get("threshold", {}), "threshold", ("mode", "level"))
-    mode = thr.get("mode", "ADAPTIVE")
-    if mode not in ("ADAPTIVE", "FIXED"):
-        raise ScenarioError("threshold mode must be ADAPTIVE or FIXED")
-    if mode != "FIXED" and "level" in thr:
-        raise ScenarioError("only a FIXED threshold takes a level")
-    level = None
-    if mode == "FIXED":
+    # a fixed OOK decision level; without one the threshold is adaptive
+    threshold = d.get("threshold")
+    if threshold is not None:
         if modem.scheme is Scheme.GMSK:
-            raise ScenarioError("a GMSK modem takes no FIXED threshold")
-        level = float(_number(thr.get("level"), "a FIXED threshold's level"))
-        if not math.isfinite(level):
-            raise ScenarioError("a FIXED threshold's level must be finite")
+            raise ScenarioError("a GMSK modem takes no threshold")
+        threshold = float(_number(threshold, "threshold"))
+        if not math.isfinite(threshold):
+            raise ScenarioError("threshold must be finite")
     name = d.get("name", "scenario")
     if (not isinstance(name, str) or name in ("", ".", "..")
             or any(c in name for c in "/\\\0")):
@@ -235,19 +221,14 @@ def _parse(d: dict) -> Scenario:
         raise ScenarioError("rng_seed must be a nonnegative integer")
     if not 0 <= duration_s < float("inf"):
         raise ScenarioError("duration_s must be finite and nonnegative")
-    # a dwell's samples: its window's, or one symbol's if that is more;
+    # a dwell's samples: its window's, or one symbol's if that is more (an
+    # identification window's 4.2 packets take under 10^7 at the sps cap);
     # the budgets also keep the int64 sample clock far from overflow
-    samples = {"samples_per_symbol": modem.samples_per_symbol}
-    if protocol is None:
-        samples["duration_s"] = duration_s * modem.sample_rate
-    else:
-        samples["T_s"] = protocol.T_s * modem.sample_rate
-        samples["the identification window"] = (IDENT_WINDOW_PACKETS
-            * framing.PACKET_BITS * modem.samples_per_symbol)
-    for what, count in samples.items():
-        if count > MAX_DWELL_SAMPLES:
-            raise ScenarioError(f"{what} asks for more than "
-                                f"{MAX_DWELL_SAMPLES} samples in one dwell")
+    what, span = (("duration_s", duration_s) if protocol is None
+                  else ("T_s", protocol.T_s))
+    if span * modem.sample_rate > MAX_DWELL_SAMPLES:
+        raise ScenarioError(f"{what} asks for more than "
+                            f"{MAX_DWELL_SAMPLES} samples in one dwell")
     if protocol is not None:
         # per retry a noise reference, a probe and an identification dwell
         # per pixel; then the locked slots
@@ -268,7 +249,7 @@ def _parse(d: dict) -> Scenario:
         scenario_hash=hashlib.sha256(source.encode()).hexdigest(),
         mask=mask,
         protocol=protocol,
-        threshold=level,
+        threshold=threshold,
         id_table=id_table,
         source_dict=json.loads(source),
     )
@@ -315,7 +296,7 @@ def bundled_scenario(name: str) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# bit sources
+# payload bits
 
 def emitter_bits(spec: EmitterSpec, rng: Optional[np.random.Generator],
                  first: int, n_bits: int, framed: bool) -> np.ndarray:
@@ -323,9 +304,9 @@ def emitter_bits(spec: EmitterSpec, rng: Optional[np.random.Generator],
     uint8.
 
     Framed streams are back-to-back 2096-bit packets (the emitter's own
-    header + payload from the bit source), extended in whole packets: there
+    header + its payload), extended in whole packets: there
     `first` and `n_bits` are multiples of PACKET_BITS. Unframed streams use
-    the source bits directly. A pattern is indexed modulo its length;
+    the payload bits directly. A pattern is indexed modulo its length;
     random bits come from `rng`, which must have drawn exactly the payload
     before `first`, so a stream is the same however it is cut."""
     start, n = first, n_bits

@@ -388,6 +388,11 @@ def _edited(bundled, section, **values):
                  id="schema_version-99"),
     pytest.param(_edited("protocol_clean", None, schema_version=1),
                  id="schema_version-1"),
+    # schema 2 stated dc_bias, the threshold's mode and the bit source's
+    # type, and a mask of one 0/1 per pixel
+    pytest.param(_edited("gmsk_demo", None, schema_version=2, mask=[1, 0],
+                         threshold={"mode": "ADAPTIVE"}),
+                 id="schema_version-2"),
     pytest.param(_edited("protocol_clean", "modem", bits_per_symbol=2),
                  id="bits_per_symbol"),
     pytest.param(_edited("gmsk_demo", None, rng_seed=-1), id="rng_seed--1"),
@@ -395,9 +400,10 @@ def _edited(bundled, section, **values):
         {"label": 1, "pixel": 0, "bit_source": {"type": "random", "seed": -3}}]),
                  id="bit_source-seed--3"),
     pytest.param(_edited("gmsk_demo", None, emitters=[
-        {"label": 1, "pixel": 0, "bit_source": {"type": "pattern"}}]),
+        {"label": 1, "pixel": 0, "pattern": ""}]),
                  id="pattern-without-bits"),
-    # a file's bits go inline as a pattern; random bits follow the run seed
+    # a file's bits go inline as a pattern; random bits follow the run seed;
+    # and there is no bit_source object
     pytest.param(_edited("gmsk_demo", None, emitters=[
         {"label": 1, "pixel": 0, "bit_source": {"type": "file",
                                                 "path": "/dev/zero"}}]),
@@ -406,8 +412,7 @@ def _edited(bundled, section, **values):
         {"label": 1, "pixel": 0, "bit_source": {"type": "random", "seed": 3}}]),
                  id="bit_source-seed-3"),
     # a GMSK modem ignores a decision level
-    pytest.param(_edited("gmsk_demo", None,
-                         threshold={"mode": "FIXED", "level": 123.0}),
+    pytest.param(_edited("gmsk_demo", None, threshold=123.0),
                  id="gmsk-fixed-threshold"),
     pytest.param(_edited("table1_type2_case1", "channel", ambient_dc=[-50, 0]),
                  id="ambient_dc-negative"),
@@ -497,11 +502,23 @@ def _edited(bundled, section, **values):
                  id="T_s-1e12-samples"),
     pytest.param(_edited("table1_type1_case1", None, duration_s=2.5e9),
                  id="fixed-mask-duration_s-1e12-samples"),
-    # a FIXED threshold level must be finite
-    pytest.param(_edited("table1_type2_case1", "threshold", level=float("nan")),
+    # a fixed threshold must be finite
+    pytest.param(_edited("table1_type2_case1", None, threshold=float("nan")),
                  id="level-nan"),
-    pytest.param(_edited("table1_type2_case1", "threshold", level=float("inf")),
+    pytest.param(_edited("table1_type2_case1", None, threshold=float("inf")),
                  id="level-inf"),
+    # a symbol of 2^27 samples fit the dwell budget, but a GMSK config of
+    # 2^20 took 276 MiB to build its tables
+    pytest.param(_edited("gmsk_demo", "modem", samples_per_symbol=2**27),
+                 id="gmsk-sps-2^27"),
+    # intensities of 1e308 ran to exit 0 with SNR +inf or NaN and numpy
+    # overflow warnings
+    pytest.param(_edited("table1_type1_case2", None, emitters=[
+        {"label": 1, "pixel": 0, "gain": 1e308}]), id="gain-1e308"),
+    pytest.param(_edited("gmsk_demo", "channel", ambient_dc=[1e308, 0.0]),
+                 id="ambient_dc-1e308"),
+    pytest.param(_edited("table1_type1_case2", "channel", noise_sigma=1e308),
+                 id="noise_sigma-1e308"),
 ])
 def test_run_reports_malformed_scenario_as_error(tmp_path, capsys, text):
     src = tmp_path / "scenario.json"

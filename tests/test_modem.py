@@ -20,9 +20,9 @@ from shuttervlc.modem import (GMSK_BT, GMSK_CARRIER_CYCLES, GMSK_SPAN,
                               gmsk_data_phase, modulate)
 
 OOK = ModemConfig(scheme=Scheme.OOK, symbol_rate=1000, samples_per_symbol=4,
-                  dc_bias=1.0, modulation_depth=0.5)
+                  modulation_depth=0.5)
 GMSK = ModemConfig(scheme=Scheme.GMSK, symbol_rate=1000, samples_per_symbol=8,
-                   dc_bias=1.0, modulation_depth=0.5)
+                   modulation_depth=0.5)
 
 
 def test_config_validation():
@@ -30,9 +30,12 @@ def test_config_validation():
         ModemConfig(scheme=Scheme.OOK, symbol_rate=0)
     with pytest.raises(ModemError):
         ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, modulation_depth=0.0)
+    # intensity is in units of the DC bias, which a depth above 1 would
+    # take below zero
     with pytest.raises(ModemError):
-        ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, dc_bias=0.3,
-                    modulation_depth=0.5)
+        ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, modulation_depth=1.5)
+    with pytest.raises(TypeError):
+        ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, dc_bias=0.3)
     # an odd GMSK sps would centre the receiver's windows half a sample late
     for sps in (3, 5, 7):
         with pytest.raises(ModemError):
@@ -45,8 +48,6 @@ def test_config_validation():
     for rate in (float("nan"), float("inf")):
         with pytest.raises(ModemError):
             ModemConfig(scheme=Scheme.OOK, symbol_rate=rate)
-    with pytest.raises(ModemError):
-        ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, dc_bias=float("inf"))
     cfg = ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, samples_per_symbol=4.0)
     assert type(cfg.samples_per_symbol) is int
 

@@ -8,8 +8,9 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from shuttervlc import framing, scenario
-from shuttervlc.channel import ChannelConfig, PixelMask, emitter_weights
+from shuttervlc import framing, modem, scenario
+from shuttervlc.channel import (MAX_INTENSITY, ChannelConfig, PixelMask,
+                               emitter_weights)
 from shuttervlc.cli import main
 from shuttervlc.framing import PACKET_BITS, PAYLOAD_BITS, frame, make_id
 from shuttervlc.scenario import (LinkSimulation, Scenario, ScenarioError,
@@ -19,18 +20,17 @@ from shuttervlc.scenario import (LinkSimulation, Scenario, ScenarioError,
                                  scenario_from_dict)
 
 BASE = {
-    "schema_version": 2,
+    "schema_version": 3,
     "name": "unit",
     "rng_seed": 5,
     "duration_s": 1.0,
     "optics": {"grid_rows": 1, "grid_cols": 2},
     "modem": {"scheme": "OOK", "symbol_rate": 1000, "samples_per_symbol": 4,
-              "dc_bias": 1.0, "modulation_depth": 0.5},
+              "modulation_depth": 0.5},
     "emitters": [{"label": 1, "pixel": 0, "gain": 1.0, "id_kind": "BARKER13"}],
     "channel": {"ambient_dc": [0.0, 0.0], "noise_sigma": 0.1,
                 "closed_leakage": 0.0, "saturation_level": 100.0},
-    "threshold": {"mode": "ADAPTIVE"},
-    "mask": [1, 0],
+    "mask": [0],
 }
 
 
@@ -71,20 +71,21 @@ def test_mask_xor_protocol_required():
 
 
 def test_fixed_threshold_needs_level():
+    # a threshold is the fixed decision level; without one it is adaptive
     with pytest.raises(ScenarioError):
         scenario_from_dict(_variant(threshold={"mode": "FIXED"}))
-    sc = scenario_from_dict(_variant(threshold={"mode": "FIXED", "level": 1.0}))
+    sc = scenario_from_dict(_variant(threshold=1.0))
     assert sc.threshold == 1.0
     assert scenario_from_dict(_variant()).threshold is None
+    assert scenario_from_dict(_variant(threshold=None)).threshold is None
 
 
 GMSK8 = {"scheme": "GMSK", "samples_per_symbol": 8}
 
 
-def _source(**bit_source):
-    """BASE with its one emitter given this bit source."""
-    return _variant(emitters=[{"label": 1, "pixel": 0,
-                               "bit_source": bit_source}])
+def _emitter(**keys):
+    """BASE with its one emitter given these keys."""
+    return _variant(emitters=[{"label": 1, "pixel": 0, **keys}])
 
 
 def test_malformed_scenario_raises_scenario_error(tmp_path):
@@ -96,9 +97,13 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         scenario_from_dict(bad_modem)
     malformed = [
         _variant(mask="01"),            # a string, not a list
+        # a mask lists each of its open pixels once, as an integer
         _variant(mask=[2, 0]),
-        _variant(mask=[1.0, 0]),
-        _variant(mask=[1]),             # one entry per pixel
+        _variant(mask=[1.5]),
+        _variant(mask=[True]),
+        _variant(mask=[0, 0]),
+        _variant(mask=[0, 1.0, 1]),
+        _variant(mask=[-1]),
         _variant(schema_version=99),
         _with("modem", bits_per_symbol=2),
         _with("modem", samples_per_symbol=4.5),
@@ -109,9 +114,10 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _with("channel", ambient_dc="xyz"),
         _with("channel", ambient_dc=[0.0]),
         _variant(threshold=[]),
-        _variant(threshold={"mode": "FIXED", "level": "high"}),
-        _variant(threshold={"mode": "FIXED", "level": float("nan")}),
-        _variant(threshold={"mode": "FIXED", "level": float("inf")}),
+        _variant(threshold="high"),
+        _variant(threshold=float("nan")),
+        _variant(threshold=float("inf")),
+        _variant(threshold=float("-inf")),
         _variant(threshold={"mode": "MEDIAN"}),
         _variant(emitters=[{"label": 1, "pixel": 2}]),
         _variant(emitters=[{"label": 1}]),      # no pixel
@@ -120,18 +126,15 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(emitters=[{"label": -1, "pixel": 0}]),
         _variant(emitters=[{"label": 1.5, "pixel": 0}]),
         _variant(emitters=[{"label": 1, "pixel": 0.7}]),
-        _variant(emitters=[{"label": 1, "pixel": 0, "bit_source": "random"}]),
-        _variant(emitters=[{"label": 1, "pixel": 0,
-                            "bit_source": {"type": "same_as", "label": 9}}]),
-        _variant(emitters=[{"label": 1, "pixel": 0,
-                            "bit_source": {"type": "noise"}}]),
+        _emitter(same_as=9),
+        _emitter(same_as=1),            # its own label: no bits of its own
+        _emitter(pattern="01", same_as=1),
+        _variant(emitters=[_SAME_AS[0], dict(_SAME_AS[1], pattern="01")]),
         _variant(mask=None, protocol={"T_s": "abc"}),
         _variant(mask=None, protocol={"T_s": 0.0}),
         # no emitter carries the 11-chip padded ID
         _variant(mask=None, protocol={"select_target": "BARKER11_PADDED"}),
         _variant(rng_seed=-1),
-        _variant(emitters=[{"label": 1, "pixel": 0,
-                            "bit_source": {"type": "random", "seed": -3}}]),
         _variant(duration_s=-5.0),
         _variant(mask=None, protocol={"T_s": float("inf")}),
         _variant(mask=None, protocol={"snr_threshold_db": float("nan")}),
@@ -142,28 +145,25 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(mask=None, protocol={"corr_threshold": 11.7}),
         _variant(mask=None, protocol={"retry_budget": 2.5}),
         _variant(rng_seed=1.5),
-        _source(type="pattern"),
-        _source(type="pattern", bits=""),
-        # no longer bit sources: a file, and a random source's own seed
-        _source(type="file"),
-        _source(type="file", path=str(tmp_path / "missing.txt")),
-        _source(type="random", seed=3),
-        _source(seed=3),
+        _emitter(pattern=None),
+        _emitter(pattern=""),
+        _emitter(pattern=101),
+        # not payloads: a file, and a random payload's own seed
+        _emitter(file=str(tmp_path / "missing.txt")),
+        _emitter(seed=3),
         dict(bundled_scenario("protocol_clean").source_dict, emitters=[
             {"label": 1, "pixel": 0, "id_kind": "BARKER13"},
             {"label": 2, "pixel": 1, "id_kind": "BARKER13"}]),
         # degenerate numbers, rejected where the config stores them
         _with("modem", symbol_rate=float("nan")),
         _with("modem", symbol_rate=float("inf")),
-        _with("modem", dc_bias=float("inf")),
         _variant(emitters=[{"label": 1, "pixel": 0, "gain": float("inf")}]),
         _with("channel", noise_sigma=float("inf")),
         _with("channel", ambient_dc=[float("nan"), 0.0]),
         _with("channel", ambient_dc=[0.0, float("inf")]),
         _with("channel", ambient_dc=[-50.0, 0.0]),
         # a GMSK modem has no decision level to fix
-        _variant(modem=dict(BASE["modem"], **GMSK8),
-                 threshold={"mode": "FIXED", "level": 123.0}),
+        _variant(modem=dict(BASE["modem"], **GMSK8), threshold=123.0),
         # no emitter, and unknown keys in the untyped objects
         _variant(emitters=[]),
         _variant(duraton_s=1.0),
@@ -183,13 +183,19 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(code_rate=1.0),
         _with("modem", **GMSK8, gmsk_bt=0.35),
         _variant(emitters=[{"label": 1, "pixel": 0, "gian": 2.0}]),
-        _source(type="random", sead=3),
-        _source(type="pattern", bits="01", seed=3),
-        _variant(emitters=[_SAME_AS[0], dict(_SAME_AS[1], bit_source={
-            "type": "same_as", "label": 1, "seed": 3})]),
-        _variant(threshold={"mode": "ADAPTIVE", "levle": 1.0}),
-        # a level is read only by a FIXED threshold
-        _variant(threshold={"mode": "ADAPTIVE", "level": "x"}),
+        _emitter(pattern="01", seed=3),
+        _variant(emitters=[_SAME_AS[0], dict(_SAME_AS[1], seed=3)]),
+        # schema 2's keys that the loader can work out: the DC bias is the
+        # unit of intensity, a threshold is a level or absent, and a
+        # payload's kind follows from its key
+        _variant(schema_version=2),
+        _with("modem", dc_bias=1.0),
+        _variant(threshold={"mode": "ADAPTIVE"}),
+        _variant(threshold={"mode": "FIXED", "level": 1.0}),
+        _emitter(bit_source={"type": "random"}),
+        _emitter(bit_source={"type": "pattern", "bits": "01"}),
+        _variant(emitters=[_SAME_AS[0], {"label": 2, "pixel": 1, "bit_source":
+                                         {"type": "same_as", "label": 1}}]),
         # a name must be a file name of its own in the output directory
         _variant(name="../escaped"),
         _variant(name="a/b"),
@@ -203,10 +209,9 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(schema_version=True),
         _variant(emitters=[{"label": True, "pixel": 0}]),
         _variant(emitters=[{"label": 1, "pixel": True}]),
-        _variant(emitters=[_SAME_AS[0], dict(_SAME_AS[1], bit_source={
-            "type": "same_as", "label": True})]),
+        _variant(emitters=[_SAME_AS[0], dict(_SAME_AS[1], same_as=True)]),
         _variant(rng_seed=True),
-        _source(type="random", seed=True),
+        _emitter(pattern=True),
         _with("optics", grid_rows=2, grid_cols=True),
         _with("optics", grid_cols=2.5),
         _with("optics", grid_cols=0),
@@ -216,7 +221,7 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(mask=None, protocol={"retry_budget": True}),
         _variant(mask=None, protocol={"T_s": True}),
         _variant(duration_s=True),
-        _variant(threshold={"mode": "FIXED", "level": True}),
+        _variant(threshold=True),
         _with("channel", ambient_dc=[True, 0.0]),
         _variant(emitters=[{"label": 1, "pixel": 0, "gain": "0.05"}]),
         _with("channel", noise_sigma="0.05"),
@@ -226,7 +231,7 @@ def test_malformed_scenario_raises_scenario_error(tmp_path):
         _variant(mask=None, protocol={"T_s": "0.05"}),
         _variant(mask=None, protocol={"snr_threshold_db": "10"}),
         _variant(duration_s="0.05"),
-        _variant(threshold={"mode": "FIXED", "level": "0.05"}),
+        _variant(threshold="1"),
     ]
     for d in malformed:
         with pytest.raises(ScenarioError):
@@ -290,14 +295,43 @@ def test_loader_sweep_loads_or_raises_one_line_scenario_error():
                     scenario_from_dict(d)
                 except ScenarioError as exc:
                     assert "\n" not in str(exc), (name, path, value)
-    assert edits > 7000      # 558 paths of the 18 bundled scenarios, 13 values
+    assert edits >= 6630     # 510 paths of the 18 bundled scenarios, 13 values
 
 
-def test_work_budgets_are_inclusive_and_admit_the_operating_point():
+@pytest.mark.parametrize("name", ["table1_type1_case1", "gmsk_demo"])
+def test_largest_intensities_run_without_overflow(name):
+    # every gain, ambient_dc entry and noise_sigma at the bound, unclipped:
+    # no sample, sum or power overflows (the suite turns warnings to errors)
+    d = json.loads(json.dumps(bundled_scenario(name).source_dict))
+    d.update(duration_s=0.1, emitters=[dict(e, gain=MAX_INTENSITY)
+                                       for e in d["emitters"]],
+             channel={"ambient_dc": [MAX_INTENSITY] * 2,
+                      "noise_sigma": MAX_INTENSITY})
+    report = run_scenario(scenario_from_dict(d)).reports["1"]
+    assert np.isfinite(report["snr_db"]) and 0 <= report["ber"] <= 1
+
+
+def test_work_budgets_are_inclusive_and_admit_the_operating_point(monkeypatch):
     def clean(**protocol):
         d = json.loads(json.dumps(bundled_scenario("protocol_clean").source_dict))
         d["protocol"].update(protocol)
         return d
+
+    # samples_per_symbol is capped before a GMSK config builds its pulse
+    cap = scenario.MAX_SAMPLES_PER_SYMBOL
+    d = clean()
+    d["modem"].update(scheme="GMSK", samples_per_symbol=cap)
+    scenario_from_dict(d)
+
+    def pulse(cfg):
+        raise AssertionError("GMSK pulse built for a capped samples_per_symbol")
+
+    monkeypatch.setattr(modem, "_gmsk_frequency_pulse", pulse)
+    for sps, scheme in ((cap + 1, "OOK"), (cap + 2, "GMSK"), (2**27, "GMSK")):
+        d["modem"].update(scheme=scheme, samples_per_symbol=sps)
+        with pytest.raises(ScenarioError, match="samples_per_symbol"):
+            scenario_from_dict(d)
+    monkeypatch.undo()
 
     # the 2 MHz GMSK operating point: 3.2e7 samples in a 2 s slot
     d = clean()
@@ -320,20 +354,23 @@ def test_work_budgets_are_inclusive_and_admit_the_operating_point():
 
 
 def test_scenario_is_typed_at_load():
-    sc = scenario_from_dict(_variant(threshold={"mode": "FIXED", "level": 1}))
+    sc = scenario_from_dict(_variant(threshold=1))
     assert sc.mask == PixelMask(2, {0})
     assert sc.channel == ChannelConfig(
         emitter_gain=(1.0,), emitter_pixel=(0,), ambient_dc=(0.0, 0.0),
         noise_sigma=0.1, saturation_level=100.0)
     assert sc.threshold == 1.0 and isinstance(sc.threshold, float)
-    assert scenario_from_dict(_variant(mask=[True, False])).mask == sc.mask
+    # a mask lists its open pixels; an empty one closes them all
+    assert scenario_from_dict(_variant(mask=[1, 0])).mask == PixelMask(2, {0, 1})
+    assert scenario_from_dict(_variant(mask=[])).mask == PixelMask(2)
     # a whole float is taken as the integer it names
-    sc = scenario_from_dict(_variant(rng_seed=5.0, emitters=[
+    sc = scenario_from_dict(_variant(rng_seed=5.0, mask=[0.0], emitters=[
         {"label": 1.0, "pixel": 0.0}]))
-    assert (sc.rng_seed, sc.emitters[0].label,
-            sc.channel.emitter_pixel) == (5, 1, (0,))
+    assert (sc.rng_seed, sc.emitters[0].label, sc.channel.emitter_pixel,
+            sc.mask.open) == (5, 1, (0,), {0})
     assert all(type(x) is int for x in (sc.rng_seed, sc.emitters[0].label,
-                                        *sc.channel.emitter_pixel))
+                                        *sc.channel.emitter_pixel,
+                                        *sc.mask.open))
 
 
 def _payload_rng(spec, run_seed):
@@ -344,7 +381,7 @@ def _payload_rng(spec, run_seed):
 def test_emitter_bits_sources():
     spec = scenario_from_dict(_variant()).emitters[0]
 
-    pattern = scenario_from_dict(_source(type="pattern", bits="101"))
+    pattern = scenario_from_dict(_emitter(pattern="101"))
     bits = emitter_bits(pattern.emitters[0], None, 0, 8, False)
     np.testing.assert_array_equal(bits, [1, 0, 1, 1, 0, 1, 1, 0])
     # a pattern is indexed modulo its length from any first bit
@@ -393,10 +430,9 @@ def _one_shot_bits(spec, n_bits, framed, run_seed):
 @pytest.fixture(scope="module")
 def source_specs():
     """One emitter spec per kind of bit source."""
-    sources = {"run-seeded": {"type": "random"},
-               "pattern": {"type": "pattern", "bits": "10110"}}
-    specs = {kind: scenario_from_dict(_source(**src)).emitters[0]
-             for kind, src in sources.items()}
+    sources = {"run-seeded": {}, "pattern": {"pattern": "10110"}}
+    specs = {kind: scenario_from_dict(_emitter(**keys)).emitters[0]
+             for kind, keys in sources.items()}
     specs["same_as"] = scenario_from_dict(
         _variant(emitters=_SAME_AS)).emitters[1]
     return specs
@@ -426,12 +462,12 @@ def test_extended_stream_equals_one_shot_draw_property(source_specs, kind,
 
 def test_pattern_source_rejects_non_binary():
     with pytest.raises(ScenarioError):
-        scenario_from_dict(_source(type="pattern", bits="102"))
+        scenario_from_dict(_emitter(pattern="102"))
 
 
 _SAME_AS = [{"label": 1, "pixel": 0, "id_kind": "BARKER13"},
             {"label": 2, "pixel": 1, "id_kind": "BARKER11_PADDED",
-             "bit_source": {"type": "same_as", "label": 1}}]
+             "same_as": 1}]
 
 
 def test_emitter_bits_framed_structure():
@@ -652,7 +688,7 @@ def test_protocol_no_signal_does_not_converge():
 def test_protocol_locks_on_same_as_emitter_by_its_own_header():
     d = json.loads(json.dumps(bundled_scenario("protocol_clean").source_dict))
     d["duration_s"] = 0.0
-    d["emitters"][1]["bit_source"] = {"type": "same_as", "label": 1}
+    d["emitters"][1]["same_as"] = 1
     d["protocol"]["select_target"] = "BARKER11_PADDED"
     record = run_scenario(scenario_from_dict(d))
     assert record.converged

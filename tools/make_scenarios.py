@@ -10,8 +10,9 @@ OUT = Path(__file__).resolve().parents[1] / "src" / "shuttervlc" / "scenarios"
 # finds which pixel an emitter images onto through its lens
 OPTICS = {"grid_rows": 1, "grid_cols": 2}
 
+# intensity is in units of the LEDs' DC bias
 OOK_100 = {"scheme": "OOK", "symbol_rate": 100, "samples_per_symbol": 4,
-           "dc_bias": 1.0, "modulation_depth": 0.5}
+           "modulation_depth": 0.5}
 
 
 def led(label, pixel, **kw):
@@ -21,9 +22,10 @@ def led(label, pixel, **kw):
     return base
 
 
-def table1(name, emitters, mask, ambient, saturation, threshold, seed):
+def table1(name, emitters, mask, ambient, saturation, seed, **extra):
+    """A Table I scenario; `mask` lists the open pixels."""
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "name": name,
         "rng_seed": seed,
         "duration_s": 100.0,                    # 10^4 bits at 100 Hz
@@ -32,8 +34,8 @@ def table1(name, emitters, mask, ambient, saturation, threshold, seed):
         "emitters": emitters,
         "channel": {"ambient_dc": ambient, "noise_sigma": 0.3,
                     "closed_leakage": 0.0, "saturation_level": saturation},
-        "threshold": threshold,
         "mask": mask,
+        **extra,
     }
 
 
@@ -41,63 +43,58 @@ scenarios = {}
 
 # Table I interference patterns: Case I = both pixels open, Case II = only
 # the desired pixel open. Noise sigma 0.3 puts clean per-symbol BER ~4e-4.
+# The threshold is adaptive but for type 2's fixed decision level.
 single = [led(1, 0)]
-mirror_in = [led(1, 0), led(2, 1, bit_source={"type": "same_as", "label": 1})]
-mirror_out = [led(1, 0), led(2, 1, phase_offset="INVERTED",
-                             bit_source={"type": "same_as", "label": 1})]
-adaptive = {"mode": "ADAPTIVE"}
-fixed = {"mode": "FIXED", "level": 1.0}
+mirror_in = [led(1, 0), led(2, 1, same_as=1)]
+mirror_out = [led(1, 0), led(2, 1, phase_offset="INVERTED", same_as=1)]
 
 scenarios["table1_type1_case1"] = table1(
-    "table1_type1_case1", single, [1, 1], [0.0, 0.0], 100.0, adaptive, 11)
+    "table1_type1_case1", single, [0, 1], [0.0, 0.0], 100.0, 11)
 scenarios["table1_type1_case2"] = table1(
-    "table1_type1_case2", single, [1, 0], [0.0, 0.0], 100.0, adaptive, 12)
+    "table1_type1_case2", single, [0], [0.0, 0.0], 100.0, 12)
 # ambient DC on the interferer pixel saturates the front end when open
 scenarios["table1_type2_case1"] = table1(
-    "table1_type2_case1", single, [1, 1], [0.0, 10.0], 8.0, fixed, 13)
+    "table1_type2_case1", single, [0, 1], [0.0, 10.0], 8.0, 13, threshold=1.0)
 scenarios["table1_type2_case2"] = table1(
-    "table1_type2_case2", single, [1, 0], [0.0, 10.0], 8.0, fixed, 14)
+    "table1_type2_case2", single, [0], [0.0, 10.0], 8.0, 14, threshold=1.0)
 scenarios["table1_type3_case1"] = table1(
-    "table1_type3_case1", mirror_in, [1, 1], [0.0, 0.0], 100.0, adaptive, 15)
+    "table1_type3_case1", mirror_in, [0, 1], [0.0, 0.0], 100.0, 15)
 scenarios["table1_type3_case2"] = table1(
-    "table1_type3_case2", mirror_in, [1, 0], [0.0, 0.0], 100.0, adaptive, 16)
+    "table1_type3_case2", mirror_in, [0], [0.0, 0.0], 100.0, 16)
 scenarios["table1_type4_case1"] = table1(
-    "table1_type4_case1", mirror_out, [1, 1], [0.0, 0.0], 100.0, adaptive, 17)
+    "table1_type4_case1", mirror_out, [0, 1], [0.0, 0.0], 100.0, 17)
 scenarios["table1_type4_case2"] = table1(
-    "table1_type4_case2", mirror_out, [1, 0], [0.0, 0.0], 100.0, adaptive, 18)
+    "table1_type4_case2", mirror_out, [0], [0.0, 0.0], 100.0, 18)
 
 # Table II selective signaling: independent interferer, three symbol rates,
 # desired-only (config 1) vs both open (config 3). 10^4 bits per run.
 for seed, (rate, tag) in enumerate(((500e3, "500k"), (1e6, "1M"),
                                     (2e6, "2M")), start=21):
-    for config, mask in (("config1", [1, 0]), ("config3", [1, 1])):
+    for config, mask in (("config1", [0]), ("config3", [0, 1])):
         name = f"table2_{config}_{tag}"
         scenarios[name] = {
-            "schema_version": 2,
+            "schema_version": 3,
             "name": name,
             "rng_seed": seed,
             "duration_s": 1e4 / rate,
             "optics": OPTICS,
             "modem": {"scheme": "OOK", "symbol_rate": rate,
-                      "samples_per_symbol": 4,
-                      "dc_bias": 1.0, "modulation_depth": 0.5},
+                      "samples_per_symbol": 4, "modulation_depth": 0.5},
             "emitters": [led(1, 0), led(2, 1)],
             "channel": {"ambient_dc": [0.0, 0.0], "noise_sigma": 0.35,
                         "closed_leakage": 0.0, "saturation_level": 100.0},
-            "threshold": {"mode": "ADAPTIVE"},
             "mask": mask,
             }
 
 # Automated shutter protocol: two framed transmitters at 10 kbit/s, 2 s
 # dwell slots, LED 1 selected as the desired signal.
 protocol_common = {
-    "schema_version": 2,
+    "schema_version": 3,
     "optics": OPTICS,
     "modem": {"scheme": "OOK", "symbol_rate": 10000, "samples_per_symbol": 4,
-              "dc_bias": 1.0, "modulation_depth": 0.5},
+              "modulation_depth": 0.5},
     "channel": {"ambient_dc": [0.0, 0.0], "noise_sigma": 0.05,
                 "closed_leakage": 0.0, "saturation_level": 100.0},
-    "threshold": {"mode": "ADAPTIVE"},
     "protocol": {"T_s": 2.0, "snr_threshold_db": 10.0, "corr_threshold": 11,
                  "retry_budget": 3, "select_target": "BARKER13"},
 }
@@ -128,18 +125,17 @@ scenarios["protocol_multi"] = {
 
 # GMSK demo on a clean single-emitter link
 scenarios["gmsk_demo"] = {
-    "schema_version": 2,
+    "schema_version": 3,
     "name": "gmsk_demo",
     "rng_seed": 30,
     "duration_s": 2.0,
     "optics": OPTICS,
     "modem": {"scheme": "GMSK", "symbol_rate": 1000, "samples_per_symbol": 8,
-              "dc_bias": 1.0, "modulation_depth": 0.5},
+              "modulation_depth": 0.5},
     "emitters": [led(1, 0)],
     "channel": {"ambient_dc": [0.0, 0.0], "noise_sigma": 0.01,
                 "closed_leakage": 0.0, "saturation_level": 100.0},
-    "threshold": {"mode": "ADAPTIVE"},
-    "mask": [1, 0],
+    "mask": [0],
 }
 
 
