@@ -298,17 +298,20 @@ def bundled_scenario(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # payload bits
 
-def emitter_bits(spec: EmitterSpec, rng: Optional[np.random.Generator],
-                 first: int, n_bits: int, framed: bool) -> np.ndarray:
+def emitter_bits(spec: EmitterSpec, seed: int, first: int, n_bits: int,
+                 framed: bool) -> np.ndarray:
     """Bits `first` to `first + n_bits` of an emitter's transmit stream, as
-    uint8.
+    uint8, from the run seed and the bit range alone.
 
     Framed streams are back-to-back 2096-bit packets (the emitter's own
-    header + its payload), extended in whole packets: there
-    `first` and `n_bits` are multiples of PACKET_BITS. Unframed streams use
-    the payload bits directly. A pattern is indexed modulo its length;
-    random bits come from `rng`, which must have drawn exactly the payload
-    before `first`, so a stream is the same however it is cut."""
+    header + its payload), cut in whole packets: there `first` and `n_bits`
+    are multiples of PACKET_BITS. Unframed streams use the payload bits
+    directly. A pattern is indexed modulo its length. Random payload bit i
+    is bit i of one `integers(0, 2)` draw from PCG64([seed, stream, 17]),
+    which takes each bit from a 32-bit half of a 64-bit output, low half
+    first, and never rejects (Lemire's method, range 2): bit i is output
+    i // 2's. So the draw from `start` jumps ahead start // 2 outputs, in
+    O(log start), and drops the low half's bit when `start` is odd."""
     start, n = first, n_bits
     if framed:
         start = first // framing.PACKET_BITS * framing.PAYLOAD_BITS
@@ -316,7 +319,12 @@ def emitter_bits(spec: EmitterSpec, rng: Optional[np.random.Generator],
     if spec.pattern is not None:
         payload = spec.pattern.take(np.arange(start, start + n), mode="wrap")
     else:
-        payload = rng.integers(0, 2, size=n).astype(np.uint8)
+        rng = np.random.Generator(np.random.PCG64(
+            [seed, spec.stream, 17]).advance(start // 2))
+        rng.integers(0, 2, size=start % 2)
+        payload = np.empty(n, dtype=np.uint8)
+        for k in range(0, n, 1 << 22):      # int64 temporaries of 32 MiB
+            payload[k:k + (1 << 22)] = rng.integers(0, 2, size=min(n - k, 1 << 22))
     if not framed:
         return payload
     return framing.frame(payload, make_id(spec.id_kind, spec.label)).bits
@@ -341,11 +349,13 @@ class LinkSimulation:
     to weight 0 is not synthesised: its block in `window` is all zeros.
     Only one dwell's samples exist at a time.
 
-    Each emitter's bits come from one generator per run, seeded by the
-    run seed and its `stream`, and are drawn once, when `tx_bits` first
-    reads them: a dwell reads each emitter it lets through to the window's
-    end plus `context_symbols`, and a trace the prefix it stores, so a dark
-    emitter draws nothing. A GMSK window still reads every bit before it."""
+    Each emitter holds one run [lo, hi) of its stream, drawn when first
+    read, so a dark emitter draws nothing. A window that starts at or
+    before hi extends the run to its end plus `context_symbols`, in whole
+    packets when framed. An OOK window that starts past hi restarts the run
+    at its first packet (bit, unframed): an emitter lit late draws no
+    prefix. A GMSK window counts every bit before it, so reads from bit 0.
+    `tx_bits`, the prefix a trace stores, fills [0, lo) first."""
 
     def __init__(self, scenario: Scenario, seed: int):
         self.scenario = scenario
@@ -360,39 +370,47 @@ class LinkSimulation:
         self.identification_window_s = (
             IDENT_WINDOW_PACKETS * framing.PACKET_BITS
             / self.modem.symbol_rate if self.framed else None)
-        self._rngs = {spec.label: None if spec.pattern is not None else
-                      np.random.default_rng([seed, spec.stream, 17])
-                      for spec in scenario.emitters}
-        self._bits = {spec.label: np.empty(0, dtype=np.uint8)
-                      for spec in scenario.emitters}
+        self._runs = {spec.label: (0, np.empty(0, dtype=np.uint8))
+                      for spec in scenario.emitters}     # label -> (lo, bits)
         self.window: List[np.ndarray] = []      # emitter blocks of the last dwell
 
     @property
     def sim_time_s(self) -> float:
         return self.clock / self.fs
 
+    def _held(self, spec: EmitterSpec, first: int, end: int) -> np.ndarray:
+        """Bits `first` to hi of an emitter's run, made to reach `end`."""
+        unit = framing.PACKET_BITS if self.framed else 1
+        lo, bits = self._runs[spec.label]
+        if first > lo + len(bits):
+            lo, bits = first // unit * unit, bits[:0]
+        if first < lo:
+            bits = np.concatenate((emitter_bits(spec, self.seed, 0, lo,
+                                                self.framed), bits))
+            lo = 0
+        hi = lo + len(bits)
+        if end > hi:
+            bits = np.concatenate((bits, emitter_bits(
+                spec, self.seed, hi, -(-end // unit) * unit - hi, self.framed)))
+        self._runs[spec.label] = lo, bits
+        return bits[first - lo:]
+
     def tx_bits(self, spec: EmitterSpec, n_bits: int) -> np.ndarray:
-        """The first n_bits of an emitter's transmit stream; the stream
-        grows by the bits not yet drawn, in whole packets when framed."""
-        bits = self._bits[spec.label]
-        if n_bits > len(bits):
-            end = (-(-n_bits // framing.PACKET_BITS) * framing.PACKET_BITS
-                   if self.framed else n_bits)
-            bits = self._bits[spec.label] = np.concatenate((bits, emitter_bits(
-                spec, self._rngs[spec.label], len(bits), end - len(bits),
-                self.framed)))
-        return bits[:n_bits]
+        """The first n_bits of an emitter's transmit stream."""
+        return self._held(spec, 0, n_bits)[:n_bits]
 
     def dwell(self, mask: PixelMask, duration_s: float) -> np.ndarray:
         first = self.clock // self.sps
         n_symbols = _dwell_samples(self.modem, duration_s) // self.sps
         end = first + n_symbols + self.modem.context_symbols
+        start = 0 if self.modem.scheme is Scheme.GMSK else first
         weights = emitter_weights(mask, self.scenario.channel)
         self.window = []    # the last dwell's blocks go before new ones exist
         dark = np.zeros(n_symbols * self.sps)
         self.window = [
-            modulate(self.tx_bits(spec, end), self.modem, spec.phase_offset,
-                     first, n_symbols) if weight else dark
+            modulate(self._held(spec, start, end), self.modem,
+                     spec.phase_offset, first - start, n_symbols)
+            if weight else dark
             for spec, weight in zip(self.scenario.emitters, weights)]
         out = receive(self.window, mask, self.scenario.channel, rng=self.rng)
         self.clock += n_symbols * self.sps

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shuttervlc import framing, modem, scenario
 from shuttervlc.channel import (MAX_INTENSITY, ChannelConfig, PixelMask,
@@ -382,30 +382,34 @@ def test_emitter_bits_sources():
     spec = scenario_from_dict(_variant()).emitters[0]
 
     pattern = scenario_from_dict(_emitter(pattern="101"))
-    bits = emitter_bits(pattern.emitters[0], None, 0, 8, False)
+    bits = emitter_bits(pattern.emitters[0], 5, 0, 8, False)
     np.testing.assert_array_equal(bits, [1, 0, 1, 1, 0, 1, 1, 0])
     # a pattern is indexed modulo its length from any first bit
-    bits = emitter_bits(pattern.emitters[0], None, 4, 4, False)
+    bits = emitter_bits(pattern.emitters[0], 5, 4, 4, False)
     np.testing.assert_array_equal(bits, [0, 1, 1, 0])
 
     # random source is deterministic per (run seed, label)
-    a = emitter_bits(spec, _payload_rng(spec, 5), 0, 100, False)
-    b = emitter_bits(spec, _payload_rng(spec, 5), 0, 100, False)
+    a = emitter_bits(spec, 5, 0, 100, False)
+    b = emitter_bits(spec, 5, 0, 100, False)
     np.testing.assert_array_equal(a, b)
-    c = emitter_bits(spec, _payload_rng(spec, 6), 0, 100, False)
+    c = emitter_bits(spec, 6, 0, 100, False)
     assert not np.array_equal(a, c)
 
 
 def test_emitter_bits_prefix_stable():
-    # a stream extended in two draws equals one draw of the whole
+    # a stream cut in two equals one draw of the whole, also past the
+    # 2^20 bits that emitter_bits draws at a time
     spec = scenario_from_dict(_variant()).emitters[0]
     for framed, cut, total in ((False, 5001, 12345),
-                               (True, 2 * PACKET_BITS, 6 * PACKET_BITS)):
-        whole = emitter_bits(spec, _payload_rng(spec, 5), 0, total, framed)
-        rng = _payload_rng(spec, 5)
-        parts = [emitter_bits(spec, rng, 0, cut, framed),
-                 emitter_bits(spec, rng, cut, total - cut, framed)]
+                               (True, 2 * PACKET_BITS, 6 * PACKET_BITS),
+                               (False, 2**20 - 3, 2**20 + 7),
+                               (True, 499 * PACKET_BITS, 503 * PACKET_BITS)):
+        whole = emitter_bits(spec, 5, 0, total, framed)
+        parts = [emitter_bits(spec, 5, 0, cut, framed),
+                 emitter_bits(spec, 5, cut, total - cut, framed)]
         assert whole.dtype == np.uint8 and len(whole) == total
+        np.testing.assert_array_equal(whole,
+                                      _one_shot_bits(spec, total, framed, 5))
         np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
@@ -441,23 +445,26 @@ def source_specs():
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["run-seeded", "pattern", "same_as"]),
        framed=st.booleans(),
-       chunks=st.lists(st.integers(1, 3000), min_size=1, max_size=6))
+       cuts=st.lists(st.integers(0, 9000), min_size=2, max_size=6))
 def test_extended_stream_equals_one_shot_draw_property(source_specs, kind,
-                                                       framed, chunks):
-    # framed streams grow in whole packets: a chunk there counts packets
+                                                       framed, cuts):
+    # every window [a, b) of a stream, from an odd or even first bit, is
+    # those bits of one draw from bit 0: random payload bit i is the one
+    # Generator.integers(0, 2) takes from a half of PCG64 output i // 2.
+    # Framed windows are whole packets, which start at odd and even
+    # payload bits alike (PAYLOAD_BITS is odd)
     spec = source_specs[kind]
-    if framed:
-        chunks = [1 + c % 3 for c in chunks]
-        unit = PACKET_BITS
-    else:
-        unit = 1
-    rng = None if spec.pattern is not None else _payload_rng(spec, 5)
-    parts, first = [], 0
-    for c in chunks:
-        parts.append(emitter_bits(spec, rng, first, c * unit, framed))
-        first += c * unit
-    np.testing.assert_array_equal(np.concatenate(parts),
-                                  _one_shot_bits(spec, first, framed, 5))
+    edges = sorted({c % 6 * PACKET_BITS if framed else c for c in cuts})
+    assume(len(edges) > 1)
+    whole = _one_shot_bits(spec, edges[-1], framed, 5)
+    windows = list(zip(edges, edges[1:])) + [(edges[0], edges[-1])]
+    parts = []
+    for a, b in windows:
+        parts.append(emitter_bits(spec, 5, a, b - a, framed))
+        np.testing.assert_array_equal(parts[-1], whole[a:b])
+    # so a stream extended window by window equals the one-shot draw
+    np.testing.assert_array_equal(np.concatenate(parts[:-1]),
+                                  whole[edges[0]:])
 
 
 def test_pattern_source_rejects_non_binary():
@@ -474,12 +481,12 @@ def test_emitter_bits_framed_structure():
     from shuttervlc.framing import BARKER_11, BARKER_13
     sc = scenario_from_dict(_variant())
     spec = sc.emitters[0]
-    bits = emitter_bits(spec, _payload_rng(spec, 5), 0, 2 * PACKET_BITS, True)
+    bits = emitter_bits(spec, 5, 0, 2 * PACKET_BITS, True)
     assert tuple(bits[:13]) == BARKER_13
     assert tuple(bits[PACKET_BITS:PACKET_BITS + 13]) == BARKER_13
     # a same_as emitter sends its own header over the other's payload
     sc = scenario_from_dict(_variant(emitters=_SAME_AS))
-    ref, copy = (emitter_bits(e, _payload_rng(e, 5), 0, 2 * PACKET_BITS, True)
+    ref, copy = (emitter_bits(e, 5, 0, 2 * PACKET_BITS, True)
                  for e in sc.emitters)
     for start in (0, PACKET_BITS):
         assert tuple(copy[start:start + 13]) == BARKER_11 + (1, 1)
@@ -497,48 +504,74 @@ def test_framed_streams_are_built_by_frame(monkeypatch):
     monkeypatch.setattr(framing, "frame", counting_frame)
     sc = scenario_from_dict(_variant())
     spec = sc.emitters[0]
-    bits = emitter_bits(spec, _payload_rng(spec, 5), 0, 3 * PACKET_BITS, True)
+    bits = emitter_bits(spec, 5, 0, 3 * PACKET_BITS, True)
     assert calls == [3 * PAYLOAD_BITS]
     assert bits.dtype == np.uint8 and len(bits) == 3 * PACKET_BITS
 
 
 def test_bits_are_drawn_once_and_only_for_lit_windows(monkeypatch):
-    drawn = {}          # label -> [(first, n_bits), ...]
-    lit_end = {}        # label -> last bit a window that lit it read
+    drawn = {}          # label -> [(first, end, drawn in a dwell), ...]
+    lit = {}            # label -> [(first, end), ...] of the windows it lit
     draw, dwell = scenario.emitter_bits, LinkSimulation.dwell
+    in_dwell = []
 
-    def counting_bits(spec, rng, first, n_bits, framed):
-        drawn.setdefault(spec.label, []).append((first, n_bits))
-        return draw(spec, rng, first, n_bits, framed)
+    def counting_bits(spec, seed, first, n_bits, framed):
+        drawn.setdefault(spec.label, []).append(
+            (first, first + n_bits, bool(in_dwell)))
+        return draw(spec, seed, first, n_bits, framed)
 
     def recording_dwell(sim, mask, duration_s):
+        first = sim.clock // sim.sps
+        in_dwell.append(True)
         out = dwell(sim, mask, duration_s)
+        in_dwell.pop()
         end = sim.clock // sim.sps + sim.modem.context_symbols
         weights = emitter_weights(mask, sim.scenario.channel)
         for spec, weight in zip(sim.scenario.emitters, weights):
             if weight:
-                lit_end[spec.label] = end
+                lit.setdefault(spec.label, []).append((first, end))
         return out
 
     monkeypatch.setattr(scenario, "emitter_bits", counting_bits)
     monkeypatch.setattr(LinkSimulation, "dwell", recording_dwell)
     # every emitter of protocol_all_off is dark, so no bit is drawn
     run_scenario(bundled_scenario("protocol_all_off"))
-    assert drawn == {} and lit_end == {}
+    assert drawn == {} and lit == {}
 
+    # emitter 2 on the last pixel is first lit by the scan's last probe
     doc = json.loads(json.dumps(bundled_scenario("protocol_clean").source_dict))
     doc["duration_s"] = 3.0
     doc["optics"].update(grid_rows=5, grid_cols=5)
     doc["channel"]["ambient_dc"] = [0.0] * 25
     doc["emitters"][1]["pixel"] = 24
-    record = run_scenario(scenario_from_dict(doc))
-    assert record.converged and record.dwells
-    assert sorted(drawn) == sorted(lit_end) == [1, 2]
-    for label, calls in drawn.items():
-        # each extension starts where the last one ended
-        ends = np.cumsum([0] + [n for _, n in calls])
-        assert [first for first, _ in calls] == list(ends[:-1])
-        assert ends[-1] <= lit_end[label] + PACKET_BITS
+    for scheme, sps in (("OOK", 4), ("GMSK", 8)):
+        drawn.clear()
+        lit.clear()
+        doc["modem"].update(scheme=scheme, samples_per_symbol=sps)
+        record = run_scenario(scenario_from_dict(doc))
+        assert record.converged and record.dwells
+        assert sorted(drawn) == sorted(lit) == [1, 2]
+        assert lit[2][0][0] >= 25 * 2 * doc["modem"]["symbol_rate"]
+        for label, calls in drawn.items():
+            spans = [(a, b) for a, b, during in calls if during]
+            # the dwells draw each bit once, in order, and no further than
+            # a packet past the last window that lit the emitter
+            assert all(b <= c for (_, b), (c, _) in zip(spans, spans[1:]))
+            assert spans[-1][1] <= lit[label][-1][1] + PACKET_BITS
+            # an OOK window draws from its first packet on; a GMSK one
+            # counts every bit before it
+            assert spans[0][0] == (lit[label][0][0] // PACKET_BITS
+                                   * PACKET_BITS if scheme == "OOK" else 0)
+            # only the prefix a trace stores fills in bits before the run
+            # the dwells left: [0, its first bit)
+            runs = [spans[0][0]] + [c for (_, b), (c, _)
+                                    in zip(spans, spans[1:]) if c > b]
+            fills = [(a, b) for a, b, during in calls if not during]
+            assert fills == ([(0, runs[-1])] if str(label) in record.tx_bits
+                             and runs[-1] > 0 else [])
+        # the selected target (label 1) keeps its trace prefix; label 2,
+        # with no report, never draws before its first lit window
+        assert list(record.tx_bits) == ["1"]
 
 
 def test_noiseless_dark_shutter_never_identifies():
