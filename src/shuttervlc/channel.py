@@ -8,6 +8,7 @@ amplifier front end. Samples are plain float64 arrays at the modem's
 and `ac_power` and `received_snr_db` take one.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import FrozenSet, List, Sequence, Tuple
@@ -154,13 +155,15 @@ def received_snr_db(signal_only: np.ndarray, noise_power: float) -> float:
     `noise_power` the `ac_power` of a noise-only block, taken once for any
     number of probes.
 
-    A signal with no AC power gives -inf, whatever the noise; otherwise a
-    noise power of 0 gives +inf. So a dark probe never clears a threshold,
-    not even in a noiseless channel.
+    A signal with no AC power gives -inf, whatever the noise, as does a
+    ratio that underflows; otherwise a noise power of 0 gives +inf. So a
+    dark probe never clears a threshold, not even in a noiseless channel.
+    The dB take libm's log10: numpy's varies with the SIMD it runs on.
     """
     p_sig = ac_power(signal_only)
     if p_sig == 0.0:
         return float("-inf")
     if noise_power == 0.0:
         return float("inf")
-    return float(10.0 * np.log10(p_sig / noise_power))
+    ratio = p_sig / noise_power
+    return 10.0 * math.log10(ratio) if ratio else float("-inf")

@@ -86,7 +86,9 @@ def _gmsk_frequency_pulse(cfg: ModemConfig) -> np.ndarray:
     sps = cfg.samples_per_symbol
     t = np.arange(-GMSK_SPAN * sps / 2, GMSK_SPAN * sps / 2 + 1) / sps
     k = np.sqrt(2 * np.pi / np.log(2)) * GMSK_BT
-    gauss = k * np.exp(-2 * (np.pi * GMSK_BT * t) ** 2 / np.log(2))
+    # libm's exp per tap: numpy's depends on the SIMD it runs on
+    gauss = k * np.fromiter(map(math.exp, -2 * (np.pi * GMSK_BT * t) ** 2
+                                / np.log(2)), float)
     # the Gaussian convolved with an sps-sample rectangle, as a running-sum
     # difference: O(sps) where np.convolve is O(sps**2)
     c = np.cumsum(np.pad(gauss, (sps, sps - 1)))

@@ -307,11 +307,11 @@ def emitter_bits(spec: EmitterSpec, seed: int, first: int, n_bits: int,
     header + its payload), cut in whole packets: there `first` and `n_bits`
     are multiples of PACKET_BITS. Unframed streams use the payload bits
     directly. A pattern is indexed modulo its length. Random payload bit i
-    is bit i of one `integers(0, 2)` draw from PCG64([seed, stream, 17]),
-    which takes each bit from a 32-bit half of a 64-bit output, low half
-    first, and never rejects (Lemire's method, range 2): bit i is output
-    i // 2's. So the draw from `start` jumps ahead start // 2 outputs, in
-    O(log start), and drops the low half's bit when `start` is odd."""
+    is bit i of one `integers(0, 2)` draw from PCG64([seed, stream, 17]).
+    That takes each bit from a 32-bit half of a 64-bit output, low half
+    first, and never rejects (Lemire's method, range 2), so a draw from
+    payload bit s jumps ahead s // 2 outputs, in O(log s), and drops the
+    low half's bit when s is odd."""
     start, n = first, n_bits
     if framed:
         start = first // framing.PACKET_BITS * framing.PAYLOAD_BITS
@@ -323,8 +323,8 @@ def emitter_bits(spec: EmitterSpec, seed: int, first: int, n_bits: int,
             [seed, spec.stream, 17]).advance(start // 2))
         rng.integers(0, 2, size=start % 2)
         payload = np.empty(n, dtype=np.uint8)
-        for k in range(0, n, 1 << 22):      # int64 temporaries of 32 MiB
-            payload[k:k + (1 << 22)] = rng.integers(0, 2, size=min(n - k, 1 << 22))
+        for k in range(0, n, 2**22):        # int64 temporaries of 32 MiB
+            payload[k:k + 2**22] = rng.integers(0, 2, size=min(n - k, 2**22))
     if not framed:
         return payload
     return framing.frame(payload, make_id(spec.id_kind, spec.label)).bits
@@ -350,12 +350,11 @@ class LinkSimulation:
     Only one dwell's samples exist at a time.
 
     Each emitter holds one run [lo, hi) of its stream, drawn when first
-    read, so a dark emitter draws nothing. A window that starts at or
-    before hi extends the run to its end plus `context_symbols`, in whole
-    packets when framed. An OOK window that starts past hi restarts the run
-    at its first packet (bit, unframed): an emitter lit late draws no
-    prefix. A GMSK window counts every bit before it, so reads from bit 0.
-    `tx_bits`, the prefix a trace stores, fills [0, lo) first."""
+    read, so a dark emitter draws nothing. A window from at most hi extends
+    the run to its end plus `context_symbols`, in whole packets when framed;
+    an OOK window from past hi restarts it at its first packet (bit,
+    unframed). A GMSK window counts every bit before it, so it reads from
+    bit 0. `tx_bits`, the prefix a trace stores, fills [0, lo) first."""
 
     def __init__(self, scenario: Scenario, seed: int):
         self.scenario = scenario
@@ -385,9 +384,8 @@ class LinkSimulation:
         if first > lo + len(bits):
             lo, bits = first // unit * unit, bits[:0]
         if first < lo:
-            bits = np.concatenate((emitter_bits(spec, self.seed, 0, lo,
-                                                self.framed), bits))
-            lo = 0
+            lo, bits = 0, np.concatenate((emitter_bits(
+                spec, self.seed, 0, lo, self.framed), bits))
         hi = lo + len(bits)
         if end > hi:
             bits = np.concatenate((bits, emitter_bits(
@@ -407,11 +405,10 @@ class LinkSimulation:
         weights = emitter_weights(mask, self.scenario.channel)
         self.window = []    # the last dwell's blocks go before new ones exist
         dark = np.zeros(n_symbols * self.sps)
-        self.window = [
-            modulate(self._held(spec, start, end), self.modem,
-                     spec.phase_offset, first - start, n_symbols)
-            if weight else dark
-            for spec, weight in zip(self.scenario.emitters, weights)]
+        self.window = [modulate(self._held(spec, start, end), self.modem,
+                                spec.phase_offset, first - start, n_symbols)
+                       if weight else dark for spec, weight
+                       in zip(self.scenario.emitters, weights)]
         out = receive(self.window, mask, self.scenario.channel, rng=self.rng)
         self.clock += n_symbols * self.sps
         return out

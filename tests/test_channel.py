@@ -191,6 +191,8 @@ def test_snr_sentinels():
     assert received_snr_db(flat, ac_power(wiggly)) == float("-inf")
     # no signal power is -inf whatever the noise, even none at all
     assert received_snr_db(flat, 0.0) == float("-inf")
+    # so is a power ratio that underflows to 0 (1e-300 against 1e200)
+    assert received_snr_db(np.array([0.0, 2e-150] * 50), 1e200) == float("-inf")
     empty = np.zeros(0)
     with pytest.raises(ChannelError):
         received_snr_db(empty, ac_power(wiggly))

@@ -65,7 +65,8 @@ SIMULATED_FIELDS = ("dwells", "events", "tx_bits", "reports")
 # sha256 of the simulated fields of each case's trace, at its bundled seed,
 # as JSON with the bits as '0'/'1' text: the digests were taken over that
 # text, which a trace's JSON held until it came to pack its bits, and which
-# decoding a trace gives back
+# decoding a trace gives back. The SNRs take libm's log10 and the GMSK
+# pulse libm's exp, so a digest does not depend on numpy's SIMD dispatch
 PINNED = {
     "protocol_clean":
         "0c94c8778343c50433ad07d19c0e5400a5200af2763a56161bf97560b6cc760d",
@@ -80,7 +81,7 @@ PINNED = {
         "c66534b3d4d6f214254b29e62d6e5d100ec6bbbf6bc9bfade60e14f9194bc1d9",
     # closed pixels leak, so blocked emitters must still be synthesised
     "protocol_clean_gmsk8_leak":
-        "648a3234c8549e97a116251bfe821fa37100187af65a93848dc670eca2bc671c",
+        "cc7e8d935d170789d5f3192eb89a5c02e5ffc10f5827be8bce2ca444dd3a6dad",
     "table1_type1_case1_leak":
         "d2253fe08163cc274e1d05812c3672468ea6d5baf50c9e7025e8f41af361fdc9",
     # a fixed mask that closes emitter 2's pixel
@@ -95,7 +96,7 @@ PINNED = {
     "protocol_clean_gmsk16":
         "c3a6221f07702ada035596fd2b6b9070496cad5d4734e75483742fa594b85cea",
     "protocol_clean_gmsk8_sigma0.1":
-        "dcfbf44881233062be6b252f0644dd22de6015c6fc36e243e98208ddf6358837",
+        "75049e3d9b2ac599cb8e936e75128c129a2a4c5b633510542661b54c526df025",
     "gmsk_demo_sigma0.1":
         "dca57f6ae388adee90816445e8c1038651d1f5b35376da63e8ca3ceea580982f",
     # no select_target: two pixels lock and share the slots
