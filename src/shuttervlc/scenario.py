@@ -321,7 +321,8 @@ def emitter_bits(spec: EmitterSpec, seed: int, first: int, n_bits: int,
     else:
         rng = np.random.Generator(np.random.PCG64(
             [seed, spec.stream, 17]).advance(start // 2))
-        rng.integers(0, 2, size=start % 2)
+        if start % 2:
+            rng.integers(0, 2, size=1)
         payload = np.empty(n, dtype=np.uint8)
         for k in range(0, n, 2**22):        # int64 temporaries of 32 MiB
             payload[k:k + 2**22] = rng.integers(0, 2, size=min(n - k, 2**22))
@@ -369,8 +370,7 @@ class LinkSimulation:
         self.identification_window_s = (
             IDENT_WINDOW_PACKETS * framing.PACKET_BITS
             / self.modem.symbol_rate if self.framed else None)
-        self._runs = {spec.label: (0, np.empty(0, dtype=np.uint8))
-                      for spec in scenario.emitters}     # label -> (lo, bits)
+        self._runs = {e.label: (0, np.uint8([])) for e in scenario.emitters}
         self.window: List[np.ndarray] = []      # emitter blocks of the last dwell
 
     @property
