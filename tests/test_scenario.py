@@ -398,12 +398,12 @@ def test_emitter_bits_sources():
 
 def test_emitter_bits_prefix_stable():
     # a stream cut in two equals one draw of the whole, also past the
-    # 2^20 bits that emitter_bits draws at a time
+    # 2^22 payload bits that emitter_bits draws at a time
     spec = scenario_from_dict(_variant()).emitters[0]
     for framed, cut, total in ((False, 5001, 12345),
                                (True, 2 * PACKET_BITS, 6 * PACKET_BITS),
-                               (False, 2**20 - 3, 2**20 + 7),
-                               (True, 499 * PACKET_BITS, 503 * PACKET_BITS)):
+                               (False, 2**22 - 3, 2**22 + 7),
+                               (True, 2013 * PACKET_BITS, 2016 * PACKET_BITS)):
         whole = emitter_bits(spec, 5, 0, total, framed)
         parts = [emitter_bits(spec, 5, 0, cut, framed),
                  emitter_bits(spec, 5, cut, total - cut, framed)]
