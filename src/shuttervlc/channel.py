@@ -127,20 +127,14 @@ def receive(emitter_blocks: Sequence[np.ndarray], mask: PixelMask,
     if cfg.noise_sigma > 0:
         if rng is None:
             raise ChannelError("a noisy channel needs a generator")
-        noise = awgn(rng, cfg.noise_sigma, n)
+        # the draws and values of rng.normal(0, sigma, n): 0 + sigma * z
+        noise = rng.standard_normal(n)
+        noise *= cfg.noise_sigma
         out = noise if out is None else np.add(out, noise, out=out)
     if out is None:
         out = np.zeros(n)
     np.clip(out, 0.0, cfg.saturation_level, out=out)
     return out
-
-
-def awgn(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
-    """n Gaussian noise samples of deviation `sigma` in one array: the draws
-    and values of `rng.normal(0, sigma, n)`, which computes 0 + sigma * z."""
-    z = rng.standard_normal(n)
-    z *= sigma
-    return z
 
 
 def ac_power(samples: np.ndarray) -> float:
@@ -153,7 +147,7 @@ def ac_power(samples: np.ndarray) -> float:
 def received_snr_db(signal_only: np.ndarray, noise_power: float) -> float:
     """AC-coupled power ratio in dB: 10*log10(var(signal)/noise_power), with
     `noise_power` the `ac_power` of a noise-only block, taken once for any
-    number of probes.
+    number of probes, or the channel's noise_sigma ** 2.
 
     A signal with no AC power gives -inf, whatever the noise, as does a
     ratio that underflows; otherwise a noise power of 0 gives +inf. So a

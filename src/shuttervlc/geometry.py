@@ -42,10 +42,6 @@ class OpticalSetup:
         if not self.S1 > self.BFL:
             raise InvalidSetupError("S1 must exceed BFL for an image to form")
 
-    @property
-    def n_pixels(self) -> int:
-        return self.grid_rows * self.grid_cols
-
 
 @dataclass(frozen=True)
 class EmitterPlacement:

@@ -20,8 +20,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import framing
-from .channel import (ChannelConfig, PixelMask, ac_power, awgn,
-                      emitter_weights, receive, received_snr_db)
+from .channel import (ChannelConfig, PixelMask, emitter_weights, receive,
+                      received_snr_db)
 from .framing import IdKind, IdLookupTable, detect_packets, make_id
 from .metrics import bit_error_rate, goodput, packet_error_rate
 from .modem import ModemConfig, PhaseOffset, Scheme, demodulate, modulate
@@ -524,20 +524,16 @@ def _expected_packets(start_bit: int, n_bits: int) -> int:
     return max(0, last - first)
 
 
-def _snr_estimates(sim: LinkSimulation, mask: PixelMask) -> Dict[str, float]:
-    """Estimator-style SNR of each emitter in the last dwell: its noiseless
-    gated window vs one pure-noise block drawn for the run."""
+def _window_snrs(sim: LinkSimulation, mask: PixelMask) -> Dict[str, float]:
+    """SNR of each emitter in the last dwell: the AC power of its noiseless
+    gated window over the channel's noise power, noise_sigma ** 2."""
     cfg = sim.scenario.channel
-    noise_power = 0.0
-    if cfg.noise_sigma > 0:
-        noise_power = ac_power(awgn(np.random.default_rng([sim.seed, 47]),
-                                    cfg.noise_sigma, len(sim.window[0])))
     snrs = {}
     for i, spec in enumerate(sim.scenario.emitters):
         quiet = replace(cfg, noise_sigma=0.0, emitter_gain=tuple(
             g if j == i else 0.0 for j, g in enumerate(cfg.emitter_gain)))
         snrs[str(spec.label)] = received_snr_db(receive(sim.window, mask, quiet),
-                                                noise_power)
+                                                cfg.noise_sigma ** 2)
     return snrs
 
 
@@ -661,7 +657,7 @@ def _run_fixed_mask(scenario: Scenario, seed: int) -> TraceRecord:
         tx_store = {str(spec.label):
                     _bits_to_str(sim.tx_bits(spec, len(rx)))
                     for spec in scenario.emitters}
-        ctx["snr_db"] = _snr_estimates(sim, mask)
+        ctx["snr_db"] = _window_snrs(sim, mask)
     return _record(scenario, seed, mode="fixed_mask", converged=None,
                    events=[], dwells=dwells, tx_bits=tx_store, context=ctx)
 

@@ -4,6 +4,7 @@ latency and goodput numbers, with per-cell pass/fail."""
 from dataclasses import dataclass
 from typing import List
 
+from .framing import PACKET_BITS
 from .geometry import OpticalSetup, min_angle, min_separation
 from .metrics import goodput
 from .protocol import estimate_latency, packets_per_slot
@@ -46,7 +47,7 @@ def reproduce_table(name: str) -> List[TableCell]:
     if name == "T3_PACKETS":
         return [
             TableCell(f"packets_in_2s_at_{int(rate/1e3)}kHz",
-                      packets_per_slot(rate, 1, 2.0, 2096), expected, 0)
+                      packets_per_slot(rate, 1, 2.0, PACKET_BITS), expected, 0)
             for rate, expected in ((500e3, 477), (1e6, 954), (2e6, 1908))
         ]
     if name == "T5_LATENCY":
@@ -54,7 +55,7 @@ def reproduce_table(name: str) -> List[TableCell]:
         for side, step1_ms, total_ms in ((100, 10.0, 219.6),
                                          (1000, 1000.0, 1209.6)):
             step1, step2, total = estimate_latency(
-                side * side, 100, 2096, 1e-6, 1e-6)
+                side * side, 100, PACKET_BITS, 1e-6, 1e-6)
             cells += [
                 TableCell(f"{side}x{side}_step1", step1 * 1e3,
                           step1_ms, 1e-9, "ms"),

@@ -91,10 +91,5 @@ def test_invalid_setups_rejected():
 
 def test_whole_float_grid_taken_as_integer():
     setup = OpticalSetup(**dict(PROTO, grid_rows=2.0, grid_cols=3.0))
-    assert setup.n_pixels == 6 and type(setup.grid_cols) is int
-
-
-def test_grid_pixel_count():
-    setup = OpticalSetup(d=0.01, S1=0.1, BFL=0.05,
-                         grid_rows=3, grid_cols=5)
-    assert setup.n_pixels == 15
+    assert (setup.grid_rows, setup.grid_cols) == (2, 3)
+    assert type(setup.grid_rows) is int and type(setup.grid_cols) is int

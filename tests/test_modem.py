@@ -16,8 +16,9 @@ from scipy.special import erfc
 import shuttervlc
 from shuttervlc.modem import (GMSK_BT, GMSK_CARRIER_CYCLES, GMSK_SPAN,
                               ModemConfig, ModemError, PhaseOffset, Scheme,
-                              _gmsk_frequency_pulse, _gmsk_phase, demodulate,
-                              gmsk_data_phase, modulate)
+                              _gmsk_frequency_pulse, _gmsk_phase,
+                              _gmsk_waveform, demodulate, gmsk_data_phase,
+                              modulate)
 
 OOK = ModemConfig(scheme=Scheme.OOK, symbol_rate=1000, samples_per_symbol=4,
                   modulation_depth=0.5)
@@ -260,6 +261,37 @@ def test_gmsk_modulate_matches_exact_carrier(sps):
             np.testing.assert_allclose(
                 modulate(bits, cfg, offset, first, n),
                 _exact_carrier(bits, cfg, offset, first, n), rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("sps", [4, 8, 16])
+def test_gmsk_trig_tables_match_libm(sps):
+    # numpy's cos and sin may round differently under each SIMD dispatch;
+    # the pinned GMSK digests hold on every host only while they equal
+    # libm's on each argument GMSK takes them of: every row argument
+    # `_gmsk_waveform` can build, pi/2 (quadrant + sum pattern * taps) plus
+    # the subcarrier, and the receiver's mixer phases
+    cfg = ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3,
+                      samples_per_symbol=sps)
+    taps = cfg.gmsk_phase_taps[1]
+    n_taps = taps.shape[1]
+    quadrant, pattern = np.divmod(np.arange(4 * 3 ** n_taps), 3 ** n_taps)
+    phase = np.zeros((len(quadrant), sps))
+    phase += quadrant[:, None]
+    for t in range(n_taps):
+        phase += (pattern[:, None] // 3 ** t % 3 - 1) * taps[:, t]
+    carrier = 2 * np.pi * GMSK_CARRIER_CYCLES / sps * np.arange(sps)
+    rows = np.pi / 2 * phase + carrier
+    # they are the modulator's: each symbol of a window is a row's cosine
+    bits = np.random.default_rng(500 + sps).integers(0, 2, 2000)
+    table = {row.tobytes() for row in np.cos(rows)}
+    assert {row.tobytes() for row
+            in _gmsk_waveform(bits, cfg, 0, 2000).reshape(-1, sps)} <= table
+    mixer = 2 * np.pi * GMSK_CARRIER_CYCLES * np.arange(sps) / sps
+    for args, ufunc, libm in ((rows, np.cos, math.cos),
+                              (mixer, np.cos, math.cos),
+                              (mixer, np.sin, math.sin)):
+        expected = np.fromiter(map(libm, args.ravel()), float)
+        assert ufunc(args).ravel().tobytes() == expected.tobytes()
 
 
 def test_gmsk_rows_are_bounded_by_the_window():

@@ -48,6 +48,20 @@ rounds worse as k grows. In each, `events`, `dwells`, `tx_bits` and
 `converged` stayed the same; only the `snr_db` floats of the reports and
 the context changed, by at most 3.7e-13 dB. The six OOK digests did not
 move.
+
+`protocol_clean_gmsk8_leak` and `protocol_clean_gmsk8_sigma0.1` were
+retaken when the SNR came to take libm's log10 instead of numpy's: only
+the last ulps of their `snr_db` floats moved, to the values that AVX2 and
+baseline SIMD dispatch had computed all along.
+
+The five fixed-mask digests were retaken when a fixed-mask run's SNR came
+to divide its gated window's AC power by the channel's stated noise power,
+noise_sigma ** 2, instead of by the variance of a second, full-length
+noise draw: `gmsk_demo`, `gmsk_demo_sigma0.1`, `table1_type1_case1_leak`,
+`table1_type4_case1` and `table1_type4_case2_leak`. Only the reports'
+`snr_db` floats moved, by at most 0.076 dB; `dwells`, `events`, `tx_bits`
+and every other report key stayed the same. The nine protocol digests did
+not move.
 """
 
 import hashlib
@@ -73,20 +87,20 @@ PINNED = {
     "protocol_all_off":
         "e9dfa0e4490fb57e0b98c07d88fd881746af5fba78b78dad9f5b45f053b5df86",
     "gmsk_demo":
-        "4ee21b20c4191794279e5809e72944024124d9b19269bd19e53f44111342406c",
+        "0017144d1b7d2456302be5eeb2e59552ca575887782585ed8aff101c0d291ca6",
     # a same_as bit source on an INVERTED emitter
     "table1_type4_case1":
-        "747800833064d00cb289d17d55d2155a4b3d9172fe12c0ab63049646f0e38271",
+        "0084dc2e0d33e544ba0cd6f218fac20500641ada5484b5b81938579e5c6b9c05",
     "protocol_clean_gmsk8":
         "c66534b3d4d6f214254b29e62d6e5d100ec6bbbf6bc9bfade60e14f9194bc1d9",
     # closed pixels leak, so blocked emitters must still be synthesised
     "protocol_clean_gmsk8_leak":
         "cc7e8d935d170789d5f3192eb89a5c02e5ffc10f5827be8bce2ca444dd3a6dad",
     "table1_type1_case1_leak":
-        "d2253fe08163cc274e1d05812c3672468ea6d5baf50c9e7025e8f41af361fdc9",
+        "ec6d703be1205585a08ac670f64c9c0435dcbe3158090ef1211429570ff499b7",
     # a fixed mask that closes emitter 2's pixel
     "table1_type4_case2_leak":
-        "509fa8dab919e1cf78a846214edfef268b623d890dbb4218294825b14c3788f4",
+        "bc500d206ca311cdd9ca1c3e19decb2ca8025766e2396e09444caeec9de72fdb",
     # an open pixel whose emitter has gain 0 is not synthesised either
     "protocol_clean_gmsk8_gain0":
         "2802371c782379d71f15781f02049e6179c925be4e380a99cb979d01f6f3026b",
@@ -98,7 +112,7 @@ PINNED = {
     "protocol_clean_gmsk8_sigma0.1":
         "75049e3d9b2ac599cb8e936e75128c129a2a4c5b633510542661b54c526df025",
     "gmsk_demo_sigma0.1":
-        "dca57f6ae388adee90816445e8c1038651d1f5b35376da63e8ca3ceea580982f",
+        "f2241be06255a93038a3366bbe3e102b197af71b34ddb7cd3b0107058695af20",
     # no select_target: two pixels lock and share the slots
     "protocol_multi":
         "9d5ab60ef60844fa5d8b4c8ead80a051686b3024acba1330896e8ae49396adc9",

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from shuttervlc import framing, modem, scenario
 from shuttervlc.channel import (MAX_INTENSITY, ChannelConfig, PixelMask,
-                               emitter_weights)
+                               emitter_weights, received_snr_db)
 from shuttervlc.cli import main
 from shuttervlc.framing import PACKET_BITS, PAYLOAD_BITS, frame, make_id
 from shuttervlc.scenario import (LinkSimulation, Scenario, ScenarioError,
@@ -595,15 +595,37 @@ def test_noiseless_dark_shutter_never_identifies():
     assert set(record.context["snr_db"].values()) == {float("-inf")}
 
 
-def test_fixed_mask_run_produces_report():
-    record = run_scenario(scenario_from_dict(_variant()))
-    assert record.mode == "fixed_mask"
-    rep = record.reports["1"]
-    assert rep["bits_compared"] == 1000
-    assert rep["ber"] <= 0.01      # sigma 0.1 on a 0.5 depth is near-clean
-    assert rep["snr_db"] > 10
-    assert rep["goodput_bps"] == pytest.approx((1 - rep["ber"]) * 1000)
-    assert len(record.tx_bits["1"]) == 1000
+def test_fixed_mask_run_produces_report(monkeypatch):
+    generators = []
+
+    def default_rng(*args):
+        generators.append(args)
+        return real_default_rng(*args)
+
+    real_default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    for channel in ({}, {"saturation_level": 1.2}, {"noise_sigma": 0.0}):
+        generators.clear()
+        sc = scenario_from_dict(_with("channel", **channel))
+        record = run_scenario(sc)
+        # the dwell's noise is the only generator the run builds
+        assert len(generators) == 1
+        assert record.mode == "fixed_mask"
+        rep = record.reports["1"]
+        assert rep["bits_compared"] == 1000
+        assert rep["ber"] <= 0.01      # sigma 0.1 on a 0.5 depth is near-clean
+        assert rep["snr_db"] > 10
+        assert rep["goodput_bps"] == pytest.approx((1 - rep["ber"]) * 1000)
+        assert len(record.tx_bits["1"]) == 1000
+        # the SNR is the AC power of the gated, clipped window over sigma**2;
+        # a noiseless channel scores +inf
+        cfg = sc.channel
+        window = np.clip(cfg.emitter_gain[0] * modem.modulate(
+            list(map(int, record.tx_bits["1"])), sc.modem),
+            0, cfg.saturation_level)
+        snr = received_snr_db(window, cfg.noise_sigma ** 2)
+        assert rep["snr_db"] == pytest.approx(snr, rel=0, abs=1e-12)
+        assert (rep["snr_db"] == float("inf")) == (cfg.noise_sigma == 0)
 
 
 def test_zero_duration_fixed_mask():
