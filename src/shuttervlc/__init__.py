@@ -5,8 +5,7 @@ from .channel import (ChannelConfig, PixelMask, ac_power, receive,
                       received_snr_db)
 from .framing import (BARKER_11, BARKER_13, Detection, IdKind, IdLookupTable,
                       Packet, TransmitterId, detect_packets, frame, make_id)
-from .geometry import (EmitterPlacement, MappingResult, OpticalSetup,
-                       map_emitters_to_pixels, min_angle, min_separation)
+from .geometry import OpticalSetup, min_angle, min_separation
 from .metrics import bit_error_rate, goodput, packet_error_rate
 from .modem import ModemConfig, PhaseOffset, Scheme, demodulate, modulate
 from .protocol import (ControllerResult, ProtocolParams, estimate_latency,

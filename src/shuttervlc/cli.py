@@ -3,13 +3,14 @@ tables, latency/packet arithmetic and trace replay."""
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .channel import ChannelError
 from .framing import PACKET_BITS, FramingError
-from .geometry import (EmitterPlacement, InvalidSetupError, OpticalSetup,
-                       min_angle, min_separation, map_emitters_to_pixels)
+from .geometry import (InvalidSetupError, OpticalSetup, min_angle,
+                       min_separation)
 from .metrics import MetricsError
 from .modem import ModemError
 from .protocol import ProtocolError, estimate_latency, packets_per_slot
@@ -34,38 +35,17 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _point(text: str) -> tuple:
-    try:
-        x, y = (float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"a placement is X,Y in meters, not {text!r}") from None
-    return x, y
-
-
 def _cmd_geometry(args) -> int:
-    setup = OpticalSetup(d=args.d, S1=args.s1, BFL=args.bfl,
-                         grid_rows=args.rows, grid_cols=args.cols)
+    setup = OpticalSetup(d=args.d, S1=args.s1, BFL=args.bfl)
     out = {
         "h_m": min_separation(setup),
         "alpha_deg": round(min_angle(setup), 1),
     }
-    if args.placement:
-        result = map_emitters_to_pixels(
-            setup, EmitterPlacement(tuple(args.placement)))
-        out["feasible"] = result.feasible
-        out["mapping"] = list(result.mapping)
-        out["reason"] = result.reason
     if args.json:
         print(json.dumps(out, sort_keys=True))
     else:
         print(f"minimum separation h : {out['h_m'] * 100:.2f} cm")
         print(f"minimum angle alpha  : {out['alpha_deg']:.1f} deg")
-        if "feasible" in out:
-            if out["feasible"]:
-                print(f"placement feasible   : yes, mapping {out['mapping']}")
-            else:
-                print(f"placement feasible   : no ({out['reason']})")
     return 0
 
 
@@ -111,6 +91,8 @@ def _cmd_latency(args) -> int:
         args.bit_time, args.ts)
     out = {"step1_ms": step1 * 1e3, "step2_ms": step2 * 1e3,
            "total_ms": total * 1e3}
+    if out["total_ms"] == math.inf:     # a finite total of over 1.8e305 s
+        raise ProtocolError("the latency total overflows in milliseconds")
     if args.json:
         print(json.dumps(out, sort_keys=True))
     else:
@@ -153,15 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pixelated-shutter single-photodiode VLC simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("geometry", help="separation/angle limits and pixel mapping")
+    p = sub.add_parser("geometry", help="minimum emitter separation and angle")
     proto = PROTOTYPE_SETUP
     p.add_argument("--d", type=float, default=proto["d"], help="pixel pitch (m)")
     p.add_argument("--s1", type=float, default=proto["S1"], help="emitter-to-lens distance (m)")
     p.add_argument("--bfl", type=float, default=proto["BFL"], help="back focal length (m)")
-    p.add_argument("--rows", type=int, default=proto["grid_rows"])
-    p.add_argument("--cols", type=int, default=proto["grid_cols"])
-    p.add_argument("--placement", nargs="*", metavar="X,Y", type=_point,
-                   help="emitter coordinates in meters, e.g. -0.0744,0 0.0744,0")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_geometry)
 

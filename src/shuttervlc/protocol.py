@@ -64,6 +64,8 @@ def estimate_latency(grid_pixels: int, n_transmitters: int, packet_bits: int,
                     packet_bits, bit_time, T_s)
     step1 = grid_pixels * T_s
     step2 = n_transmitters * packet_bits * bit_time
+    if not math.isfinite(step1 + step2):
+        raise ProtocolError("the latency total overflows")
     return step1, step2, step1 + step2
 
 
@@ -72,7 +74,10 @@ def packets_per_slot(symbol_rate: float, bits_per_symbol: int,
     """Whole packets that fit in one dwell slot."""
     _check_positive("packets_per_slot arguments", symbol_rate,
                     bits_per_symbol, T_s, packet_bits)
-    return int(symbol_rate * bits_per_symbol * T_s // packet_bits)
+    bits = symbol_rate * bits_per_symbol * T_s
+    if not math.isfinite(bits):
+        raise ProtocolError("the bits in one slot overflow")
+    return int(bits // packet_bits)
 
 
 @dataclass

@@ -317,7 +317,8 @@ def emitter_bits(spec: EmitterSpec, seed: int, first: int, n_bits: int,
         start = first // framing.PACKET_BITS * framing.PAYLOAD_BITS
         n = n_bits // framing.PACKET_BITS * framing.PAYLOAD_BITS
     if spec.pattern is not None:
-        payload = spec.pattern.take(np.arange(start, start + n), mode="wrap")
+        pattern = spec.pattern
+        payload = np.resize(np.roll(pattern, -(start % len(pattern))), n)
     else:
         rng = np.random.Generator(np.random.PCG64(
             [seed, spec.stream, 17]).advance(start // 2))

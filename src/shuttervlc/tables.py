@@ -13,7 +13,7 @@ TABLE_NAMES = ("GEOMETRY", "T3_PACKETS", "T5_LATENCY", "GOODPUT")
 
 # prototype optics: d=3.6cm, S1=15.5cm, S2=8.2cm, BFL=3.75cm; no formula
 # reads the lens-to-shutter distance S2
-PROTOTYPE_SETUP = dict(d=0.036, S1=0.155, BFL=0.0375, grid_rows=1, grid_cols=2)
+PROTOTYPE_SETUP = dict(d=0.036, S1=0.155, BFL=0.0375)
 
 
 @dataclass

@@ -1,15 +1,14 @@
-"""Lens/shutter geometry: separation limits, angles and pixel mapping."""
+"""Lens/shutter geometry: the minimum separation and angle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from shuttervlc.geometry import (EmitterPlacement, InvalidSetupError,
-                                 OpticalSetup, map_emitters_to_pixels,
-                                 min_angle, min_separation)
+from shuttervlc.geometry import (InvalidSetupError, OpticalSetup, min_angle,
+                                 min_separation)
 
-PROTO = dict(d=0.036, S1=0.155, BFL=0.0375, grid_rows=1, grid_cols=2)
+PROTO = dict(d=0.036, S1=0.155, BFL=0.0375)
 
 
 def test_prototype_separation_and_angle():
@@ -35,61 +34,14 @@ def test_separation_matches_image_scale_oracle():
         assert min_angle(setup) == pytest.approx(expected_angle, rel=1e-12)
 
 
-def test_separation_boundary_feasibility_oracle():
-    # emitters exactly h apart (at +-h/2, imaging onto the centres of the
-    # two pixels) map to distinct pixels; shrinking the separation below h
-    # collapses them onto one pixel
-    setup = OpticalSetup(**PROTO)
-    h = min_separation(setup)
-    x0, x1 = -h / 2, h / 2
-    good = EmitterPlacement(((x0, 0.0), (x1, 0.0)))
-    result = map_emitters_to_pixels(setup, good)
-    assert result.feasible and result.mapping == (0, 1)
-
-    squeezed = EmitterPlacement(((x0 + 0.6 * h, 0.0), (x1, 0.0)))
-    result = map_emitters_to_pixels(setup, squeezed)
-    assert not result.feasible
-    assert "same pixel" in result.reason
-
-
-def test_mapping_half_open_boundary():
-    # an image landing exactly on a cell edge belongs to the higher pixel
-    setup = OpticalSetup(d=0.01, S1=0.1, BFL=0.05,
-                         grid_rows=1, grid_cols=2)
-    scale = setup.BFL / setup.S1
-    # image x = width/2 -> boundary between col 0 and col 1 is at image 0.01
-    boundary_emitter_x = 0.0  # images to grid center, i.e. the col boundary
-    placement = EmitterPlacement(((boundary_emitter_x, -0.004 / scale),))
-    result = map_emitters_to_pixels(setup, placement)
-    assert result.feasible
-    assert result.mapping == (1,)
-
-
-def test_mapping_off_grid_infeasible():
-    setup = OpticalSetup(**PROTO)
-    far = EmitterPlacement(((10.0, 0.0),))
-    result = map_emitters_to_pixels(setup, far)
-    assert not result.feasible
-    assert "outside" in result.reason
-
-
 def test_invalid_setups_rejected():
     with pytest.raises(InvalidSetupError):
         OpticalSetup(d=-0.01, S1=0.1, BFL=0.05)
     with pytest.raises(InvalidSetupError):
         OpticalSetup(d=0.01, S1=0.04, BFL=0.05)   # S1 <= BFL
-    with pytest.raises(InvalidSetupError):
-        OpticalSetup(d=0.01, S1=0.1, BFL=0.05, grid_cols=0)
-    # d, S1 and BFL finite and positive, the grid whole numbers
+    # d, S1 and BFL finite and positive, and h = d * S1 / BFL finite
     for bad in (dict(d=math.inf), dict(S1=math.inf), dict(BFL=math.inf),
-                dict(d=math.nan), dict(grid_cols=2.5), dict(grid_rows=0.5)):
+                dict(d=math.nan), dict(d=1e300, S1=1e300, BFL=1e-300),
+                dict(d=1e300, BFL=1e-10)):
         with pytest.raises(InvalidSetupError):
             OpticalSetup(**dict(PROTO, **bad))
-    with pytest.raises(InvalidSetupError):
-        EmitterPlacement(((0.0, 0.0), (0.0, 0.0)))
-
-
-def test_whole_float_grid_taken_as_integer():
-    setup = OpticalSetup(**dict(PROTO, grid_rows=2.0, grid_cols=3.0))
-    assert (setup.grid_rows, setup.grid_cols) == (2, 3)
-    assert type(setup.grid_rows) is int and type(setup.grid_cols) is int

@@ -398,19 +398,23 @@ def test_emitter_bits_sources():
 
 def test_emitter_bits_prefix_stable():
     # a stream cut in two equals one draw of the whole, also past the
-    # 2^22 payload bits that emitter_bits draws at a time
-    spec = scenario_from_dict(_variant()).emitters[0]
-    for framed, cut, total in ((False, 5001, 12345),
-                               (True, 2 * PACKET_BITS, 6 * PACKET_BITS),
-                               (False, 2**22 - 3, 2**22 + 7),
-                               (True, 2013 * PACKET_BITS, 2016 * PACKET_BITS)):
-        whole = emitter_bits(spec, 5, 0, total, framed)
-        parts = [emitter_bits(spec, 5, 0, cut, framed),
-                 emitter_bits(spec, 5, cut, total - cut, framed)]
-        assert whole.dtype == np.uint8 and len(whole) == total
-        np.testing.assert_array_equal(whole,
-                                      _one_shot_bits(spec, total, framed, 5))
-        np.testing.assert_array_equal(np.concatenate(parts), whole)
+    # 2^22 payload bits that emitter_bits draws at a time, for a random
+    # source and for a pattern (whose cuts each take time linear in n)
+    cases = ((False, 5001, 12345),
+             (True, 2 * PACKET_BITS, 6 * PACKET_BITS),
+             (False, 2**22 - 3, 2**22 + 7),
+             (True, 2013 * PACKET_BITS, 2016 * PACKET_BITS))
+    specs = [scenario_from_dict(doc).emitters[0]
+             for doc in (_variant(), _emitter(pattern="1011001"))]
+    for spec in specs:
+        for framed, cut, total in cases:
+            whole = emitter_bits(spec, 5, 0, total, framed)
+            parts = [emitter_bits(spec, 5, 0, cut, framed),
+                     emitter_bits(spec, 5, cut, total - cut, framed)]
+            assert whole.dtype == np.uint8 and len(whole) == total
+            np.testing.assert_array_equal(
+                whole, _one_shot_bits(spec, total, framed, 5))
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
 def _one_shot_bits(spec, n_bits, framed, run_seed):

@@ -6,8 +6,8 @@ from pathlib import Path
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "shuttervlc" / "scenarios"
 
-# the prototype's two-pixel shutter; `shuttervlc geometry --placement`
-# finds which pixel an emitter images onto through its lens
+# the prototype's two-pixel shutter; each emitter names its pixel, and
+# `shuttervlc geometry` gives how far apart two emitters must be to differ
 OPTICS = {"grid_rows": 1, "grid_cols": 2}
 
 # intensity is in units of the LEDs' DC bias
