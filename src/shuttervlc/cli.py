@@ -41,6 +41,8 @@ def _cmd_geometry(args) -> int:
         "h_m": min_separation(setup),
         "alpha_deg": round(min_angle(setup), 1),
     }
+    if out["h_m"] * 100 == math.inf:    # a finite h of over 1.8e306 m
+        raise InvalidSetupError("h overflows in centimetres")
     if args.json:
         print(json.dumps(out, sort_keys=True))
     else:

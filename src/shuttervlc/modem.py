@@ -67,8 +67,9 @@ class ModemConfig:
         if self.scheme is Scheme.GMSK and self.samples_per_symbol % 2:
             raise ModemError("GMSK needs an even samples_per_symbol")
         if self.scheme is Scheme.GMSK:
+            object.__setattr__(self, "gmsk_pulse", _gmsk_frequency_pulse(self))
             object.__setattr__(self, "gmsk_phase_taps", _gmsk_phase_taps(
-                _gmsk_frequency_pulse(self), self.samples_per_symbol))
+                self.gmsk_pulse, self.samples_per_symbol))
 
     @property
     def sample_rate(self) -> float:
@@ -128,28 +129,10 @@ def _gmsk_symbols(bits: np.ndarray, cfg: ModemConfig, first: int,
     return a, run
 
 
-def _gmsk_phase(bits: np.ndarray, cfg: ModemConfig, first: int,
-                n_symbols: int) -> np.ndarray:
-    """Unscaled data phase (units of pi/2) at the samples of symbols
-    [first, first + n_symbols) of a stream that holds `bits` from symbol 0.
-
-    phase[m] = sum_s (2 b_s - 1) q[m + delay - s * sps]. A symbol whose
-    pulse has passed adds exactly +-1, so the phase is an integer running
-    sum plus, per sample phase, a short convolution over the symbols still
-    in transition."""
-    taps = cfg.gmsk_phase_taps[1]
-    a, run = _gmsk_symbols(bits, cfg, first, n_symbols)
-    phase = np.empty((n_symbols, len(taps)))
-    for r, w in enumerate(taps):
-        phase[:, r] = np.convolve(a, w, "valid")
-    phase += run[:, None]
-    return phase.ravel()
-
-
 def _gmsk_waveform(bits: np.ndarray, cfg: ModemConfig, first: int,
                    n_symbols: int) -> np.ndarray:
-    """cos(pi/2 * phase + subcarrier) at the samples of a window, the
-    phase as `_gmsk_phase` gives it, one symbol waveform per row.
+    """cos(pi/2 * phase + subcarrier) at the samples of a window, one
+    waveform per row; phase[m] = sum_s (2 b_s - 1) q[m + delay - s * sps].
 
     The subcarrier turns a whole number of cycles per symbol, so it is at
     2 pi GMSK_CARRIER_CYCLES r / sps at sample r of every symbol. The data
@@ -189,16 +172,14 @@ def _gmsk_waveform(bits: np.ndarray, cfg: ModemConfig, first: int,
 def gmsk_data_phase(bits, cfg: ModemConfig) -> np.ndarray:
     """Full (untrimmed) data phase trajectory, pi/2 net shift per bit.
 
-    Includes the filter tails, so an isolated bit accumulates exactly
-    +-pi/2 in total.
+    The running sum of the frequency pulse at the sample rate, tails
+    included, so an isolated bit accumulates exactly +-pi/2 in total.
     """
     bits = np.asarray(bits)
     sps = cfg.samples_per_symbol
-    n_pulse = (GMSK_SPAN + 1) * sps     # len(_gmsk_frequency_pulse(cfg))
-    lead = n_pulse // sps + 1       # whole symbols that cover the lead-in
-    phase = _gmsk_phase(bits, cfg, -lead, 2 * lead + len(bits))
-    start = lead * sps - (n_pulse - sps) // 2
-    return (np.pi / 2.0) * phase[start:start + len(bits) * sps + n_pulse - 1]
+    impulses = np.zeros(len(bits) * sps + 1)    # np.convolve refuses []
+    impulses[:-1:sps] = 2.0 * bits - 1.0
+    return np.pi / 2 * np.cumsum(np.convolve(impulses, cfg.gmsk_pulse)[:-1])
 
 
 def modulate(bits, cfg: ModemConfig,
@@ -256,7 +237,7 @@ def demodulate(samples: np.ndarray, cfg: ModemConfig,
     if cfg.scheme is Scheme.OOK:
         means = x.reshape(nsym, sps).mean(axis=1)
         level = float(np.mean(x)) if threshold is None else float(threshold)
-        return (means > level).astype(int)
+        return (means > level).astype(np.uint8)
     return _demodulate_gmsk(x, cfg, nsym)
 
 
@@ -270,4 +251,4 @@ def _demodulate_gmsk(x: np.ndarray, cfg: ModemConfig, nsym: int) -> np.ndarray:
     # per row, so its DC and its 2 f_c image sum to zero
     w = 2 * np.pi * GMSK_CARRIER_CYCLES * np.arange(sps) / sps
     b = (rows @ np.stack([np.cos(w), -np.sin(w)], axis=1)).view(complex)[:, 0]
-    return (np.angle(b[1:] * b[:-1].conj()) > 0).astype(int)
+    return (np.angle(b[1:] * b[:-1].conj()) > 0).astype(np.uint8)

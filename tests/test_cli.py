@@ -51,6 +51,9 @@ def test_packets_per_slot_cmd(capsys, rate, expected):
     ["latency", "--ts", "1e303", "--json"],
     ["geometry", "--d", "1e300", "--s1", "1e300", "--bfl", "1e-300",
      "--json"],
+    # h is finite, but not in centimetres
+    ["geometry", "--d", "1e306"],
+    ["geometry", "--d", "1e306", "--json"],
 ], ids=" ".join)
 def test_bad_numbers_exit_2_with_one_error_line(capsys, argv):
     try:

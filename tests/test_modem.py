@@ -16,9 +16,8 @@ from scipy.special import erfc
 import shuttervlc
 from shuttervlc.modem import (GMSK_BT, GMSK_CARRIER_CYCLES, GMSK_SPAN,
                               ModemConfig, ModemError, PhaseOffset, Scheme,
-                              _gmsk_frequency_pulse, _gmsk_phase,
-                              _gmsk_waveform, demodulate, gmsk_data_phase,
-                              modulate)
+                              _gmsk_frequency_pulse, _gmsk_waveform,
+                              demodulate, gmsk_data_phase, modulate)
 
 OOK = ModemConfig(scheme=Scheme.OOK, symbol_rate=1000, samples_per_symbol=4,
                   modulation_depth=0.5)
@@ -134,6 +133,22 @@ def _convolution_phase(bits, cfg):
     return np.cumsum(np.convolve(impulses, _gmsk_frequency_pulse(cfg)))
 
 
+def _stacked_phase(bits, cfg, first, n_symbols):
+    """Unscaled data phase (units of pi/2) at the samples of symbols
+    [first, first + n_symbols) of a stream that holds `bits` from symbol 0,
+    from the config's phase taps: the integer running sum of the symbols
+    whose pulse has passed plus, per sample phase, a short convolution over
+    those still in transition, stacked out of place."""
+    j0, taps = cfg.gmsk_phase_taps
+    lo, hi = first - (j0 + taps.shape[1] - 1), first + n_symbols - j0
+    i, j = np.clip((lo, hi), 0, len(bits))
+    a = np.pad(2.0 * bits[i:j] - 1.0, (i - lo, hi - j))
+    settled = 2 * int(np.count_nonzero(bits[:i])) - i
+    run = np.cumsum(a[:n_symbols]) - a[:n_symbols] + settled
+    moving = np.stack([np.convolve(a, w, "valid") for w in taps], axis=1)
+    return (moving + run[:, None]).ravel()
+
+
 @pytest.mark.parametrize("sps", [4, 8, 16])
 def test_gmsk_phase_matches_convolution_oracle(sps):
     # sample m of a window lies `delay` samples into the running sum, so
@@ -142,6 +157,9 @@ def test_gmsk_phase_matches_convolution_oracle(sps):
                       samples_per_symbol=sps)
     delay = (len(_gmsk_frequency_pulse(cfg)) - sps) // 2
     ctx = cfg.context_symbols
+    # no bits: the pulse's tails alone, all zero
+    assert gmsk_data_phase([], cfg).tobytes() == np.zeros(
+        len(_gmsk_frequency_pulse(cfg)) - 1).tobytes()
     rng = np.random.default_rng(300 + sps)
     for _ in range(40):
         n_bits = int(rng.integers(1, 800))
@@ -158,13 +176,14 @@ def test_gmsk_phase_matches_convolution_oracle(sps):
             start = int(rng.integers(0, n_bits - ctx - 1))
             windows.append((start, n_bits - ctx - start))
         for first, n in windows:
-            phase = _gmsk_phase(bits[:first + n + ctx], cfg, first, n)
+            phase = _stacked_phase(bits[:first + n + ctx], cfg, first, n)
             expected = oracle[first * sps + delay:(first + n) * sps + delay]
             np.testing.assert_allclose(phase, expected, rtol=0, atol=1e-9)
 
 
 def test_gmsk_pulse_is_built_once_per_config(monkeypatch):
-    # the config builds the phase taps; a window only reads them
+    # the config builds the pulse and its phase taps; a window and
+    # gmsk_data_phase only read them
     bits = np.random.default_rng(7).integers(0, 2, 200).astype(np.uint8)
     samples, phase = modulate(bits, GMSK), gmsk_data_phase(bits, GMSK)
 
@@ -183,6 +202,7 @@ def test_ook_roundtrip_noiseless_property():
         bits = rng.integers(0, 2, n)
         out = demodulate(modulate(bits, OOK), OOK)
         np.testing.assert_array_equal(out, bits)
+        assert out.dtype == np.uint8
 
 
 @pytest.mark.parametrize("sps", [4, 8, 16])
@@ -195,26 +215,14 @@ def test_gmsk_roundtrip_noiseless_property(sps):
         for offset in PhaseOffset:
             out = demodulate(modulate(bits, cfg, offset), cfg)
             np.testing.assert_array_equal(out, bits)
-
-
-def _stacked_phase(bits, cfg, first, n_symbols):
-    """`_gmsk_phase` as one np.stack of the per-sample-phase convolutions
-    plus the running sum, out of place."""
-    j0, taps = cfg.gmsk_phase_taps
-    lo, hi = first - (j0 + taps.shape[1] - 1), first + n_symbols - j0
-    i, j = np.clip((lo, hi), 0, len(bits))
-    a = np.pad(2.0 * bits[i:j] - 1.0, (i - lo, hi - j))
-    settled = 2 * int(np.count_nonzero(bits[:i])) - i
-    run = np.cumsum(a[:n_symbols]) - a[:n_symbols] + settled
-    moving = np.stack([np.convolve(a, w, "valid") for w in taps], axis=1)
-    return (moving + run[:, None]).ravel()
+            assert out.dtype == np.uint8
 
 
 def _exact_carrier(bits, cfg, offset, first, n_symbols):
     """The GMSK samples of a window with the subcarrier's phase taken at
     the sample's index within its symbol, so the argument stays small."""
     sps = cfg.samples_per_symbol
-    phase = (np.pi / 2.0) * _gmsk_phase(bits, cfg, first, n_symbols)
+    phase = (np.pi / 2.0) * _stacked_phase(bits, cfg, first, n_symbols)
     k = np.arange(first * sps, (first + n_symbols) * sps)
     m = np.cos(phase + 2 * np.pi * GMSK_CARRIER_CYCLES * (k % sps) / sps)
     if offset is PhaseOffset.INVERTED:
@@ -239,8 +247,6 @@ def test_modulate_matches_out_of_place_expressions(cfg, offset):
             expected = cfg.dc_bias + cfg.modulation_depth * m
             assert got.tobytes() == expected.tobytes()
         else:
-            phase = _stacked_phase(bits, cfg, first, n)
-            assert _gmsk_phase(bits, cfg, first, n).tobytes() == phase.tobytes()
             np.testing.assert_allclose(
                 got, _exact_carrier(bits, cfg, offset, first, n),
                 rtol=0, atol=1e-11)

@@ -2,12 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
+import shuttervlc
 from shuttervlc import framing, modem, scenario
 from shuttervlc.channel import (MAX_INTENSITY, ChannelConfig, PixelMask,
                                emitter_weights, received_snr_db)
@@ -798,3 +804,33 @@ def test_replay_rejects_non_binary_bit_strings(bad):
     fixed.tx_bits["1"] = bad
     with pytest.raises(ScenarioError):
         replay_trace(fixed)
+
+
+# what README's Python example and linkbench import from the package
+FRONT_DOOR = ("TraceRecord", "bundled_scenario", "replay_trace",
+              "run_scenario", "scenario_from_dict")
+
+
+def test_package_binds_only_its_front_door():
+    public = {name for name, value in vars(shuttervlc).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert public == set(FRONT_DOOR)
+    for name in FRONT_DOOR:
+        assert getattr(shuttervlc, name) is getattr(scenario, name)
+    assert isinstance(shuttervlc.__version__, str)
+
+
+def test_import_leaves_tables_geometry_and_cli_unloaded():
+    # every other name is imported from its own module, so importing the
+    # package loads only what a run needs
+    src = str(Path(shuttervlc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, shuttervlc; print(sorted(m for m in sys.modules"
+         " if m in ('shuttervlc.tables', 'shuttervlc.geometry',"
+         " 'shuttervlc.cli')))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
