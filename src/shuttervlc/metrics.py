@@ -1,23 +1,8 @@
-"""Link quality metrics: BER, PER and goodput."""
-
-from typing import Sequence
-
-import numpy as np
+"""Link quality metrics: PER and goodput."""
 
 
 class MetricsError(ValueError):
     """Raised for inconsistent metric inputs."""
-
-
-def bit_error_rate(tx: Sequence[int], rx: Sequence[int]) -> float:
-    """Hamming distance over length; inputs must be aligned and equal-length."""
-    tx = np.asarray(tx, dtype=int)
-    rx = np.asarray(rx, dtype=int)
-    if tx.shape != rx.shape:
-        raise MetricsError("tx/rx length mismatch")
-    if tx.size == 0:
-        raise MetricsError("empty bit streams")
-    return float(np.mean(tx != rx))
 
 
 def packet_error_rate(valid: int, expected: int) -> float:

@@ -7,8 +7,8 @@ level; for GMSK m(t) is a constant-envelope FM waveform riding on a
 subcarrier (a real baseband cos(phi) cannot carry the sign of the frequency
 deviation, so an intensity channel needs the subcarrier to make the
 frequency discriminator work). Samples are plain float64 arrays, all at
-one rate, `ModemConfig.sample_rate`: `modulate` returns them and
-`demodulate` takes them.
+one rate, `ModemConfig.sample_rate`: `modulate` gathers them from the
+config's table of symbol waveforms and `demodulate` takes them.
 """
 
 import enum
@@ -21,6 +21,7 @@ GMSK_BT = 0.35                # Gaussian filter bandwidth-time product
 GMSK_SPAN = 4                 # Gaussian pulse span in symbols
 GMSK_CARRIER_CYCLES = 1.0     # subcarrier cycles per symbol; a whole number,
                               # so every symbol starts at carrier phase 0
+MAX_SAMPLES_PER_SYMBOL = 1024  # 64 times the most a bundled scenario uses
 
 
 class ModemError(ValueError):
@@ -50,6 +51,10 @@ class ModemConfig:
         if not (isinstance(sps, int) or float(sps).is_integer()):
             raise ModemError("samples_per_symbol must be an integer")
         object.__setattr__(self, "samples_per_symbol", int(sps))
+        # before any table of samples_per_symbol samples is built
+        if self.samples_per_symbol > MAX_SAMPLES_PER_SYMBOL:
+            raise ModemError(f"samples_per_symbol {self.samples_per_symbol} "
+                             f"is more than {MAX_SAMPLES_PER_SYMBOL}")
         if not 0 < self.symbol_rate < math.inf:
             raise ModemError("symbol_rate must be finite and positive")
         if self.samples_per_symbol < 2:
@@ -70,6 +75,7 @@ class ModemConfig:
             object.__setattr__(self, "gmsk_pulse", _gmsk_frequency_pulse(self))
             object.__setattr__(self, "gmsk_phase_taps", _gmsk_phase_taps(
                 self.gmsk_pulse, self.samples_per_symbol))
+        object.__setattr__(self, "waveforms", _waveforms(self))
 
     @property
     def sample_rate(self) -> float:
@@ -111,62 +117,62 @@ def _gmsk_phase_taps(pulse: np.ndarray, sps: int) -> tuple[int, np.ndarray]:
     return j0, taps
 
 
-def _gmsk_symbols(bits: np.ndarray, cfg: ModemConfig, first: int,
-                  n_symbols: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a, run) of the window of symbols [first, first + n_symbols).
+def _waveforms(cfg: ModemConfig) -> dict:
+    """{PhaseOffset: rows}: dc_bias +- modulation_depth * m for every
+    symbol waveform m, one row each, built once per config.
+
+    OOK's row b is 2 b - 1. GMSK's are cos(pi/2 * phase + subcarrier). The
+    subcarrier turns a whole number of cycles per symbol, so it is at
+    2 pi GMSK_CARRIER_CYCLES r / sps at sample r of every symbol. The data
+    phase is the running sum, of which only its value mod 4 (a quadrant)
+    moves the cosine, plus the taps weighted by the symbols in transition,
+    each -1, 0 or +1. So a symbol's samples are one of 4 * 3**n_taps
+    waveforms (Murota & Hirade, 1981). Row quadrant * 3**n_taps + pattern
+    is the one whose base-3 digit t is 1 + the symbol taps' column t weighs."""
+    sps = cfg.samples_per_symbol
+    if cfg.scheme is Scheme.OOK:
+        m = np.repeat([[-1.0], [1.0]], sps, axis=1)
+    else:
+        taps = cfg.gmsk_phase_taps[1]
+        n_taps = taps.shape[1]
+        quadrant, pattern = np.divmod(np.arange(4 * 3 ** n_taps), 3 ** n_taps)
+        # sums per element in a fixed order, as a matrix product may not
+        phase = np.zeros((len(quadrant), sps))
+        phase += quadrant[:, None]
+        for t in range(n_taps):
+            phase += (pattern[:, None] // 3 ** t % 3 - 1) * taps[:, t]
+        phase *= np.pi / 2
+        phase += 2 * np.pi * GMSK_CARRIER_CYCLES / sps * np.arange(sps)
+        m = np.cos(phase, out=phase)
+    m *= cfg.modulation_depth
+    # bias - depth * m == bias + (-depth) * m: IEEE products are symmetric
+    return {PhaseOffset.IN_PHASE: cfg.dc_bias + m,
+            PhaseOffset.INVERTED: cfg.dc_bias - m}
+
+
+def _gmsk_rows(bits: np.ndarray, cfg: ModemConfig, first: int,
+               n_symbols: int) -> np.ndarray:
+    """The `waveforms` row of each symbol of the window of symbols
+    [first, first + n_symbols).
 
     `a` holds 2 b - 1 of the symbols a sample of the window may still be
     in transition on, 0 outside the stream: a[k:k + n_taps] are those of
     symbol first + k, taps' column t pairing with a[k + n_taps - 1 - t].
     run[k] is the integer sum of `a` over the earlier symbols, whose pulse
-    has passed."""
+    has passed; its quadrant leads the row index, by Horner's rule."""
     j0, taps = cfg.gmsk_phase_taps
-    lo, hi = first - (j0 + taps.shape[1] - 1), first + n_symbols - j0
+    n_taps = taps.shape[1]
+    lo, hi = first - (j0 + n_taps - 1), first + n_symbols - j0
     i, j = np.clip((lo, hi), 0, len(bits))
     a = np.pad(2.0 * bits[i:j] - 1.0, (i - lo, hi - j))
     settled = 2 * int(np.count_nonzero(bits[:i])) - i
     run = np.cumsum(a[:n_symbols]) - a[:n_symbols] + settled
-    return a, run
-
-
-def _gmsk_waveform(bits: np.ndarray, cfg: ModemConfig, first: int,
-                   n_symbols: int) -> np.ndarray:
-    """cos(pi/2 * phase + subcarrier) at the samples of a window, one
-    waveform per row; phase[m] = sum_s (2 b_s - 1) q[m + delay - s * sps].
-
-    The subcarrier turns a whole number of cycles per symbol, so it is at
-    2 pi GMSK_CARRIER_CYCLES r / sps at sample r of every symbol. The data
-    phase is the running sum, of which only its value mod 4 (a quadrant)
-    moves the cosine, plus the taps weighted by the symbols in transition,
-    each -1, 0 or +1. So a symbol's samples are one of 4 * 3**n_taps
-    waveforms (Murota & Hirade, 1981): the cosine is taken only for those
-    the window uses, at most n_symbols of them."""
-    sps = cfg.samples_per_symbol
-    taps = cfg.gmsk_phase_taps[1]
-    n_taps = taps.shape[1]
-    a, run = _gmsk_symbols(bits, cfg, first, n_symbols)
-    # each symbol's waveform index, quadrant * 3**n_taps + sum_t (a + 1) *
-    # 3**t over the taps in transition, by Horner's rule from the quadrant
     index = run.astype(np.intp) & 3
     code = (a + 1).astype(np.intp)
     for s in range(n_taps):
         index *= 3
         index += code[s:s + n_symbols]
-    used = np.zeros(4 * 3 ** n_taps, dtype=bool)
-    used[index] = True
-    rows = np.flatnonzero(used)
-    quadrant, pattern = np.divmod(rows, 3 ** n_taps)
-    # sums per element in a fixed order, so that a row does not depend on
-    # which others the window uses (a matrix product's order may)
-    phase = np.zeros((len(rows), sps))
-    phase += quadrant[:, None]
-    for t in range(n_taps):
-        phase += (pattern[:, None] // 3 ** t % 3 - 1) * taps[:, t]
-    carrier = 2 * np.pi * GMSK_CARRIER_CYCLES / sps * np.arange(sps)
-    table = np.cos(np.pi / 2 * phase + carrier)
-    row_of = np.empty(len(used), dtype=np.intp)
-    row_of[rows] = np.arange(len(rows))
-    return np.take(table, row_of[index], axis=0).ravel()
+    return index
 
 
 def gmsk_data_phase(bits, cfg: ModemConfig) -> np.ndarray:
@@ -202,16 +208,9 @@ def modulate(bits, cfg: ModemConfig,
         raise ModemError("bits must be nonempty")
     if first < 0 or first + n_symbols > len(bits):
         raise ModemError("window runs past the end of the bits")
-    sps = cfg.samples_per_symbol
-    if cfg.scheme is Scheme.OOK:
-        m = np.repeat(2.0 * bits[first:first + n_symbols] - 1.0, sps)
-    else:
-        m = _gmsk_waveform(bits, cfg, first, n_symbols)
-    # depth * (-m) == (-depth) * m: IEEE products are symmetric in sign
-    m *= (-cfg.modulation_depth if phase_offset is PhaseOffset.INVERTED
-          else cfg.modulation_depth)
-    m += cfg.dc_bias
-    return m
+    rows = (bits[first:first + n_symbols] if cfg.scheme is Scheme.OOK
+            else _gmsk_rows(bits, cfg, first, n_symbols))
+    return np.take(cfg.waveforms[phase_offset], rows, axis=0).ravel()
 
 
 def demodulate(samples: np.ndarray, cfg: ModemConfig,

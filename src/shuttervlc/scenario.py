@@ -23,14 +23,13 @@ from . import framing
 from .channel import (ChannelConfig, PixelMask, emitter_weights, receive,
                       received_snr_db)
 from .framing import IdKind, IdLookupTable, detect_packets, make_id
-from .metrics import bit_error_rate, goodput, packet_error_rate
+from .metrics import goodput, packet_error_rate
 from .modem import ModemConfig, PhaseOffset, Scheme, demodulate, modulate
 from .protocol import IDENT_WINDOW_PACKETS, ProtocolParams, run_controller
 
 SCENARIO_SCHEMA_VERSION = 3  # no value the loader can work out
 TRACE_SCHEMA_VERSION = 5     # no code_rate in context
 MAX_PIXELS = 10**7           # ten times Table V's largest (1000x1000) shutter
-MAX_SAMPLES_PER_SYMBOL = 1024  # 64 times the most a bundled scenario uses
 MAX_DWELL_SAMPLES = 2**27    # 1 GiB of float64; 2 MHz GMSK slots of 2 s: 3.2e7
 MAX_DWELLS = 10**8           # a run's; a MAX_PIXELS grid takes 6e7 in 3 retries
 
@@ -157,14 +156,7 @@ def _parse(d: dict) -> Scenario:
                             f"{MAX_PIXELS}")
     keys = [f.name for f in fields(ModemConfig)]     # not the dc_bias unit
     m = _numbers(_object(d["modem"], "modem", keys), "modem", "scheme")
-    # capped before a GMSK ModemConfig builds its tables of sps samples
-    sps = _number(m.get("samples_per_symbol", ModemConfig.samples_per_symbol),
-                  "samples_per_symbol", whole=True)
-    if sps > MAX_SAMPLES_PER_SYMBOL:
-        raise ScenarioError(f"samples_per_symbol {sps} is more than "
-                            f"{MAX_SAMPLES_PER_SYMBOL}")
-    modem = ModemConfig(**dict(m, samples_per_symbol=sps,
-                               scheme=Scheme(m["scheme"])))
+    modem = ModemConfig(**dict(m, scheme=Scheme(m["scheme"])))
     specs = [_object(e, "emitter", _EMITTER_KEYS) for e in d["emitters"]]
     if not 0 < len(specs) <= n:
         raise ScenarioError(f"need 1 to {n} emitters for {n} shutter pixels")
@@ -564,8 +556,11 @@ def _score(record: TraceRecord) -> Dict[str, dict]:
         if not tx:
             return {}
         rx = _bits_from_str(record.dwells[0]["bits"])
-        return {label: _report(ctx, bit_error_rate(bits, rx), 0.0,
-                               ctx["snr_db"][label], len(bits), 0, 0)
+        if not len(rx) or any(len(bits) != len(rx) for bits in tx.values()):
+            raise ScenarioError("a fixed-mask dwell needs bits, as many as "
+                                "each label's tx_bits")
+        return {label: _report(ctx, np.count_nonzero(bits != rx) / len(rx),
+                               0.0, ctx["snr_db"][label], len(rx), 0, 0)
                 for label, bits in tx.items()}
 
     table = IdLookupTable([make_id(IdKind(e["id_kind"]), e["label"])

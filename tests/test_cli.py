@@ -299,6 +299,15 @@ def test_replay_reports_malformed_packed_bits_as_error(tmp_path, capsys, edit):
                  id="mode-weird"),
     pytest.param("table1_type1_case1", lambda d: d.update(dwells=[]),
                  id="fixed-mask-without-dwells"),
+    # a fixed-mask dwell of no bits, and tx_bits of none to match it
+    pytest.param("table1_type1_case1", lambda d: [
+        bits.update(n_bits=0, b64="") for bits
+        in (_dwell_bits(d), *d["tx_bits"].values())],
+                 id="fixed-mask-empty-dwell"),
+    # one bit of tx_bits would broadcast over the dwell's
+    pytest.param("table1_type1_case1",
+                 _set_packed(_tx_bits, n_bits=1, b64="AA=="),
+                 id="fixed-mask-tx-bits-one-bit"),
     pytest.param("table1_type1_case1",
                  lambda d: d["context"].update(snr_db=[]), id="snr_db-list"),
     # a schema-3 trace relabelled as version 5 still stores its detections,

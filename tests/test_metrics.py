@@ -1,34 +1,9 @@
-"""BER, PER, goodput and the reports a run writes."""
+"""PER, goodput and the reports a run writes."""
 
-import numpy as np
 import pytest
 
-from shuttervlc.metrics import (MetricsError, bit_error_rate, goodput,
-                                packet_error_rate)
+from shuttervlc.metrics import MetricsError, goodput, packet_error_rate
 from shuttervlc.scenario import bundled_scenario, run_scenario
-
-
-def test_bit_error_rate_hamming():
-    assert bit_error_rate([0, 1, 0, 1], [0, 1, 0, 1]) == 0.0
-    assert bit_error_rate([0, 1, 0, 1], [1, 1, 0, 0]) == 0.5
-    assert bit_error_rate([1], [0]) == 1.0
-
-
-def test_bit_error_rate_random_oracle():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        n = int(rng.integers(1, 5000))
-        tx = rng.integers(0, 2, n)
-        flips = rng.random(n) < 0.1
-        rx = tx ^ flips.astype(int)
-        assert bit_error_rate(tx, rx) == pytest.approx(flips.sum() / n)
-
-
-def test_bit_error_rate_validation():
-    with pytest.raises(MetricsError):
-        bit_error_rate([0, 1], [0])
-    with pytest.raises(MetricsError):
-        bit_error_rate([], [])
 
 
 def test_packet_error_rate_examples():

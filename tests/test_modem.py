@@ -15,8 +15,8 @@ from scipy.special import erfc
 
 import shuttervlc
 from shuttervlc.modem import (GMSK_BT, GMSK_CARRIER_CYCLES, GMSK_SPAN,
-                              ModemConfig, ModemError, PhaseOffset, Scheme,
-                              _gmsk_frequency_pulse, _gmsk_waveform,
+                              MAX_SAMPLES_PER_SYMBOL, ModemConfig, ModemError,
+                              PhaseOffset, Scheme, _gmsk_frequency_pulse,
                               demodulate, gmsk_data_phase, modulate)
 
 OOK = ModemConfig(scheme=Scheme.OOK, symbol_rate=1000, samples_per_symbol=4,
@@ -50,6 +50,26 @@ def test_config_validation():
             ModemConfig(scheme=Scheme.OOK, symbol_rate=rate)
     cfg = ModemConfig(scheme=Scheme.OOK, symbol_rate=1e3, samples_per_symbol=4.0)
     assert type(cfg.samples_per_symbol) is int
+
+
+def test_samples_per_symbol_is_capped_before_any_table(monkeypatch):
+    # a config holds a table of its symbol waveforms, so an oversized
+    # samples_per_symbol is refused before a pulse or a table is built
+    def build(*args):
+        raise AssertionError("built a table for a capped samples_per_symbol")
+
+    for name in ("_gmsk_frequency_pulse", "_waveforms"):
+        monkeypatch.setattr(shuttervlc.modem, name, build)
+    for scheme in Scheme:
+        for sps in (MAX_SAMPLES_PER_SYMBOL + 1, 2**27, 2.0**80):
+            with pytest.raises(ModemError, match="samples_per_symbol"):
+                ModemConfig(scheme=scheme, symbol_rate=1e3,
+                            samples_per_symbol=sps)
+    monkeypatch.undo()
+    for scheme in Scheme:
+        cfg = ModemConfig(scheme=scheme, symbol_rate=1e3,
+                          samples_per_symbol=MAX_SAMPLES_PER_SYMBOL)
+        assert cfg.samples_per_symbol == MAX_SAMPLES_PER_SYMBOL
 
 
 def test_ook_sample_levels():
@@ -273,8 +293,8 @@ def test_gmsk_modulate_matches_exact_carrier(sps):
 def test_gmsk_trig_tables_match_libm(sps):
     # numpy's cos and sin may round differently under each SIMD dispatch;
     # the pinned GMSK digests hold on every host only while they equal
-    # libm's on each argument GMSK takes them of: every row argument
-    # `_gmsk_waveform` can build, pi/2 (quadrant + sum pattern * taps) plus
+    # libm's on each argument GMSK takes them of: every row argument of the
+    # config's waveform table, pi/2 (quadrant + sum pattern * taps) plus
     # the subcarrier, and the receiver's mixer phases
     cfg = ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3,
                       samples_per_symbol=sps)
@@ -287,11 +307,13 @@ def test_gmsk_trig_tables_match_libm(sps):
         phase += (pattern[:, None] // 3 ** t % 3 - 1) * taps[:, t]
     carrier = 2 * np.pi * GMSK_CARRIER_CYCLES / sps * np.arange(sps)
     rows = np.pi / 2 * phase + carrier
-    # they are the modulator's: each symbol of a window is a row's cosine
-    bits = np.random.default_rng(500 + sps).integers(0, 2, 2000)
-    table = {row.tobytes() for row in np.cos(rows)}
-    assert {row.tobytes() for row
-            in _gmsk_waveform(bits, cfg, 0, 2000).reshape(-1, sps)} <= table
+    # they are the modulator's: every row of the table, at either phase
+    # offset, is the bias plus the signed depth times a row's libm cosine
+    cos = np.fromiter(map(math.cos, rows.ravel()), float).reshape(rows.shape)
+    for offset, depth in ((PhaseOffset.IN_PHASE, cfg.modulation_depth),
+                          (PhaseOffset.INVERTED, -cfg.modulation_depth)):
+        expected = cfg.dc_bias + depth * cos
+        assert cfg.waveforms[offset].tobytes() == expected.tobytes()
     mixer = 2 * np.pi * GMSK_CARRIER_CYCLES * np.arange(sps) / sps
     for args, ufunc, libm in ((rows, np.cos, math.cos),
                               (mixer, np.cos, math.cos),
@@ -301,22 +323,25 @@ def test_gmsk_trig_tables_match_libm(sps):
 
 
 def test_gmsk_rows_are_bounded_by_the_window():
-    # a table of every symbol waveform would hold 4 * 3**5 * sps samples:
-    # a config keeps only its phase taps, and a window builds one row for
-    # each distinct waveform it uses
-    sps = 2**16
+    # at the samples_per_symbol cap a config holds its two tables of
+    # 4 * 3**5 rows of sps samples, little besides, and a window gathers
+    # its rows from them: it builds no table of its own
+    sps = MAX_SAMPLES_PER_SYMBOL
     tracemalloc.start()
     try:
         cfg = ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3,
                           samples_per_symbol=sps)
-        _, config_peak = tracemalloc.get_traced_memory()
+        config_held, config_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         modulate([1, 0, 1], cfg, first=1, n_symbols=1)
         _, window_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert config_peak < 100 * sps * 8
-    assert window_peak < 16 * sps * 8
+    table = 4 * 3**5 * sps * 8
+    assert [w.nbytes for w in cfg.waveforms.values()] == [table, table]
+    assert config_held < 2 * table + 100 * sps * 8
+    assert config_peak < 3 * table + 100 * sps * 8
+    assert window_peak < config_held + 16 * sps * 8
 
 
 def test_gmsk_inverted_roundtrip():

@@ -225,7 +225,7 @@ def test_blocked_emitters_are_not_modulated(monkeypatch):
     # protocol_clean's controller dwells five times (noise reference, two
     # discovery scans, two identifications) with one pixel open or none,
     # so only one of its two emitters is ever let through, and a GMSK
-    # dwell synthesises the waveform of that one window only
+    # dwell looks up the waveform rows of that one window only
     calls = {}
 
     def counting(name, fn):
@@ -236,8 +236,8 @@ def test_blocked_emitters_are_not_modulated(monkeypatch):
 
     monkeypatch.setattr(scenario, "modulate",
                         counting("modulate", scenario.modulate))
-    monkeypatch.setattr(modem, "_gmsk_waveform",
-                        counting("waveform", modem._gmsk_waveform))
+    monkeypatch.setattr(modem, "_gmsk_rows",
+                        counting("waveform", modem._gmsk_rows))
     gmsk = {"scheme": "GMSK", "samples_per_symbol": 8}
     for modem_update, gmsk_windows in (({}, 0), (gmsk, 4)):
         calls.update(modulate=0, waveform=0)

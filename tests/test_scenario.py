@@ -324,7 +324,7 @@ def test_work_budgets_are_inclusive_and_admit_the_operating_point(monkeypatch):
         return d
 
     # samples_per_symbol is capped before a GMSK config builds its pulse
-    cap = scenario.MAX_SAMPLES_PER_SYMBOL
+    cap = modem.MAX_SAMPLES_PER_SYMBOL
     d = clean()
     d["modem"].update(scheme="GMSK", samples_per_symbol=cap)
     scenario_from_dict(d)
@@ -623,6 +623,9 @@ def test_fixed_mask_run_produces_report(monkeypatch):
         assert record.mode == "fixed_mask"
         rep = record.reports["1"]
         assert rep["bits_compared"] == 1000
+        tx, rx = (np.frombuffer(bits.encode(), dtype=np.uint8) for bits
+                  in (record.tx_bits["1"], record.dwells[0]["bits"]))
+        assert rep["ber"] == np.count_nonzero(tx != rx) / len(rx)
         assert rep["ber"] <= 0.01      # sigma 0.1 on a 0.5 depth is near-clean
         assert rep["snr_db"] > 10
         assert rep["goodput_bps"] == pytest.approx((1 - rep["ber"]) * 1000)
