@@ -559,8 +559,9 @@ def _score(record: TraceRecord) -> Dict[str, dict]:
         if not len(rx) or any(len(bits) != len(rx) for bits in tx.values()):
             raise ScenarioError("a fixed-mask dwell needs bits, as many as "
                                 "each label's tx_bits")
-        return {label: _report(ctx, np.count_nonzero(bits != rx) / len(rx),
-                               0.0, ctx["snr_db"][label], len(rx), 0, 0)
+        return {label: _report(ctx, int(np.count_nonzero(bits != rx))
+                               / len(rx), 0.0, ctx["snr_db"][label], len(rx),
+                               0, 0)
                 for label, bits in tx.items()}
 
     table = IdLookupTable([make_id(IdKind(e["id_kind"]), e["label"])

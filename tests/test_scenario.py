@@ -626,6 +626,7 @@ def test_fixed_mask_run_produces_report(monkeypatch):
         tx, rx = (np.frombuffer(bits.encode(), dtype=np.uint8) for bits
                   in (record.tx_bits["1"], record.dwells[0]["bits"]))
         assert rep["ber"] == np.count_nonzero(tx != rx) / len(rx)
+        assert type(rep["ber"]) is float
         assert rep["ber"] <= 0.01      # sigma 0.1 on a 0.5 depth is near-clean
         assert rep["snr_db"] > 10
         assert rep["goodput_bps"] == pytest.approx((1 - rep["ber"]) * 1000)
