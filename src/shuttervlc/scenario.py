@@ -20,8 +20,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import framing
-from .channel import (ChannelConfig, PixelMask, emitter_weights, receive,
-                      received_snr_db)
+from .channel import (ChannelConfig, NoiseStream, PixelMask, emitter_weights,
+                      receive, received_snr_db)
 from .framing import IdKind, IdLookupTable, detect_packets, make_id
 from .metrics import goodput, packet_error_rate
 from .modem import ModemConfig, PhaseOffset, Scheme, demodulate, modulate
@@ -337,7 +337,8 @@ class LinkSimulation:
     """Emitter bit streams plus a channel and a sample clock.
 
     Every dwell modulates each emitter's window at the current clock, runs
-    the channel with the shared noise generator, and advances the clock;
+    the channel with the run's noise, one `NoiseStream` of
+    `default_rng([seed, 31])`, and advances the clock;
     dwell lengths are snapped to whole symbols so bit alignment is exact.
     A window is a function of the bits alone, so an emitter the mask gates
     to weight 0 is not synthesised: its block in `window` is all zeros.
@@ -357,7 +358,7 @@ class LinkSimulation:
         self.sps = self.modem.samples_per_symbol
         self.n_pixels = scenario.n_pixels
         self.seed = seed
-        self.rng = np.random.default_rng([seed, 31])
+        self.noise = NoiseStream(np.random.default_rng([seed, 31]))
         self.clock = 0      # sample index
         self.framed = scenario.protocol is not None
         self.identification_window_s = (
@@ -402,7 +403,7 @@ class LinkSimulation:
                                 spec.phase_offset, first - start, n_symbols)
                        if weight else dark for spec, weight
                        in zip(self.scenario.emitters, weights)]
-        out = receive(self.window, mask, self.scenario.channel, rng=self.rng)
+        out = receive(self.window, mask, self.scenario.channel, rng=self.noise)
         self.clock += n_symbols * self.sps
         return out
 

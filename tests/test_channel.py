@@ -1,12 +1,21 @@
 """Shutter-gated single-photodiode channel."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shuttervlc.channel import (ChannelConfig, ChannelError, PixelMask,
-                                ac_power, receive, received_snr_db)
+from shuttervlc import channel
+from shuttervlc.channel import (ChannelConfig, ChannelError, NoiseStream,
+                                PixelMask, ac_power, receive, received_snr_db)
 
 
 def _blocks(*arrays):
@@ -206,3 +215,135 @@ def test_snr_monotone_in_noise_power():
     snrs = [received_snr_db(sig, ac_power(rng.normal(0, s, 50000)))
             for s in (0.1, 0.2, 0.4, 0.8)]
     assert snrs == sorted(snrs, reverse=True)
+
+
+# take sizes for a noise stream: single samples, sizes about the block and
+# the whole lookahead, and sizes larger than the lookahead
+_BLOCK, _LOOKAHEAD = channel._BLOCK, channel._BLOCK * channel._POOL_BLOCKS
+_TAKE = st.one_of(
+    st.just(1), st.integers(0, 3 * _BLOCK),
+    st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, _LOOKAHEAD,
+                     _LOOKAHEAD + 1, 2 * _LOOKAHEAD + 7]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(_TAKE, min_size=1, max_size=10))
+def test_noise_stream_is_one_draw_property(seed, sizes):
+    stream = NoiseStream(np.random.default_rng([seed, 31]))
+    takes = [stream.standard_normal(n) for n in sizes]
+    assert [len(t) for t in takes] == sizes
+    one_draw = np.random.default_rng([seed, 31]).standard_normal(sum(sizes))
+    assert np.array_equal(np.concatenate(takes), one_draw)
+
+
+class _StandIn:
+    """A generator stand-in: numpy's draws, recording the thread of each,
+    or an error raised in the thread named `fail_in`."""
+
+    def __init__(self, seed, fail_in=None):
+        self.rng, self.fail_in = np.random.default_rng([seed, 31]), fail_in
+        self.threads = []
+
+    def standard_normal(self, size=None, out=None):
+        thread = threading.current_thread().name
+        self.threads.append(thread)
+        if thread == self.fail_in:
+            raise RuntimeError(f"no noise in {thread}")
+        return self.rng.standard_normal(size, out=out)
+
+
+def _takes_until(stream, done, limit=200):
+    """Take 1000 samples at a time until `done()`, at most `limit` times
+    (blocks that a gone stream held reach the pool a moment later)."""
+    takes = []
+    while not done() and len(takes) < limit:
+        takes.append(stream.standard_normal(1000))
+    return takes
+
+
+def test_noise_stream_draws_ahead_on_the_worker_from_the_second_take():
+    gen = _StandIn(4)
+    stream = NoiseStream(gen)
+    first = stream.standard_normal(_LOOKAHEAD)
+    assert gen.threads == [threading.current_thread().name]
+    takes = _takes_until(stream, lambda: "shuttervlc-noise" in gen.threads)
+    assert "shuttervlc-noise" in gen.threads
+    got = np.concatenate([first] + takes)
+    expected = np.random.default_rng([4, 31]).standard_normal(len(got))
+    assert np.array_equal(got, expected)
+
+
+def test_worker_failure_reaches_the_take():
+    # drawn by the caller: the first take
+    stream = NoiseStream(_StandIn(5, fail_in=threading.current_thread().name))
+    with pytest.raises(RuntimeError, match="no noise in"):
+        stream.standard_normal(10)
+    # drawn ahead: the take that waits for the failed block raises, and
+    # the worker lives on to draw for the next stream
+    stream = NoiseStream(_StandIn(5, fail_in="shuttervlc-noise"))
+    with pytest.raises(RuntimeError, match="no noise in shuttervlc-noise"):
+        _takes_until(stream, lambda: False)
+    gen = _StandIn(6)
+    stream = NoiseStream(gen)
+    takes = _takes_until(stream, lambda: "shuttervlc-noise" in gen.threads)
+    assert "shuttervlc-noise" in gen.threads
+    assert np.array_equal(np.concatenate(takes), np.random.default_rng(
+        [6, 31]).standard_normal(1000 * len(takes)))
+
+
+def test_gone_streams_give_their_blocks_back():
+    for seed in range(20):     # each drops its stream with blocks drawn ahead
+        stream = NoiseStream(np.random.default_rng([seed, 31]))
+        for n in (1000, 1000, 50_000):
+            stream.standard_normal(n)
+    del stream
+    pool = channel._worker[0][1]
+    blocks = []
+    for _ in range(100):
+        while len(blocks) < channel._POOL_BLOCKS and not pool.empty():
+            blocks.append(pool.get())
+        if len(blocks) == channel._POOL_BLOCKS:
+            break
+        time.sleep(0.01)
+    for block in blocks:
+        pool.put(block)
+    assert len(blocks) == channel._POOL_BLOCKS
+    assert len({b.ctypes.data for b in blocks}) == channel._POOL_BLOCKS
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this OS")
+def test_forked_child_starts_its_own_worker():
+    script = textwrap.dedent("""
+        import os, signal, sys, threading, time
+        import numpy as np
+        from shuttervlc import channel
+
+        assert threading.active_count() == 1    # the import starts no thread
+
+        def draw():
+            stream = channel.NoiseStream(np.random.default_rng([3, 31]))
+            return np.concatenate([stream.standard_normal(n)
+                                   for n in (5000, 70000, 70000, 70000)])
+
+        one_draw = np.random.default_rng([3, 31]).standard_normal(215000)
+        assert np.array_equal(draw(), one_draw)     # starts the worker
+        pool = channel._worker[0][1]
+        for _ in range(500):    # the gone stream's blocks reach the pool
+            if pool.qsize() == channel._POOL_BLOCKS:
+                break
+            time.sleep(0.01)
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(30)    # a child that hangs ends, and fails the test
+            ok = np.array_equal(draw(), one_draw) and "shuttervlc-noise" in [
+                t.name for t in threading.enumerate()]
+            os._exit(0 if ok else 1)
+        sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """)
+    src = str(Path(channel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          timeout=60, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

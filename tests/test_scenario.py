@@ -584,6 +584,22 @@ def test_bits_are_drawn_once_and_only_for_lit_windows(monkeypatch):
         assert list(record.tx_bits) == ["1"]
 
 
+def test_simulations_alive_at_once_each_draw_their_own_noise():
+    # two runs' dwells interleaved, some longer than the noise lookahead:
+    # each gives the samples of a run whose noise is one plain generator
+    sc = bundled_scenario("protocol_clean")
+    durations = [0.3, 1.0, 0.01, 4.0, 0.0001, 0.9, 2.5]     # 4e4 samples/s
+    sims = [LinkSimulation(sc, seed) for seed in (1, 2)]
+    refs = [LinkSimulation(sc, seed) for seed in (1, 2)]
+    for ref in refs:
+        ref.noise = np.random.default_rng([ref.seed, 31])
+    for i, duration in enumerate(durations):
+        mask = PixelMask(sc.n_pixels, {sc.channel.emitter_pixel[i % 2]})
+        for sim, ref in zip(sims, refs):
+            got, expected = sim.dwell(mask, duration), ref.dwell(mask, duration)
+            assert got.tobytes() == expected.tobytes()
+
+
 def test_noiseless_dark_shutter_never_identifies():
     # a pixel with no AC power scores -inf even where the noise has none,
     # so every scan of a dark shutter resets and the controller gives up
