@@ -312,6 +312,36 @@ def test_gone_streams_give_their_blocks_back():
     assert len({b.ctypes.data for b in blocks}) == channel._POOL_BLOCKS
 
 
+def test_streams_in_many_threads_keep_their_order():
+    # more threads than cores, switching often, share the worker and the
+    # pool: a block handed to two streams, or drawn out of order, breaks
+    # some thread's single draw
+    sizes = [1, 5000, _BLOCK + 3, 70_000, 2, _LOOKAHEAD + 1, 40_000] * 3
+    results = {}
+
+    def run(seed):
+        stream = NoiseStream(np.random.default_rng([seed, 31]))
+        results[seed] = np.concatenate([stream.standard_normal(n)
+                                        for n in sizes])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,))
+                   for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == list(range(6))
+    for seed, got in results.items():
+        one_draw = np.random.default_rng([seed, 31]).standard_normal(sum(sizes))
+        assert np.array_equal(got, one_draw)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this OS")
 def test_forked_child_starts_its_own_worker():
     script = textwrap.dedent("""
