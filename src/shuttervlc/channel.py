@@ -109,7 +109,8 @@ def emitter_weights(mask: PixelMask, cfg: ChannelConfig) -> Tuple[float, ...]:
 # Drawing ahead: one daemon thread per process fills blocks of _BLOCK
 # normals from a pool of _POOL_BLOCKS (1 MiB) that every stream shares. The
 # pool is a mapping of its own: made on the heap in mid-run, it raised
-# protocol_seeds' peak RSS by a further 2.4 MiB.
+# protocol_seeds' peak RSS by a further 2.4 MiB. It is private, so a forked
+# child's blocks keep their values while the parent's worker refills them.
 _BLOCK, _POOL_BLOCKS = 2**15, 4
 _worker = []    # [(job queue, pool)] once a stream draws ahead
 os.register_at_fork(after_in_child=_worker.clear)   # a child has no worker
@@ -150,18 +151,23 @@ class NoiseStream:
     From the second take on, the worker draws the next pool blocks ahead.
     Only one thread draws from `rng` at a time: a take uses the blocks
     drawn ahead, waiting for any in flight, and only then draws the rest
-    itself. A take that waits for a block whose fill raised raises that."""
+    itself. A take that waits for a block whose fill raised raises that.
+    In a forked child a stream draws nothing ahead, and a take that needs a
+    block still in flight to the parent's worker raises ChannelError."""
 
     def __init__(self, rng: np.random.Generator):
         self._rng, self._takes, self._pos, self._in_flight = rng, 0, 0, 0
         self._ahead = []                    # filled blocks, the first from _pos
         self._filled = queue.SimpleQueue()  # what the worker filled, in order
         self._worker = None                 # its queues, from the second take
+        self._pid = None                    # the process whose worker they are
 
     def standard_normal(self, n: int) -> np.ndarray:
         out, k = np.empty(n), 0
         while k < n and (self._ahead or self._in_flight):
             if not self._ahead:
+                if self._pid != os.getpid() and self._filled.empty():
+                    raise ChannelError("noise in flight to a parent process")
                 self._ahead.append(self._filled.get())
                 self._in_flight -= 1
                 if isinstance(self._ahead[0], BaseException):
@@ -181,10 +187,12 @@ class NoiseStream:
     def _request(self) -> None:
         """Ask the worker to fill free pool blocks, up to the whole pool."""
         if self._worker is None:
+            self._pid = os.getpid()
             if not _worker:     # two streams starting one at once use the first
                 pool = queue.SimpleQueue()
                 for block in np.frombuffer(mmap.mmap(
-                        -1, 8 * _BLOCK * _POOL_BLOCKS)).reshape(-1, _BLOCK):
+                        -1, 8 * _BLOCK * _POOL_BLOCKS, flags=mmap.MAP_PRIVATE)
+                        ).reshape(-1, _BLOCK):
                     pool.put(block)
                 queues = queue.SimpleQueue(), pool
                 threading.Thread(target=_draw_ahead, args=queues,
@@ -193,6 +201,8 @@ class NoiseStream:
             self._worker = _worker[0]
             weakref.finalize(self, _release, self._worker[1], self._ahead,
                              self._filled)
+        elif self._pid != os.getpid():
+            return      # a forked child: no thread serves that worker's queues
         jobs, pool = self._worker
         while len(self._ahead) + self._in_flight < _POOL_BLOCKS:
             try:

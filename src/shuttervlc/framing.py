@@ -1,12 +1,13 @@
 """Packetization with Barker-code transmitter IDs and correlation detection.
 
 Packets are fixed 2096-bit frames: a 13-bit header identifying the
-transmitter followed by a 2083-bit payload. Detection slides each
-registered header over a decoded bit stream and thresholds the bipolar
-correlation score (agreements minus disagreements over the 13 bits).
+transmitter followed by a 2083-bit payload. Detection looks up the best
+bipolar correlation score (agreements minus disagreements over the 13
+bits) of the 13-bit window at each offset of a bit stream and thresholds it.
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -99,15 +100,19 @@ class Detection:
     score: int
 
 
-def correlation_scores(bits: np.ndarray, id_bits: Sequence[int]) -> np.ndarray:
-    """Bipolar sliding correlation of a header over a bit stream: at each
-    offset, agreements minus disagreements, 2 * agreements - len(id_bits)."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    n = max(len(bits) - len(id_bits) + 1, 0)
-    agree = np.zeros(n, dtype=np.int16)
-    for t, b in enumerate(id_bits):
-        agree += bits[t:t + n] == b
-    return 2 * agree - len(id_bits)
+@functools.lru_cache(maxsize=64)
+def _window_table(headers: Tuple[Tuple[int, ...], ...]):
+    """(score, k) of each 13-bit code, whose bit 12 - t is a window's bit t:
+    the best correlation score of the headers, as int8, and the first
+    header that reaches it. Built once per header set, when first used."""
+    codes = np.arange(2**HEADER_BITS)
+    scores = [2 * sum((codes >> 12 - t & 1) == b for t, b in enumerate(header))
+              - HEADER_BITS for header in headers]
+    # the first on a tie; both tables, which stay, in the smallest types
+    best_id = np.argmax(scores, axis=0).astype(np.min_scalar_type(len(scores)))
+    best_score = np.max(scores, axis=0).astype(np.int8)
+    best_score.flags.writeable = best_id.flags.writeable = False
+    return best_score, best_id
 
 
 def detect_packets(bits: Sequence[int], table: IdLookupTable,
@@ -121,25 +126,31 @@ def detect_packets(bits: Sequence[int], table: IdLookupTable,
     hits (ties: higher total score, then lower offset) and emits detections
     along that lattice; at each hit the highest-scoring registered ID wins,
     the first on a tie. Only offsets where the complete 2096-bit packet fits
-    are reported.
+    are reported. The 13 bits at an offset are a code, which one lookup in
+    a table per header set turns into that score and ID, whatever the
+    number of IDs. Bits other than 0 and 1 are an error.
     """
     if len(table) == 0:
         raise FramingError("empty lookup table")
     if not (1 <= corr_threshold <= HEADER_BITS):
         raise FramingError("corr_threshold must be in [1, 13]")
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = np.asarray(bits)
+    ones = bits.astype(bool)
+    if np.any(ones != bits):
+        raise FramingError("bits must be 0 or 1")
     if len(bits) < PACKET_BITS:
         return []
+    n = len(bits) - PACKET_BITS + 1     # offsets scored
+    # codes[r, j] is the window at offset 8 j + r: bits r to r + 12 of the
+    # 24 from byte j on, which the packet after the last offset holds
+    p = np.packbits(ones[:n + 23]).astype(np.int32)
+    words = p[:-2] << 16 | p[1:-1] << 8 | p[2:]
+    codes = words >> np.arange(11, 3, -1, dtype=np.int32)[:, None]
+    codes &= 2**HEADER_BITS - 1
     ids = table.ids
-    head = bits[:len(bits) - PACKET_BITS + HEADER_BITS]
-    # a running vote: a strict > keeps the first ID on a tie
-    best_score = correlation_scores(head, ids[0].id_bits)
-    best_id = np.zeros(len(best_score), dtype=np.intp)
-    for k, tid in enumerate(ids[1:], 1):
-        score = correlation_scores(head, tid.id_bits)
-        best_id[score > best_score] = k
-        np.maximum(best_score, score, out=best_score)
-    hits = np.nonzero(best_score >= corr_threshold)[0]
+    table_score, table_id = _window_table(tuple(tid.id_bits for tid in ids))
+    best_score = np.take(table_score, codes).T.ravel()[:n]
+    hits = np.flatnonzero(best_score >= corr_threshold)
     if hits.size == 0:
         return []
     residues = hits % PACKET_BITS
@@ -147,6 +158,6 @@ def detect_packets(bits: Sequence[int], table: IdLookupTable,
     totals = np.bincount(residues, weights=best_score[hits])
     # the last key sorts first: most hits, then highest total, then residue
     lattice = np.lexsort((np.arange(len(counts)), -totals, -counts))[0]
-    return [Detection(int(off), ids[int(best_id[off])].label,
+    return [Detection(int(off), ids[table_id[codes[off % 8, off // 8]]].label,
                       int(best_score[off]))
             for off in hits[residues == lattice]]

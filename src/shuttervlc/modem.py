@@ -153,22 +153,23 @@ def _waveforms(cfg: ModemConfig) -> dict:
 def _gmsk_rows(bits: np.ndarray, cfg: ModemConfig, first: int,
                n_symbols: int) -> np.ndarray:
     """The `waveforms` row of each symbol of the window of symbols
-    [first, first + n_symbols).
+    [first, first + n_symbols), as int16: the largest is 971.
 
-    `a` holds 2 b - 1 of the symbols a sample of the window may still be
-    in transition on, 0 outside the stream: a[k:k + n_taps] are those of
-    symbol first + k, taps' column t pairing with a[k + n_taps - 1 - t].
-    run[k] is the integer sum of `a` over the earlier symbols, whose pulse
-    has passed; its quadrant leads the row index, by Horner's rule."""
+    `code` holds a + 1, `a` being 2 b - 1 of the symbols a sample of the
+    window may still be in transition on, 0 outside the stream: code[k:k +
+    n_taps] are those of symbol first + k, taps' column t pairing with
+    code[k + n_taps - 1 - t]. `run` sums `a` in uint8, wrapping mod 256:
+    only the sum's quadrant over the symbols whose pulse has passed, which
+    leads the row index by Horner's rule, is read."""
     j0, taps = cfg.gmsk_phase_taps
     n_taps = taps.shape[1]
     lo, hi = first - (j0 + n_taps - 1), first + n_symbols - j0
-    i, j = np.clip((lo, hi), 0, len(bits))
-    a = np.pad(2.0 * bits[i:j] - 1.0, (i - lo, hi - j))
+    i, j = np.clip((lo, hi), 0, len(bits)).tolist()
+    code = np.pad(2 * bits[i:j].astype(np.int16), (i - lo, hi - j),
+                  constant_values=1)
     settled = 2 * int(np.count_nonzero(bits[:i])) - i
-    run = np.cumsum(a[:n_symbols]) - a[:n_symbols] + settled
-    index = run.astype(np.intp) & 3
-    code = (a + 1).astype(np.intp)
+    run = np.cumsum(code[:n_symbols] - 1, dtype=np.uint8)   # to a[k], inclusive
+    index = (run - code[:n_symbols] + (settled + 1) % 4) & 3
     for s in range(n_taps):
         index *= 3
         index += code[s:s + n_symbols]

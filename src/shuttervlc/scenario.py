@@ -299,11 +299,11 @@ def emitter_bits(spec: EmitterSpec, seed: int, first: int, n_bits: int,
     header + its payload), cut in whole packets: there `first` and `n_bits`
     are multiples of PACKET_BITS. Unframed streams use the payload bits
     directly. A pattern is indexed modulo its length. Random payload bit i
-    is bit i of one `integers(0, 2)` draw from PCG64([seed, stream, 17]).
-    That takes each bit from a 32-bit half of a 64-bit output, low half
-    first, and never rejects (Lemire's method, range 2), so a draw from
-    payload bit s jumps ahead s // 2 outputs, in O(log s), and drops the
-    low half's bit when s is odd."""
+    is bit 31 of the i-th 32-bit half of PCG64([seed, stream, 17])'s raw
+    64-bit outputs, low half first: the bit that `integers(0, 2)` draws,
+    which takes a 32-bit half per bit and never rejects (Lemire's method,
+    range 2). So payload bit s is in output s // 2, which the generator
+    jumps ahead to in O(log s), and an odd s drops its low half's bit."""
     start, n = first, n_bits
     if framed:
         start = first // framing.PACKET_BITS * framing.PAYLOAD_BITS
@@ -312,13 +312,16 @@ def emitter_bits(spec: EmitterSpec, seed: int, first: int, n_bits: int,
         pattern = spec.pattern
         payload = np.resize(np.roll(pattern, -(start % len(pattern))), n)
     else:
-        rng = np.random.Generator(np.random.PCG64(
-            [seed, spec.stream, 17]).advance(start // 2))
-        if start % 2:
-            rng.integers(0, 2, size=1)
-        payload = np.empty(n, dtype=np.uint8)
-        for k in range(0, n, 2**22):        # int64 temporaries of 32 MiB
-            payload[k:k + 2**22] = rng.integers(0, 2, size=min(n - k, 2**22))
+        bitgen = np.random.PCG64([seed, spec.stream, 17]).advance(start // 2)
+        payload = np.empty(start % 2 + n, dtype=np.uint8)
+        for k in range(0, len(payload), 2**22):     # even: a word per 2 bits
+            part = payload[k:k + 2**22]
+            words = bitgen.random_raw((len(part) + 1) // 2)   # 16 MiB at most
+            part[1::2] = words[:len(part) // 2] >> 63
+            words >>= 31
+            words &= 1
+            part[::2] = words
+        payload = payload[start % 2:]
     if not framed:
         return payload
     return framing.frame(payload, make_id(spec.id_kind, spec.label)).bits

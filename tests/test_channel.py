@@ -371,9 +371,102 @@ def test_forked_child_starts_its_own_worker():
             os._exit(0 if ok else 1)
         sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
         """)
+    done = _python(script)
+    assert done.returncode == 0, done.stderr
+
+
+def _python(script):
+    """Run `script` in a fresh interpreter that imports this checkout's
+    shuttervlc."""
     src = str(Path(channel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    return subprocess.run([sys.executable, "-c", script], env=env,
                           timeout=60, capture_output=True, text=True)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this OS")
+def test_forked_child_keeps_the_noise_drawn_ahead():
+    # the parent's worker refills the pool blocks that the child's stream
+    # still holds: a shared pool would hand the child the parent's values
+    script = textwrap.dedent("""
+        import os, signal, sys, time
+        import numpy as np
+        from shuttervlc import channel
+
+        signal.alarm(30)    # a parent or child that hangs fails the test
+        blocks, n = channel._POOL_BLOCKS, channel._BLOCK
+
+        def wait_for_full_lookahead(stream):
+            for _ in range(500):
+                if stream._filled.qsize() == blocks:
+                    return
+                time.sleep(0.01)
+            sys.exit(4)
+
+        stream = channel.NoiseStream(np.random.default_rng([4, 31]))
+        stream.standard_normal(10)
+        stream.standard_normal(10)
+        wait_for_full_lookahead(stream)
+        one_draw = np.random.default_rng([4, 31]).standard_normal(
+            20 + (blocks + 1) * n)
+        ready, go = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(30)
+            os.read(ready, 1)
+            # the blocks drawn ahead, then the child's own draws
+            got = np.concatenate([stream.standard_normal(blocks * n - 1),
+                                  stream.standard_normal(n + 1)])
+            os._exit(0 if np.array_equal(got, one_draw[20:]) else 3)
+        stream.standard_normal(blocks * n)  # the blocks go back to the pool
+        wait_for_full_lookahead(stream)     # and are filled again
+        os.write(go, b"x")
+        sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """)
+    done = _python(script)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this OS")
+def test_forked_child_refuses_noise_still_in_flight():
+    # no thread in the child will fill the blocks the parent's worker was
+    # asked for: waiting for them would hang
+    script = textwrap.dedent("""
+        import os, signal, sys, threading
+        import numpy as np
+        from shuttervlc import channel
+
+        signal.alarm(30)    # a parent or child that hangs fails the test
+
+        class Held:
+            "numpy's draws; the worker's wait until `go` is set"
+            def __init__(self):
+                self.rng = np.random.default_rng([4, 31])
+                self.go = threading.Event()
+
+            def standard_normal(self, size=None, out=None):
+                if threading.current_thread().name == "shuttervlc-noise":
+                    self.go.wait()
+                return self.rng.standard_normal(size, out=out)
+
+        gen = Held()
+        stream = channel.NoiseStream(gen)
+        stream.standard_normal(10)
+        stream.standard_normal(10)      # the lookahead is in flight, held
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(30)
+            try:
+                stream.standard_normal(10)
+            except channel.ChannelError:
+                os._exit(0)
+            os._exit(1)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        gen.go.set()
+        got = stream.standard_normal(10)    # the parent's stream goes on
+        one_draw = np.random.default_rng([4, 31]).standard_normal(30)
+        sys.exit(status or 3 * (not np.array_equal(got, one_draw[20:])))
+        """)
+    done = _python(script)
     assert done.returncode == 0, done.stderr

@@ -4,11 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from shuttervlc import framing
 from shuttervlc.framing import (BARKER_11, BARKER_13, HEADER_BITS, PACKET_BITS,
                                 PAYLOAD_BITS, Detection, FramingError, IdKind,
-                                IdLookupTable, TransmitterId,
-                                correlation_scores, detect_packets,
+                                IdLookupTable, TransmitterId, detect_packets,
                                 frame, make_id)
+
+
+def correlation_scores(bits, id_bits) -> np.ndarray:
+    """Bipolar sliding correlation of a header over a bit stream: at each
+    offset, agreements minus disagreements, 2 * agreements - len(id_bits).
+    The oracle of the window-code lookup in `detect_packets`."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    n = max(len(bits) - len(id_bits) + 1, 0)
+    agree = np.zeros(n, dtype=np.int16)
+    for t, b in enumerate(id_bits):
+        agree += bits[t:t + n] == b
+    return 2 * agree - len(id_bits)
 
 
 def _brute_force_autocorr(code):
@@ -247,3 +259,70 @@ def test_detect_tied_ids_go_to_the_first_registered(order):
     assert dets == _reference_detect(bits, table, 5)
     assert [(d.offset, d.label, d.score) for d in dets] == [
         (7, order[0], 5), (7 + PACKET_BITS, order[0], 5)]
+
+
+_BARKER_HEADERS = [BARKER_13, BARKER_11 + (1, 1)]
+
+
+# thresholds of 1 tie most offsets between IDs and most residues on count
+@example(n_bits=2 * PACKET_BITS, seed=0, headers=_BARKER_HEADERS,
+         corr_threshold=1, tied=[(0, 1)], residue=3)
+@settings(max_examples=150, deadline=None)
+@given(n_bits=st.integers(PACKET_BITS - 3, PACKET_BITS + 40)
+       | st.integers(2 * PACKET_BITS - 9, 3 * PACKET_BITS + 9),
+       seed=st.integers(0, 2**32 - 1),
+       headers=st.lists(st.sampled_from(_BARKER_HEADERS)
+                        | st.tuples(*[st.integers(0, 1)] * HEADER_BITS),
+                        min_size=1, max_size=5, unique=True),
+       corr_threshold=st.integers(1, HEADER_BITS),
+       tied=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                     max_size=2),
+       residue=st.integers(0, PACKET_BITS - 1))
+def test_window_lookup_matches_sliding_correlation(n_bits, seed, headers,
+                                                   corr_threshold, tied,
+                                                   residue):
+    # N headers, with the Barker ones among them, at every threshold: the
+    # lookup's score, ID and lattice are the correlation's. Each (a, b) in
+    # `tied` plants, on one lattice, a window as far from header a as from
+    # header b, so the first registered of the two must win
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, n_bits)
+    for i, (a, b) in enumerate(tied):
+        ha, hb = (np.array(headers[k % len(headers)]) for k in (a, b))
+        window = ha.copy()
+        window[np.flatnonzero(ha != hb)[::2]] ^= 1
+        for off in range(residue + 7 * i, n_bits - HEADER_BITS + 1,
+                         PACKET_BITS):
+            bits[off:off + HEADER_BITS] = window
+    table = IdLookupTable([TransmitterId(h, label)
+                           for label, h in enumerate(headers, 1)])
+    assert (detect_packets(bits, table, corr_threshold)
+            == _reference_detect(bits, table, corr_threshold))
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, 255, np.nan])
+@pytest.mark.parametrize("n_bits", [3, PACKET_BITS + 5])
+def test_detect_rejects_bits_other_than_0_and_1(bad, n_bits):
+    table = IdLookupTable([make_id(IdKind.BARKER13, 1)])
+    bits = np.zeros(n_bits)
+    bits[-1] = bad
+    with pytest.raises(FramingError, match="0 or 1"):
+        detect_packets(bits, table)
+    with pytest.raises(FramingError, match="0 or 1"):
+        detect_packets(list(bits), table)
+    assert detect_packets(np.zeros(n_bits, dtype=bool), table) == []
+
+
+def test_window_table_is_built_once_per_header_set():
+    framing._window_table.cache_clear()
+    bits = _packet_stream([1, 2, 1], np.random.default_rng(5))
+    ids = [make_id(IdKind.BARKER13, 1), make_id(IdKind.BARKER11_PADDED, 2)]
+    for _ in range(3):      # a table of its own each time, as replay builds
+        assert len(detect_packets(bits, IdLookupTable(ids))) == 3
+    # labels do not enter the table; the order of the headers does
+    relabelled = [TransmitterId(tid.id_bits, tid.label + 10) for tid in ids]
+    detect_packets(bits, IdLookupTable(relabelled))
+    assert framing._window_table.cache_info().misses == 1
+    dets = detect_packets(bits, IdLookupTable(ids[::-1]))
+    assert framing._window_table.cache_info().misses == 2
+    assert [d.label for d in dets] == [1, 2, 1]

@@ -17,7 +17,8 @@ import shuttervlc
 from shuttervlc.modem import (GMSK_BT, GMSK_CARRIER_CYCLES, GMSK_SPAN,
                               MAX_SAMPLES_PER_SYMBOL, ModemConfig, ModemError,
                               PhaseOffset, Scheme, _gmsk_frequency_pulse,
-                              demodulate, gmsk_data_phase, modulate)
+                              _gmsk_rows, demodulate, gmsk_data_phase,
+                              modulate)
 
 OOK = ModemConfig(scheme=Scheme.OOK, symbol_rate=1000, samples_per_symbol=4,
                   modulation_depth=0.5)
@@ -343,6 +344,43 @@ def test_gmsk_rows_are_bounded_by_the_window():
     assert config_peak < 3 * table + 100 * sps * 8
     assert window_peak < config_held + 16 * sps * 8
 
+
+
+def _rows_by_loop(bits, cfg, first, n_symbols):
+    """Each symbol's waveform row, one symbol at a time: the quadrant of
+    the sum of 2 b - 1 over the symbols whose pulse has passed, then one
+    base-3 digit, 1 + 2 b - 1, per symbol still in transition, with 0 for
+    2 b - 1 outside the stream."""
+    j0, taps = cfg.gmsk_phase_taps
+    n_taps = taps.shape[1]
+
+    def a(s):
+        return 2 * int(bits[s]) - 1 if 0 <= s < len(bits) else 0
+
+    rows = []
+    for k in range(first, first + n_symbols):
+        lo = k - (j0 + n_taps - 1)      # the first symbol in transition
+        row = sum(a(s) for s in range(lo)) % 4
+        for s in range(lo, lo + n_taps):
+            row = 3 * row + a(s) + 1
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=40),
+       data=st.data(), sps=st.sampled_from([4, 8, 16]))
+def test_gmsk_rows_match_a_per_symbol_loop(bits, data, sps):
+    # windows from bit 0 on, and windows whose last symbols' pulses run
+    # past the end of the stream, or the window itself does
+    cfg = ModemConfig(scheme=Scheme.GMSK, symbol_rate=1e3,
+                      samples_per_symbol=sps)
+    bits = np.array(bits, dtype=np.uint8)
+    first = data.draw(st.integers(0, len(bits) - 1))
+    n_symbols = data.draw(st.integers(1, len(bits) - first + 3))
+    rows = _gmsk_rows(bits, cfg, first, n_symbols)
+    assert rows.dtype == np.int16
+    assert rows.tolist() == _rows_by_loop(bits, cfg, first, n_symbols)
 
 def test_gmsk_inverted_roundtrip():
     rng = np.random.default_rng(7)

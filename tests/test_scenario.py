@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import shuttervlc
 from shuttervlc import framing, modem, scenario
@@ -476,6 +476,25 @@ def test_extended_stream_equals_one_shot_draw_property(source_specs, kind,
     np.testing.assert_array_equal(np.concatenate(parts[:-1]),
                                   whole[edges[0]:])
 
+
+
+@settings(max_examples=40, deadline=None)
+@example(seed=5, first=3, n_bits=2**22 + 10)   # odd start, past one chunk
+@given(seed=st.integers(0, 2**64 - 1), first=st.integers(0, 10**6),
+       n_bits=st.integers(0, 5000))
+def test_random_payload_bits_are_bit_31_of_each_raw_half(seed, first,
+                                                         n_bits):
+    # bit i is bit 31 of the i-th 32-bit half of the raw PCG64 outputs,
+    # low half first, which is the bit Generator.integers(0, 2) draws
+    spec = scenario_from_dict(_variant()).emitters[0]
+    bits = emitter_bits(spec, seed, first, n_bits, False)
+    assert bits.dtype == np.uint8 and len(bits) == n_bits
+    words = np.random.PCG64([seed, spec.stream, 17]).random_raw(
+        (first + n_bits + 1) // 2)
+    halves = words.astype("<u8").view("<u4")    # low, high, low, ...
+    np.testing.assert_array_equal(bits, (halves >> 31)[first:first + n_bits])
+    drawn = _payload_rng(spec, seed).integers(0, 2, first + n_bits)
+    np.testing.assert_array_equal(bits, drawn[first:])
 
 def test_pattern_source_rejects_non_binary():
     with pytest.raises(ScenarioError):
