@@ -8,11 +8,11 @@ amplifier front end. Samples are plain float64 arrays at the modem's
 and `ac_power` and `received_snr_db` take one.
 
 A run's noise is one `NoiseStream`, which a helper thread draws ahead, in
-order, while the run does other work: no value depends on timing.
+order, while the run does other work: no value depends on timing. Each
+stream holds blocks of its own, 1 MiB per live stream.
 """
 
 import math
-import mmap
 import operator
 import os
 import queue
@@ -106,111 +106,78 @@ def emitter_weights(mask: PixelMask, cfg: ChannelConfig) -> Tuple[float, ...]:
                  for gain, pixel in zip(cfg.emitter_gain, cfg.emitter_pixel))
 
 
-# Drawing ahead: one daemon thread per process fills blocks of _BLOCK
-# normals from a pool of _POOL_BLOCKS (1 MiB) that every stream shares. The
-# pool is a mapping of its own: made on the heap in mid-run, it raised
-# protocol_seeds' peak RSS by a further 2.4 MiB. It is private, so a forked
-# child's blocks keep their values while the parent's worker refills them.
-_BLOCK, _POOL_BLOCKS = 2**15, 4
-_worker = []    # [(job queue, pool)] once a stream draws ahead
+# Drawing ahead: one daemon thread per process draws a fresh block of _BLOCK
+# normals per job; a stream has up to _AHEAD jobs (1 MiB) filled or in flight.
+# No block is shared, so a forked child keeps its streams' blocks. Allocated
+# on the main thread and filled in place, blocks cost 1.4 MiB more peak RSS.
+_BLOCK, _AHEAD = 2**15, 4
+_worker = []    # [job queue] once a stream draws ahead
 os.register_at_fork(after_in_child=_worker.clear)   # a child has no worker
 
 
-def _draw_ahead(jobs: queue.SimpleQueue, pool: queue.SimpleQueue) -> None:
-    """Fill each (stream, block) job in order and hand the stream its block,
-    or what the fill raised; a gone stream's block goes back to the pool."""
+def _draw_ahead(jobs: queue.SimpleQueue) -> None:
+    """For each job, a weakref to a stream, hand a live stream its next
+    block, or what the draw raised; a gone stream's job draws nothing."""
     while True:
-        ref, block = jobs.get()
-        stream = ref()
+        stream = jobs.get()()
         if stream is None:
-            pool.put(block)
             continue
         try:
-            stream._rng.standard_normal(out=block)
+            block = stream._rng.standard_normal(_BLOCK)
         except BaseException as exc:    # the take that waits raises it
-            pool.put(block)
             block = exc
         stream._filled.put(block)
-        del stream      # else a finished run's stream lives to the next job
-
-
-def _release(pool: queue.SimpleQueue, ahead: list,
-             filled: queue.SimpleQueue) -> None:
-    """Give a gone stream's filled blocks back to the pool."""
-    while not filled.empty():
-        ahead.append(filled.get())
-    for block in ahead:
-        if isinstance(block, np.ndarray):
-            pool.put(block)
+        del stream, block   # else a finished run's stream lives to the next job
 
 
 class NoiseStream:
     """The standard normals of `rng` in order: the takes of
     `standard_normal(n)` join into one `rng.standard_normal` draw.
 
-    From the second take on, the worker draws the next pool blocks ahead.
-    Only one thread draws from `rng` at a time: a take uses the blocks
-    drawn ahead, waiting for any in flight, and only then draws the rest
-    itself. A take that waits for a block whose fill raised raises that.
-    In a forked child a stream draws nothing ahead, and a take that needs a
+    From the second take on, the worker draws the next blocks ahead. Only
+    one thread draws from `rng` at a time: a take uses the blocks drawn
+    ahead, waiting for any in flight, and only then draws the rest itself.
+    A take that waits for a block whose draw raised raises that. In a
+    forked child a stream draws nothing ahead, and a take that needs a
     block still in flight to the parent's worker raises ChannelError."""
 
     def __init__(self, rng: np.random.Generator):
-        self._rng, self._takes, self._pos, self._in_flight = rng, 0, 0, 0
-        self._ahead = []                    # filled blocks, the first from _pos
-        self._filled = queue.SimpleQueue()  # what the worker filled, in order
-        self._worker = None                 # its queues, from the second take
-        self._pid = None                    # the process whose worker they are
+        self._rng, self._pid = rng, os.getpid()
+        self._head = None                   # a block's unread rest, after a take
+        self._filled = queue.SimpleQueue()  # the blocks drawn ahead, in order
+        self._in_flight = 0                 # jobs whose block is not yet taken
 
     def standard_normal(self, n: int) -> np.ndarray:
-        out, k = np.empty(n), 0
-        while k < n and (self._ahead or self._in_flight):
-            if not self._ahead:
-                if self._pid != os.getpid() and self._filled.empty():
-                    raise ChannelError("noise in flight to a parent process")
-                self._ahead.append(self._filled.get())
-                self._in_flight -= 1
-                if isinstance(self._ahead[0], BaseException):
-                    raise self._ahead.pop()
-            m = min(n - k, _BLOCK - self._pos)
-            out[k:k + m] = self._ahead[0][self._pos:self._pos + m]
-            k, self._pos = k + m, (self._pos + m) % _BLOCK
-            if not self._pos:
-                self._worker[1].put(self._ahead.pop(0))
+        if self._head is None:  # a one-dwell run puts no work on the worker
+            self._head = np.empty(0)
+            return self._rng.standard_normal(n)
+        out, k, head = np.empty(n), 0, self._head
+        while True:
+            m = min(n - k, len(head))
+            out[k:k + m] = head[:m]
+            # an empty view of a spent block would keep the block alive
+            k, self._head = k + m, head[m:] if m < len(head) else np.empty(0)
+            if k == n or not self._in_flight:
+                break
+            if self._pid != os.getpid() and self._filled.empty():
+                raise ChannelError("noise in flight to a parent process")
+            head = self._filled.get()
+            self._in_flight -= 1
+            if isinstance(head, BaseException):
+                raise head
         if k < n:
             self._rng.standard_normal(out=out[k:])
-        self._takes += 1
-        if self._takes > 1:     # a one-dwell run puts no work on the worker
-            self._request()
-        return out
-
-    def _request(self) -> None:
-        """Ask the worker to fill free pool blocks, up to the whole pool."""
-        if self._worker is None:
-            self._pid = os.getpid()
-            if not _worker:     # two streams starting one at once use the first
-                pool = queue.SimpleQueue()
-                for block in np.frombuffer(mmap.mmap(
-                        -1, 8 * _BLOCK * _POOL_BLOCKS, flags=mmap.MAP_PRIVATE)
-                        ).reshape(-1, _BLOCK):
-                    pool.put(block)
-                queues = queue.SimpleQueue(), pool
-                threading.Thread(target=_draw_ahead, args=queues,
-                                 name="shuttervlc-noise", daemon=True).start()
-                _worker.append(queues)
-            self._worker = _worker[0]
-            weakref.finalize(self, _release, self._worker[1], self._ahead,
-                             self._filled)
-        elif self._pid != os.getpid():
-            return      # a forked child: no thread serves that worker's queues
-        jobs, pool = self._worker
-        while len(self._ahead) + self._in_flight < _POOL_BLOCKS:
-            try:
-                block = pool.get_nowait()
-            except queue.Empty:
-                return
-            jobs.put((weakref.ref(self), block))
+        if self._pid != os.getpid():
+            return out  # a forked child has no worker for its parent's streams
+        if not _worker:     # two streams starting one at once use the first
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_draw_ahead, args=(jobs,),
+                             name="shuttervlc-noise", daemon=True).start()
+            _worker.append(jobs)
+        while self._in_flight < _AHEAD:
+            _worker[0].put(weakref.ref(self))
             self._in_flight += 1
+        return out
 
 
 def receive(emitter_blocks: Sequence[np.ndarray], mask: PixelMask,

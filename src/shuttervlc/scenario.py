@@ -281,9 +281,9 @@ def bundled_scenario_names() -> List[str]:
 
 
 def bundled_scenario(name: str) -> Scenario:
-    ref = resources.files("shuttervlc") / "scenarios" / f"{name}.json"
-    if not ref.is_file():
+    if name not in bundled_scenario_names():    # nor a path out of the package
         raise ScenarioError(f"no bundled scenario named {name!r}")
+    ref = resources.files("shuttervlc") / "scenarios" / f"{name}.json"
     return scenario_from_dict(json.loads(ref.read_text()))
 
 

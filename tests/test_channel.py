@@ -6,7 +6,6 @@ import subprocess
 import sys
 import textwrap
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -219,7 +218,7 @@ def test_snr_monotone_in_noise_power():
 
 # take sizes for a noise stream: single samples, sizes about the block and
 # the whole lookahead, and sizes larger than the lookahead
-_BLOCK, _LOOKAHEAD = channel._BLOCK, channel._BLOCK * channel._POOL_BLOCKS
+_BLOCK, _LOOKAHEAD = channel._BLOCK, channel._BLOCK * channel._AHEAD
 _TAKE = st.one_of(
     st.just(1), st.integers(0, 3 * _BLOCK),
     st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, _LOOKAHEAD,
@@ -254,8 +253,7 @@ class _StandIn:
 
 
 def _takes_until(stream, done, limit=200):
-    """Take 1000 samples at a time until `done()`, at most `limit` times
-    (blocks that a gone stream held reach the pool a moment later)."""
+    """Take 1000 samples at a time until `done()`, at most `limit` times."""
     takes = []
     while not done() and len(takes) < limit:
         takes.append(stream.standard_normal(1000))
@@ -292,24 +290,47 @@ def test_worker_failure_reaches_the_take():
         [6, 31]).standard_normal(1000 * len(takes)))
 
 
-def test_gone_streams_give_their_blocks_back():
-    for seed in range(20):     # each drops its stream with blocks drawn ahead
-        stream = NoiseStream(np.random.default_rng([seed, 31]))
-        for n in (1000, 1000, 50_000):
-            stream.standard_normal(n)
-    del stream
-    pool = channel._worker[0][1]
-    blocks = []
-    for _ in range(100):
-        while len(blocks) < channel._POOL_BLOCKS and not pool.empty():
-            blocks.append(pool.get())
-        if len(blocks) == channel._POOL_BLOCKS:
-            break
-        time.sleep(0.01)
-    for block in blocks:
-        pool.put(block)
-    assert len(blocks) == channel._POOL_BLOCKS
-    assert len({b.ctypes.data for b in blocks}) == channel._POOL_BLOCKS
+def test_gone_streams_draw_nothing_and_live_ones_at_most_the_lookahead():
+    class Held(_StandIn):
+        """`_StandIn` whose draws on the worker wait until `go` is set."""
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.go = threading.Event()
+
+        def standard_normal(self, size=None, out=None):
+            if threading.current_thread().name == "shuttervlc-noise":
+                assert self.go.wait(timeout=30)
+            return super().standard_normal(size, out=out)
+
+    held, dropped, live = Held(7), _StandIn(8), _StandIn(9)
+    stream = NoiseStream(held)
+    try:
+        stream.standard_normal(10)
+        stream.standard_normal(10)      # the worker waits inside held's draw
+        gone = NoiseStream(dropped)
+        gone.standard_normal(10)
+        gone.standard_normal(10)        # its jobs queue behind held's
+        del gone
+        kept = NoiseStream(live)
+        takes = [kept.standard_normal(10), kept.standard_normal(10)]
+    finally:
+        held.go.set()
+    # the caller draws the first two takes; head and lookahead hold the rest
+    from_blocks = 0
+    for n in (5000, _BLOCK, 3 * _BLOCK + 7, 1, _LOOKAHEAD):
+        takes.append(kept.standard_normal(n))
+        from_blocks += n
+        taken = -(-from_blocks // _BLOCK)
+        drawn = live.threads.count("shuttervlc-noise")
+        assert taken <= drawn <= taken + channel._AHEAD
+        assert kept._filled.qsize() <= kept._in_flight <= channel._AHEAD
+    assert live.threads.count(threading.current_thread().name) == 2
+    assert dropped.threads == [threading.current_thread().name] * 2
+    assert np.array_equal(np.concatenate(takes), np.random.default_rng(
+        [9, 31]).standard_normal(sum(map(len, takes))))
+    assert np.array_equal(stream.standard_normal(10),
+                          np.random.default_rng([7, 31]).standard_normal(30)[20:])
 
 
 def test_streams_in_many_threads_keep_their_order():
@@ -358,11 +379,6 @@ def test_forked_child_starts_its_own_worker():
 
         one_draw = np.random.default_rng([3, 31]).standard_normal(215000)
         assert np.array_equal(draw(), one_draw)     # starts the worker
-        pool = channel._worker[0][1]
-        for _ in range(500):    # the gone stream's blocks reach the pool
-            if pool.qsize() == channel._POOL_BLOCKS:
-                break
-            time.sleep(0.01)
         pid = os.fork()
         if pid == 0:
             signal.alarm(30)    # a child that hangs ends, and fails the test
@@ -387,15 +403,15 @@ def _python(script):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this OS")
 def test_forked_child_keeps_the_noise_drawn_ahead():
-    # the parent's worker refills the pool blocks that the child's stream
-    # still holds: a shared pool would hand the child the parent's values
+    # the parent's stream draws on after the fork, and its worker draws
+    # fresh blocks: the child's stream still reads the values it held
     script = textwrap.dedent("""
         import os, signal, sys, time
         import numpy as np
         from shuttervlc import channel
 
         signal.alarm(30)    # a parent or child that hangs fails the test
-        blocks, n = channel._POOL_BLOCKS, channel._BLOCK
+        blocks, n = channel._AHEAD, channel._BLOCK
 
         def wait_for_full_lookahead(stream):
             for _ in range(500):
@@ -419,8 +435,8 @@ def test_forked_child_keeps_the_noise_drawn_ahead():
             got = np.concatenate([stream.standard_normal(blocks * n - 1),
                                   stream.standard_normal(n + 1)])
             os._exit(0 if np.array_equal(got, one_draw[20:]) else 3)
-        stream.standard_normal(blocks * n)  # the blocks go back to the pool
-        wait_for_full_lookahead(stream)     # and are filled again
+        stream.standard_normal(blocks * n)  # the parent reads the blocks
+        wait_for_full_lookahead(stream)     # and the worker draws more
         os.write(go, b"x")
         sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
         """)

@@ -525,6 +525,13 @@ def test_run_reports_malformed_scenario_as_error(tmp_path, capsys, text):
     assert list(tmp_path.iterdir()) == [src]
 
 
+def test_bundled_path_out_of_the_package_reported_as_error(capsys):
+    assert main(["run", "../scenarios/gmsk_demo", "--bundled"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shuttervlc: error: no bundled scenario named ")
+    assert err.count("\n") == 1
+
+
 def test_negative_seed_option_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "gmsk_demo", "--bundled", "--seed", "-1"])

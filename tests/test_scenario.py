@@ -67,6 +67,18 @@ def test_bundled_unknown_name():
         bundled_scenario("does_not_exist")
 
 
+def test_bundled_names_only_the_listed_scenarios(tmp_path):
+    # a path joined onto the scenarios directory used to load: one up and
+    # back in, or an absolute one to a copy outside the package
+    outside = tmp_path / "outside"
+    outside.with_suffix(".json").write_text(
+        json.dumps(bundled_scenario("gmsk_demo").source_dict))
+    for name in ("../scenarios/gmsk_demo", str(outside), "gmsk_demo.json", ""):
+        assert name not in bundled_scenario_names()
+        with pytest.raises(ScenarioError, match="no bundled scenario named"):
+            bundled_scenario(name)
+
+
 def test_mask_xor_protocol_required():
     with pytest.raises(ScenarioError):
         scenario_from_dict(_variant(mask=None))
