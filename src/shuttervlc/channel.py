@@ -109,7 +109,7 @@ def emitter_weights(mask: PixelMask, cfg: ChannelConfig) -> Tuple[float, ...]:
 # Drawing ahead: one daemon thread per process draws a fresh block of _BLOCK
 # normals per job; a stream has up to _AHEAD jobs (1 MiB) filled or in flight.
 # No block is shared, so a forked child keeps its streams' blocks. Allocated
-# on the main thread and filled in place, blocks cost 1.4 MiB more peak RSS.
+# on the main thread and filled in place, blocks cost 0.7 MiB more peak RSS.
 _BLOCK, _AHEAD = 2**15, 4
 _worker = []    # [job queue] once a stream draws ahead
 os.register_at_fork(after_in_child=_worker.clear)   # a child has no worker

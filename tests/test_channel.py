@@ -366,7 +366,7 @@ def test_streams_in_many_threads_keep_their_order():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this OS")
 def test_forked_child_starts_its_own_worker():
     script = textwrap.dedent("""
-        import os, signal, sys, threading, time
+        import os, signal, sys, threading
         import numpy as np
         from shuttervlc import channel
 
