@@ -5,11 +5,12 @@ the emitters (and ambient light) mapped to it with a factor of 1 when OPEN
 or `closed_leakage` when CLOSED. AWGN and a hard saturation clip model the
 amplifier front end. Samples are plain float64 arrays at the modem's
 `ModemConfig.sample_rate`: `receive` takes one per emitter and returns one,
-and `ac_power` and `received_snr_db` take one.
+and `ac_power` and `received_snr_db` take one. `receive` builds its output
+in chunks, noise included: it holds no other array of the output's length.
 
-A run's noise is one `NoiseStream`, which a helper thread draws ahead, in
-order, while the run does other work: no value depends on timing. Each
-stream holds blocks of its own, 1 MiB per live stream.
+A protocol run's noise is one `NoiseStream`, which a helper thread draws
+ahead, in order, while the run does other work: no value depends on
+timing. Each stream holds blocks of its own, 1 MiB per live stream.
 """
 
 import math
@@ -111,6 +112,7 @@ def emitter_weights(mask: PixelMask, cfg: ChannelConfig) -> Tuple[float, ...]:
 # No block is shared, so a forked child keeps its streams' blocks. Allocated
 # on the main thread and filled in place, blocks cost 0.7 MiB more peak RSS.
 _BLOCK, _AHEAD = 2**15, 4
+_CHUNK = 2**17  # samples of `receive`'s output built at a time: 1 MiB
 _worker = []    # [job queue] once a stream draws ahead
 os.register_at_fork(after_in_child=_worker.clear)   # a child has no worker
 
@@ -190,6 +192,9 @@ def receive(emitter_blocks: Sequence[np.ndarray], mask: PixelMask,
     `rng`, which a noisy channel requires: anything whose
     `standard_normal(n)` gives the next n standard normals, such as a
     numpy `Generator` or a run's `NoiseStream`.
+
+    The output is built `_CHUNK` samples at a time, noise included; each
+    sample takes the float operations of a sum of whole blocks and one draw.
     """
     if len(emitter_blocks) != len(cfg.emitter_gain):
         raise ChannelError("one block per configured emitter required")
@@ -197,27 +202,33 @@ def receive(emitter_blocks: Sequence[np.ndarray], mask: PixelMask,
     lengths = {len(b) for b in emitter_blocks}
     if len(lengths) > 1:
         raise ChannelError("emitter blocks must share one length")
+    noisy = cfg.noise_sigma > 0
+    if noisy and rng is None:
+        raise ChannelError("a noisy channel needs a generator")
 
     n = lengths.pop() if lengths else 0
-    lit = (weight * block
-           for block, weight in zip(emitter_blocks, weights) if weight)
-    out = next(lit, None)   # the first term holds the sum: no zeros to add to
-    for term in lit:
-        out += term
-    if cfg.ambient_total:
-        ambient = (cfg.closed_leakage * cfg.ambient_total + (1 - cfg.closed_leakage)
-                   * sum(cfg.ambient_dc[p] for p in sorted(mask.open)))
-        out = np.full(n, ambient) if out is None else np.add(out, ambient, out=out)
-    if cfg.noise_sigma > 0:
-        if rng is None:
-            raise ChannelError("a noisy channel needs a generator")
-        # the draws and values of rng.normal(0, sigma, n): 0 + sigma * z
-        noise = rng.standard_normal(n)
-        noise *= cfg.noise_sigma
-        out = noise if out is None else np.add(out, noise, out=out)
-    if out is None:
-        out = np.zeros(n)
-    np.clip(out, 0.0, cfg.saturation_level, out=out)
+    lit = [(b, weight) for b, weight in zip(emitter_blocks, weights) if weight]
+    ambient = cfg.ambient_total and (  # no light: no sum over open pixels
+        cfg.closed_leakage * cfg.ambient_total + (1 - cfg.closed_leakage)
+        * sum(cfg.ambient_dc[p] for p in sorted(mask.open)))
+    summed = bool(lit or cfg.ambient_total)    # noise is added to a sum
+    out = np.empty(n) if lit else np.zeros(n)   # 0.0 + ambient is ambient
+    for k in range(0, n, _CHUNK):
+        chunk = out[k:k + _CHUNK]
+        for i, (block, weight) in enumerate(lit):   # the first term is written
+            if i:
+                chunk += weight * block[k:k + _CHUNK]
+            else:
+                np.multiply(block[k:k + _CHUNK], weight, out=chunk)
+        if cfg.ambient_total:
+            chunk += ambient
+        if noisy:
+            # the draws and values of rng.normal(0, sigma, n): 0 + sigma * z
+            noise = rng.standard_normal(len(chunk))
+            np.multiply(noise, cfg.noise_sigma, out=noise if summed else chunk)
+            if summed:
+                chunk += noise
+        np.clip(chunk, 0.0, cfg.saturation_level, out=chunk)
     return out
 
 

@@ -340,12 +340,14 @@ class LinkSimulation:
     """Emitter bit streams plus a channel and a sample clock.
 
     Every dwell modulates each emitter's window at the current clock, runs
-    the channel with the run's noise, one `NoiseStream` of
-    `default_rng([seed, 31])`, and advances the clock;
-    dwell lengths are snapped to whole symbols so bit alignment is exact.
-    A window is a function of the bits alone, so an emitter the mask gates
-    to weight 0 is not synthesised: its block in `window` is all zeros.
-    Only one dwell's samples exist at a time.
+    the channel with the run's noise, `default_rng([seed, 31])`, and
+    advances the clock; dwell lengths are snapped to whole symbols so bit
+    alignment is exact. A protocol run's noise is a `NoiseStream` of that
+    generator, drawn ahead; a fixed-mask run has one dwell, so nothing to
+    draw ahead. A window is a function of the bits alone, so an emitter the
+    mask gates to weight 0 is not synthesised: its block is a zero-stride
+    view of 0.0. Only one dwell's samples exist at a time, and only a
+    fixed-mask run keeps its windows, in `window`, for its SNRs.
 
     Each emitter holds one run [lo, hi) of its stream, drawn when first
     read, so a dark emitter draws nothing. A window from at most hi extends
@@ -361,14 +363,15 @@ class LinkSimulation:
         self.sps = self.modem.samples_per_symbol
         self.n_pixels = scenario.n_pixels
         self.seed = seed
-        self.noise = NoiseStream(np.random.default_rng([seed, 31]))
-        self.clock = 0      # sample index
         self.framed = scenario.protocol is not None
+        rng = np.random.default_rng([seed, 31])
+        self.noise = NoiseStream(rng) if self.framed else rng
+        self.clock = 0      # sample index
         self.identification_window_s = (
             IDENT_WINDOW_PACKETS * framing.PACKET_BITS
             / self.modem.symbol_rate if self.framed else None)
         self._runs = {e.label: (0, np.uint8([])) for e in scenario.emitters}
-        self.window: List[np.ndarray] = []      # emitter blocks of the last dwell
+        self.window: List[np.ndarray] = []  # a fixed-mask dwell's emitter blocks
 
     @property
     def sim_time_s(self) -> float:
@@ -401,12 +404,14 @@ class LinkSimulation:
         start = 0 if self.modem.scheme is Scheme.GMSK else first
         weights = emitter_weights(mask, self.scenario.channel)
         self.window = []    # the last dwell's blocks go before new ones exist
-        dark = np.zeros(n_symbols * self.sps)
-        self.window = [modulate(self._held(spec, start, end), self.modem,
-                                spec.phase_offset, first - start, n_symbols)
-                       if weight else dark for spec, weight
-                       in zip(self.scenario.emitters, weights)]
-        out = receive(self.window, mask, self.scenario.channel, rng=self.noise)
+        dark = np.broadcast_to(0.0, n_symbols * self.sps)
+        window = [modulate(self._held(spec, start, end), self.modem,
+                           spec.phase_offset, first - start, n_symbols)
+                  if weight else dark for spec, weight
+                  in zip(self.scenario.emitters, weights)]
+        out = receive(window, mask, self.scenario.channel, rng=self.noise)
+        if not self.framed:     # read by a fixed-mask run's `_window_snrs`
+            self.window = window
         self.clock += n_symbols * self.sps
         return out
 

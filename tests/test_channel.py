@@ -130,12 +130,14 @@ def _reference_receive(blocks, mask, cfg, rng):
 
 def test_receive_matches_reference_bit_for_bit():
     # 0, 1 or 2 lit emitters (a closed one is lit by leakage), with or
-    # without ambient light and noise, on blocks of 0, 1 and odd lengths;
-    # saturation and the floor at 0 both clip
+    # without ambient light and noise, on blocks of 0, 1 and odd lengths,
+    # and of lengths that end just inside, just past and well past the
+    # output's chunks; saturation and the floor at 0 both clip
     data = np.random.default_rng(23)
+    chunk = channel._CHUNK
     for opened, leak, ambient, sigma, n in itertools.product(
             [(), (0,), (0, 1)], [0.0, 0.05], [(0.0,) * 3, (0.3, 0.0, 0.7)],
-            [0.0, 0.05], [0, 1, 7, 1001]):
+            [0.0, 0.05], [0, 1, 7, 1001, chunk - 1, chunk + 1, 2 * chunk + 7]):
         cfg = ChannelConfig(emitter_gain=(0.9, 1.3), emitter_pixel=(0, 1),
                             ambient_dc=ambient, noise_sigma=sigma,
                             closed_leakage=leak, saturation_level=1.6)
