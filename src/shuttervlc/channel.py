@@ -193,8 +193,9 @@ def receive(emitter_blocks: Sequence[np.ndarray], mask: PixelMask,
     `standard_normal(n)` gives the next n standard normals, such as a
     numpy `Generator` or a run's `NoiseStream`.
 
-    The output is built `_CHUNK` samples at a time, noise included; each
-    sample takes the float operations of a sum of whole blocks and one draw.
+    The output is built `_CHUNK` samples at a time, with each chunk's own
+    noise draw (noise alone is drawn at once, as the output); each sample
+    takes the float operations of a sum of whole blocks and one draw.
     """
     if len(emitter_blocks) != len(cfg.emitter_gain):
         raise ChannelError("one block per configured emitter required")
@@ -211,8 +212,12 @@ def receive(emitter_blocks: Sequence[np.ndarray], mask: PixelMask,
     ambient = cfg.ambient_total and (  # no light: no sum over open pixels
         cfg.closed_leakage * cfg.ambient_total + (1 - cfg.closed_leakage)
         * sum(cfg.ambient_dc[p] for p in sorted(mask.open)))
-    summed = bool(lit or cfg.ambient_total)    # noise is added to a sum
-    out = np.empty(n) if lit else np.zeros(n)   # 0.0 + ambient is ambient
+    summed = noisy and bool(lit or cfg.ambient_total)   # noise added to light
+    if noisy and not summed:    # noise alone: its one draw is the output
+        out = rng.standard_normal(n)
+        out *= cfg.noise_sigma
+    else:
+        out = np.empty(n) if lit else np.zeros(n)   # 0.0 + ambient is ambient
     for k in range(0, n, _CHUNK):
         chunk = out[k:k + _CHUNK]
         for i, (block, weight) in enumerate(lit):   # the first term is written
@@ -222,12 +227,11 @@ def receive(emitter_blocks: Sequence[np.ndarray], mask: PixelMask,
                 np.multiply(block[k:k + _CHUNK], weight, out=chunk)
         if cfg.ambient_total:
             chunk += ambient
-        if noisy:
+        if summed:
             # the draws and values of rng.normal(0, sigma, n): 0 + sigma * z
             noise = rng.standard_normal(len(chunk))
-            np.multiply(noise, cfg.noise_sigma, out=noise if summed else chunk)
-            if summed:
-                chunk += noise
+            noise *= cfg.noise_sigma
+            chunk += noise
         np.clip(chunk, 0.0, cfg.saturation_level, out=chunk)
     return out
 
