@@ -5,12 +5,12 @@ the emitters (and ambient light) mapped to it with a factor of 1 when OPEN
 or `closed_leakage` when CLOSED. AWGN and a hard saturation clip model the
 amplifier front end. Samples are plain float64 arrays at the modem's
 `ModemConfig.sample_rate`: `receive` takes one per emitter and returns one,
-and `ac_power` and `received_snr_db` take one. `receive` builds its output
-in chunks, noise included: it holds no other array of the output's length.
+and `ac_power` and `received_snr_db` take one. `receive` draws its noise
+into its output, a chunk at a time: it holds no other dwell-length array.
 
-A protocol run's noise is one `NoiseStream`, which a helper thread draws
-ahead, in order, while the run does other work: no value depends on
-timing. Each stream holds blocks of its own, 1 MiB per live stream.
+A run's noise is one `NoiseStream`, which a helper thread draws ahead, in
+order, while the run does other work: no value depends on timing. Each
+stream holds blocks of its own, 1 MiB per live stream.
 """
 
 import math
@@ -133,8 +133,8 @@ def _draw_ahead(jobs: queue.SimpleQueue) -> None:
 
 
 class NoiseStream:
-    """The standard normals of `rng` in order: the takes of
-    `standard_normal(n)` join into one `rng.standard_normal` draw.
+    """The standard normals of `rng` in order: the takes of `standard_normal`,
+    which fills `out` when given one, join into one `rng.standard_normal` draw.
 
     From the second take on, the worker draws the next blocks ahead. Only
     one thread draws from `rng` at a time: a take uses the blocks drawn
@@ -149,11 +149,12 @@ class NoiseStream:
         self._filled = queue.SimpleQueue()  # the blocks drawn ahead, in order
         self._in_flight = 0                 # jobs whose block is not yet taken
 
-    def standard_normal(self, n: int) -> np.ndarray:
-        if self._head is None:  # a one-dwell run puts no work on the worker
+    def standard_normal(self, size=None, out=None) -> np.ndarray:
+        if self._head is None:  # a one-chunk run puts no work on the worker
             self._head = np.empty(0)
-            return self._rng.standard_normal(n)
-        out, k, head = np.empty(n), 0, self._head
+            return self._rng.standard_normal(size, out=out)
+        out = np.empty(size) if out is None else out
+        n, k, head = len(out), 0, self._head
         while True:
             m = min(n - k, len(head))
             out[k:k + m] = head[:m]
@@ -190,12 +191,12 @@ def receive(emitter_blocks: Sequence[np.ndarray], mask: PixelMask,
     All emitter blocks must have one length; the samples of an emitter
     whose `emitter_weights` entry is 0 are never read. Noise comes from
     `rng`, which a noisy channel requires: anything whose
-    `standard_normal(n)` gives the next n standard normals, such as a
-    numpy `Generator` or a run's `NoiseStream`.
+    `standard_normal(out=array)` fills the array with the next standard
+    normals, such as a numpy `Generator` or a run's `NoiseStream`.
 
-    The output is built `_CHUNK` samples at a time, with each chunk's own
-    noise draw (noise alone is drawn at once, as the output); each sample
-    takes the float operations of a sum of whole blocks and one draw.
+    The output is built `_CHUNK` samples at a time: noise drawn into it,
+    plus the light summed in one scratch chunk. Each sample takes the float
+    operations of a sum of whole blocks and one draw.
     """
     if len(emitter_blocks) != len(cfg.emitter_gain):
         raise ChannelError("one block per configured emitter required")
@@ -212,26 +213,25 @@ def receive(emitter_blocks: Sequence[np.ndarray], mask: PixelMask,
     ambient = cfg.ambient_total and (  # no light: no sum over open pixels
         cfg.closed_leakage * cfg.ambient_total + (1 - cfg.closed_leakage)
         * sum(cfg.ambient_dc[p] for p in sorted(mask.open)))
-    summed = noisy and bool(lit or cfg.ambient_total)   # noise added to light
-    if noisy and not summed:    # noise alone: its one draw is the output
-        out = rng.standard_normal(n)
-        out *= cfg.noise_sigma
-    else:
-        out = np.empty(n) if lit else np.zeros(n)   # 0.0 + ambient is ambient
+    out = np.empty(n) if noisy else np.zeros(n)
+    light = np.empty(min(n, _CHUNK)) if lit else None
     for k in range(0, n, _CHUNK):
         chunk = out[k:k + _CHUNK]
-        for i, (block, weight) in enumerate(lit):   # the first term is written
-            if i:
-                chunk += weight * block[k:k + _CHUNK]
-            else:
-                np.multiply(block[k:k + _CHUNK], weight, out=chunk)
-        if cfg.ambient_total:
+        if noisy:   # the values of rng.normal(0, sigma, n): 0 + sigma * z
+            rng.standard_normal(out=chunk)
+            chunk *= cfg.noise_sigma
+        if lit:
+            total = light[:len(chunk)]
+            for i, (block, weight) in enumerate(lit):   # the first is written
+                if i:
+                    total += weight * block[k:k + _CHUNK]
+                else:
+                    np.multiply(block[k:k + _CHUNK], weight, out=total)
+            if cfg.ambient_total:
+                total += ambient
+            chunk += total  # fl(N + S) is fl(S + N): noise first moves no bit
+        elif cfg.ambient_total:
             chunk += ambient
-        if summed:
-            # the draws and values of rng.normal(0, sigma, n): 0 + sigma * z
-            noise = rng.standard_normal(len(chunk))
-            noise *= cfg.noise_sigma
-            chunk += noise
         np.clip(chunk, 0.0, cfg.saturation_level, out=chunk)
     return out
 

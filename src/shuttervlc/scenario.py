@@ -340,14 +340,13 @@ class LinkSimulation:
     """Emitter bit streams plus a channel and a sample clock.
 
     Every dwell modulates each emitter's window at the current clock, runs
-    the channel with the run's noise, `default_rng([seed, 31])`, and
-    advances the clock; dwell lengths are snapped to whole symbols so bit
-    alignment is exact. A protocol run's noise is a `NoiseStream` of that
-    generator, drawn ahead; a fixed-mask run has one dwell, so nothing to
-    draw ahead. A window is a function of the bits alone, so an emitter the
-    mask gates to weight 0 is not synthesised: its block is a zero-stride
-    view of 0.0. Only one dwell's samples exist at a time, and only a
-    fixed-mask run keeps its windows, in `window`, for its SNRs.
+    the channel with the run's noise, a `NoiseStream` of
+    `default_rng([seed, 31])`, and advances the clock; dwell lengths are
+    snapped to whole symbols so bit alignment is exact. A window is a
+    function of the bits alone, so an emitter the mask gates to weight 0 is
+    not synthesised: its block is a zero-stride view of 0.0. Only one
+    dwell's samples exist at a time, and only a fixed-mask run keeps its
+    windows, in `window`, for its SNRs.
 
     Each emitter holds one run [lo, hi) of its stream, drawn when first
     read, so a dark emitter draws nothing. A window from at most hi extends
@@ -364,8 +363,7 @@ class LinkSimulation:
         self.n_pixels = scenario.n_pixels
         self.seed = seed
         self.framed = scenario.protocol is not None
-        rng = np.random.default_rng([seed, 31])
-        self.noise = NoiseStream(rng) if self.framed else rng
+        self.noise = NoiseStream(np.random.default_rng([seed, 31]))
         self.clock = 0      # sample index
         self.identification_window_s = (
             IDENT_WINDOW_PACKETS * framing.PACKET_BITS

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shuttervlc import channel
 from shuttervlc.channel import (ChannelConfig, ChannelError, NoiseStream,
@@ -132,12 +132,14 @@ def test_receive_matches_reference_bit_for_bit():
     # 0, 1 or 2 lit emitters (a closed one is lit by leakage), with or
     # without ambient light and noise, on blocks of 0, 1 and odd lengths,
     # and of lengths that end just inside, just past and well past the
-    # output's chunks; saturation and the floor at 0 both clip
+    # output's chunks; saturation and the floor at 0 both clip. The noise
+    # comes from a generator, or from a run's stream of the same generator
     data = np.random.default_rng(23)
     chunk = channel._CHUNK
-    for opened, leak, ambient, sigma, n in itertools.product(
+    for opened, leak, ambient, sigma, n, stream in itertools.product(
             [(), (0,), (0, 1)], [0.0, 0.05], [(0.0,) * 3, (0.3, 0.0, 0.7)],
-            [0.0, 0.05], [0, 1, 7, 1001, chunk - 1, chunk + 1, 2 * chunk + 7]):
+            [0.0, 0.05], [0, 1, 7, 1001, chunk - 1, chunk + 1, 2 * chunk + 7],
+            [False, True]):
         cfg = ChannelConfig(emitter_gain=(0.9, 1.3), emitter_pixel=(0, 1),
                             ambient_dc=ambient, noise_sigma=sigma,
                             closed_leakage=leak, saturation_level=1.6)
@@ -145,10 +147,12 @@ def test_receive_matches_reference_bit_for_bit():
         before = [b.copy() for b in blocks]
         mask = PixelMask(3, opened)
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        got = receive(blocks, mask, cfg, rng=rng)
+        got = receive(blocks, mask, cfg,
+                      rng=NoiseStream(rng) if stream else rng)
         expected = _reference_receive(blocks, mask, cfg, ref_rng)
         assert got.tobytes() == expected.tobytes()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if not stream:  # a stream may have drawn ahead
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
         # the emitter blocks are read, never written
         assert all(np.array_equal(b, a) for b, a in zip(blocks, before))
 
@@ -229,13 +233,29 @@ _TAKE = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       sizes=st.lists(_TAKE, min_size=1, max_size=10))
-def test_noise_stream_is_one_draw_property(seed, sizes):
+       takes=st.lists(st.tuples(_TAKE, st.booleans()), min_size=1,
+                      max_size=10))
+@example(seed=0, takes=[(_BLOCK + 1, True), (3 * _BLOCK - 5, True),
+                        (7, False), (_LOOKAHEAD + 1, True)])
+def test_noise_stream_is_one_draw_property(seed, takes):
+    # a take returns a new array, or fills `out`, here a view into a larger
+    # array, as `receive` fills a chunk of its output
     stream = NoiseStream(np.random.default_rng([seed, 31]))
-    takes = [stream.standard_normal(n) for n in sizes]
-    assert [len(t) for t in takes] == sizes
-    one_draw = np.random.default_rng([seed, 31]).standard_normal(sum(sizes))
-    assert np.array_equal(np.concatenate(takes), one_draw)
+    drawn = []
+    for n, into in takes:
+        if into:
+            room = np.full(n + 2, np.nan)
+            view = room[1:-1]
+            got = stream.standard_normal(out=view)
+            assert got is view
+            assert np.isnan(room[[0, -1]]).all()   # nothing written past it
+        else:
+            got = stream.standard_normal(n)
+        drawn.append(got)
+    assert [len(t) for t in drawn] == [n for n, _ in takes]
+    one_draw = np.random.default_rng([seed, 31]).standard_normal(
+        sum(n for n, _ in takes))
+    assert np.array_equal(np.concatenate(drawn), one_draw)
 
 
 class _StandIn:
@@ -401,6 +421,26 @@ def _python(script):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", script], env=env,
                           timeout=60, capture_output=True, text=True)
+
+
+def test_fixed_mask_runs_start_no_noise_worker():
+    # every bundled fixed-mask dwell fits in one chunk of `receive`'s
+    # output, so its noise is the stream's first take, drawn by the caller
+    script = textwrap.dedent("""
+        import threading
+        from shuttervlc.scenario import (bundled_scenario,
+                                         bundled_scenario_names, run_scenario)
+
+        names = [name for name in bundled_scenario_names()
+                 if bundled_scenario(name).protocol is None]
+        for name in names:
+            run_scenario(bundled_scenario(name))
+        print(len(names), *(t.name for t in threading.enumerate()))
+        """)
+    done = _python(script)
+    assert done.returncode == 0, done.stderr
+    count, *threads = done.stdout.split()
+    assert int(count) >= 10 and threads == ["MainThread"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this OS")

@@ -632,6 +632,20 @@ def test_simulations_alive_at_once_each_draw_their_own_noise():
             assert got.tobytes() == expected.tobytes()
 
 
+def test_fixed_mask_dwell_of_many_chunks_keeps_its_noise(monkeypatch):
+    # one dwell of 400 000 samples, three chunks of `receive`'s output and
+    # part of a fourth: the stream's takes after the first, drawn ahead,
+    # give the trace of a run whose noise is one plain generator
+    doc = json.loads(json.dumps(
+        bundled_scenario("table1_type2_case1").source_dict))
+    doc["duration_s"] = 1000.0
+    sc = scenario_from_dict(doc)
+    assert sc.duration_s * sc.modem.sample_rate > 3 * shuttervlc.channel._CHUNK
+    text = run_scenario(sc).to_json()
+    monkeypatch.setattr(scenario, "NoiseStream", lambda rng: rng)
+    assert run_scenario(sc).to_json() == text
+
+
 @pytest.mark.parametrize("scheme, sps", [("OOK", 4), ("GMSK", 8)])
 def test_lit_dwell_and_decode_peak_below_three_dwells(scheme, sps):
     # a lit protocol dwell of 2^20 samples and its decode hold the lit
@@ -651,6 +665,21 @@ def test_lit_dwell_and_decode_peak_below_three_dwells(scheme, sps):
         tracemalloc.stop()
     assert len(bits) == n // sps and sim.window == []
     assert peak <= 3.0 * n * 8
+
+
+def test_dark_dwell_peak_is_its_output_and_the_lookahead():
+    # noise alone, drawn into the output a chunk at a time, holds nothing
+    # more than the 1 MiB the stream draws ahead
+    sc = bundled_scenario("protocol_clean")
+    sim, n = LinkSimulation(sc, 1), 2**20
+    tracemalloc.start()
+    try:
+        out = sim.dwell(PixelMask(sc.n_pixels), n / sim.fs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == n and out.any()
+    assert peak <= 1.25 * n * 8
 
 
 def test_noiseless_dark_shutter_never_identifies():
