@@ -195,8 +195,8 @@ def receive(emitter_blocks: Sequence[np.ndarray], mask: PixelMask,
     normals, such as a numpy `Generator` or a run's `NoiseStream`.
 
     The output is built `_CHUNK` samples at a time: noise drawn into it,
-    plus the light summed in one scratch chunk. Each sample takes the float
-    operations of a sum of whole blocks and one draw.
+    plus the light, summed apart in one scratch chunk. Each sample takes
+    the float operations of a sum of whole blocks and one draw.
     """
     if len(emitter_blocks) != len(cfg.emitter_gain):
         raise ChannelError("one block per configured emitter required")
@@ -213,15 +213,15 @@ def receive(emitter_blocks: Sequence[np.ndarray], mask: PixelMask,
     ambient = cfg.ambient_total and (  # no light: no sum over open pixels
         cfg.closed_leakage * cfg.ambient_total + (1 - cfg.closed_leakage)
         * sum(cfg.ambient_dc[p] for p in sorted(mask.open)))
-    out = np.empty(n) if noisy else np.zeros(n)
-    light = np.empty(min(n, _CHUNK)) if lit else None
+    out = np.empty(n) if noisy or lit else np.zeros(n)
+    light = np.empty(min(n, _CHUNK)) if noisy and lit else None
     for k in range(0, n, _CHUNK):
         chunk = out[k:k + _CHUNK]
         if noisy:   # the values of rng.normal(0, sigma, n): 0 + sigma * z
             rng.standard_normal(out=chunk)
             chunk *= cfg.noise_sigma
-        if lit:
-            total = light[:len(chunk)]
+        if lit:     # summed apart from the noise; with none, in the chunk
+            total = light[:len(chunk)] if noisy else chunk
             for i, (block, weight) in enumerate(lit):   # the first is written
                 if i:
                     total += weight * block[k:k + _CHUNK]
@@ -229,8 +229,9 @@ def receive(emitter_blocks: Sequence[np.ndarray], mask: PixelMask,
                     np.multiply(block[k:k + _CHUNK], weight, out=total)
             if cfg.ambient_total:
                 total += ambient
-            chunk += total  # fl(N + S) is fl(S + N): noise first moves no bit
-        elif cfg.ambient_total:
+            if noisy:   # fl(N + S) is fl(S + N): noise first moves no bit
+                chunk += total
+        elif cfg.ambient_total:     # onto the noise, or onto 0.0
             chunk += ambient
         np.clip(chunk, 0.0, cfg.saturation_level, out=chunk)
     return out
